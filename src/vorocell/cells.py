@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -584,7 +583,7 @@ def _sparse_reduce(
     if want_factors:
         factors, rank = smith_normal_form(dense)
         return units + rank, [1] * units + list(factors)
-    rank = matrix_rank([[Fraction(v) for v in row] for row in dense])
+    rank = matrix_rank(dense)
     return units + rank, []
 
 

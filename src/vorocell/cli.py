@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -26,7 +25,7 @@ from .parabolic import building_quotient
 from .perfect import Catalog, enumerate_perfect_forms
 from .reduction import voronoi_reduce
 from .shelling import certify_sphere
-from .sl2 import build_quotient, genus_report, h1_rank, vcd_vanishing_check
+from .sl2 import QuotientTessellation, genus_report, h1_rank, vcd_vanishing_check
 from .sp4 import verify_model
 
 CATALOG_DIR_VAR = "VOROCELL_CATALOG_DIR"
@@ -36,45 +35,24 @@ class CliError(Exception):
     """Usage or precondition failure; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation parameters for one subcommand run."""
-
-    subcommand: str
-    input_paths: tuple[Path, ...] = ()
-    output_path: Optional[Path] = None
-    dimension: Optional[int] = None
-    level: Optional[int] = None
-    budget: Optional[int] = None
-    limit: Optional[int] = None
-    integer: bool = False
-    dual: bool = False
-    verbose: int = 0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.budget is not None and self.budget <= 0:
-            raise CliError("--budget must be positive")
-        if self.limit is not None and self.limit <= 0:
-            raise CliError("--limit must be positive")
-        for p in self.input_paths:
-            if not p.is_file():
-                raise CliError(f"{p}: no such file")
-
-
 def _dump(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
 def _load_json(path: Path) -> dict:
+    if not path.is_file():
+        raise CliError(f"{path}: no such file")
     try:
         text = path.read_text()
     except OSError as e:
         raise CliError(f"{path}: {e.strerror or e}") from e
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise CliError(f"{path}:{e.lineno}:{e.colno}: malformed JSON: {e.msg}") from e
+    if not isinstance(doc, dict):
+        raise CliError(f"{path}: expected a JSON object")
+    return doc
 
 
 def _emit(path: Path, doc: dict) -> None:
@@ -84,9 +62,10 @@ def _emit(path: Path, doc: dict) -> None:
         raise CliError(f"{path}: {e.strerror or e}") from e
 
 
-def _resolve_out(path_str: Optional[str]) -> Optional[Path]:
-    """Resolve an output path, honoring the default catalog directory
-    for relative paths when the environment variable is set."""
+def _resolve(path_str: Optional[str]) -> Optional[Path]:
+    """Resolve a --out, --resume or --emit path, honoring the default
+    catalog directory for relative paths when the environment variable
+    is set."""
     if path_str is None:
         return None
     p = Path(path_str)
@@ -137,11 +116,14 @@ def _load_simplicial(path: Path) -> SimplicialComplex:
 # -- subcommands ---------------------------------------------------------
 
 
-def _cmd_perfect_enumerate(cfg: RunConfig) -> int:
+def _cmd_perfect_enumerate(ns: argparse.Namespace) -> int:
+    if ns.limit is not None and ns.limit <= 0:
+        raise CliError("--limit must be positive")
+    resume = _resolve(ns.resume)
     resume_catalog = None
-    n = cfg.dimension
-    if cfg.input_paths:
-        resume_catalog = _load_catalog(cfg.input_paths[0])
+    n = ns.n
+    if resume is not None:
+        resume_catalog = _load_catalog(resume)
         if n is not None and n != resume_catalog.n:
             raise CliError(
                 f"--n {n} conflicts with resumed catalog dimension {resume_catalog.n}"
@@ -149,13 +131,11 @@ def _cmd_perfect_enumerate(cfg: RunConfig) -> int:
         n = resume_catalog.n
     if n is None:
         raise CliError("one of --n or --resume is required")
-    if n < 1:
-        raise CliError("--n must be at least 1")
-    catalog = enumerate_perfect_forms(n, limit=cfg.limit, catalog=resume_catalog)
+    if n < 2:
+        raise CliError("--n must be at least 2")
+    catalog = enumerate_perfect_forms(n, limit=ns.limit, catalog=resume_catalog)
     doc = catalog.to_json_dict()
-    out = cfg.output_path
-    if out is None and cfg.input_paths:
-        out = cfg.input_paths[0]
+    out = _resolve(ns.out) or resume
     if out is not None:
         _emit(out, doc)
         summary = {
@@ -171,9 +151,9 @@ def _cmd_perfect_enumerate(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_reduce(cfg: RunConfig) -> int:
-    form = _load_form(cfg.input_paths[0])
-    catalog = _load_catalog(cfg.input_paths[1])
+def _cmd_reduce(ns: argparse.Namespace) -> int:
+    form = _load_form(Path(ns.form))
+    catalog = _load_catalog(Path(ns.catalog))
     try:
         result = voronoi_reduce(form, catalog)
     except ValueError as e:
@@ -190,37 +170,39 @@ def _cmd_reduce(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_sl2(cfg: RunConfig) -> int:
-    level = cfg.level
-    assert level is not None
+def _cmd_sl2(ns: argparse.Namespace) -> int:
     try:
-        tess = build_quotient(level)
-        report = genus_report(level)
+        tess = QuotientTessellation(ns.level)
     except ValueError as e:
         raise CliError(str(e)) from e
+    report = genus_report(tess)
+    graph = tess.dual_graph()
+    graph_homology = homology(graph)
+    out = _resolve(ns.emit)
+    if out is not None:
+        emitted = graph if ns.dual else tess.surface_complex()
+        _emit(out, emitted.to_json_dict())
     doc = {
         "format": 1,
-        "level": level,
+        "level": ns.level,
         "triangles": report.triangles,
         "edges": report.edges,
         "cusps": report.cusps,
         "genus": report.genus,
         "genus_ratio": str(report.ratio),
-        "h1_rank": h1_rank(tess),
-        "vcd_vanishing": vcd_vanishing_check(tess),
+        "h1_rank": h1_rank(graph_homology),
+        "vcd_vanishing": vcd_vanishing_check(graph_homology),
     }
     sys.stdout.write(_dump(doc))
-    if cfg.output_path is not None:
-        emitted = tess.dual_graph() if cfg.dual else tess.surface_complex()
-        _emit(cfg.output_path, emitted.to_json_dict())
     return 0
 
 
-def _cmd_shell(cfg: RunConfig) -> int:
-    cx = _load_simplicial(cfg.input_paths[0])
-    assert cfg.budget is not None
+def _cmd_shell(ns: argparse.Namespace) -> int:
+    if ns.budget <= 0:
+        raise CliError("--budget must be positive")
+    cx = _load_simplicial(Path(ns.complex_path))
     try:
-        cert = certify_sphere(cx, cfg.budget)
+        cert = certify_sphere(cx, ns.budget)
     except ValueError as e:
         raise CliError(str(e)) from e
     doc = {
@@ -234,15 +216,14 @@ def _cmd_shell(cfg: RunConfig) -> int:
     return 0 if cert.status in ("sphere", "ball") else 1
 
 
-def _cmd_sp4_verify(cfg: RunConfig) -> int:
+def _cmd_sp4_verify(ns: argparse.Namespace) -> int:
     report = verify_model()
     sys.stdout.write(_dump(report.to_json_dict()))
     return 0 if report.ok else 1
 
 
-def _cmd_building(cfg: RunConfig) -> int:
-    n = cfg.dimension
-    assert n is not None
+def _cmd_building(ns: argparse.Namespace) -> int:
+    n = ns.n
     try:
         b = building_quotient(n)
     except ValueError as e:
@@ -263,17 +244,18 @@ def _cmd_building(cfg: RunConfig) -> int:
         "f_vector": list(b.complex.f_vector()),
         "simplices": simplices,
     }
+    out = _resolve(ns.emit)
+    if out is not None:
+        _emit(out, b.complex.to_json_dict())
     sys.stdout.write(_dump(doc))
-    if cfg.output_path is not None:
-        _emit(cfg.output_path, b.complex.to_json_dict())
     return 0
 
 
-def _cmd_homology(cfg: RunConfig) -> int:
-    cx = _load_any_complex(cfg.input_paths[0])
-    result = homology(cx, rational=not cfg.integer)
+def _cmd_homology(ns: argparse.Namespace) -> int:
+    cx = _load_any_complex(Path(ns.complex_path))
+    result = homology(cx, rational=not ns.integer)
     doc: dict = {"format": 1, "betti": list(result.betti)}
-    if cfg.integer:
+    if ns.integer:
         doc["torsion"] = [list(t) for t in result.torsion]
     sys.stdout.write(_dump(doc))
     return 0
@@ -289,13 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "and arithmetic quotients.",
     )
     parser.add_argument("-v", "--verbose", action="count", default=0)
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed recorded for randomized harnesses (reserved; all "
-        "subcommands are deterministic)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_perfect = sub.add_parser("perfect", help="perfect-form catalogs")
@@ -307,12 +282,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--resume", metavar="CATALOG", help="continue a saved catalog")
     p_enum.add_argument("--out", metavar="PATH", help="write the catalog here")
     p_enum.add_argument("--limit", type=int, help="stop after this many classes")
+    p_enum.set_defaults(func=_cmd_perfect_enumerate)
 
     p_reduce = sub.add_parser(
         "reduce", help="reduce a positive-definite form against a catalog"
     )
     p_reduce.add_argument("--form", required=True, metavar="FORM_JSON")
     p_reduce.add_argument("--catalog", required=True, metavar="CATALOG_JSON")
+    p_reduce.set_defaults(func=_cmd_reduce)
 
     p_sl2 = sub.add_parser("sl2", help="congruence quotient of the level-N tessellation")
     p_sl2.add_argument("--level", type=int, required=True)
@@ -320,96 +297,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sl2.add_argument(
         "--dual", action="store_true", help="emit the dual graph instead of the surface"
     )
+    p_sl2.set_defaults(func=_cmd_sl2)
 
     p_shell = sub.add_parser("shell", help="certify a complex as a sphere or ball")
     p_shell.add_argument("--complex", required=True, dest="complex_path", metavar="JSON")
     p_shell.add_argument("--budget", type=int, default=10_000_000)
+    p_shell.set_defaults(func=_cmd_shell)
 
     p_sp4 = sub.add_parser("sp4", help="symplectic 4-cell accounting")
     sp4_sub = p_sp4.add_subparsers(dest="sp4_command", required=True)
-    sp4_sub.add_parser("verify", help="check every stated identity")
+    sp4_sub.add_parser("verify", help="check every stated identity").set_defaults(
+        func=_cmd_sp4_verify
+    )
 
     p_building = sub.add_parser("building", help="finite building quotient for SL_n")
     p_building.add_argument("--n", type=int, required=True)
     p_building.add_argument("--emit", metavar="PATH", help="write the complex here")
+    p_building.set_defaults(func=_cmd_building)
 
     p_hom = sub.add_parser("homology", help="homology of a complex from JSON")
     p_hom.add_argument("--complex", required=True, dest="complex_path", metavar="JSON")
     p_hom.add_argument(
         "--integer", action="store_true", help="integer homology with torsion"
     )
+    p_hom.set_defaults(func=_cmd_homology)
     return parser
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    common = dict(verbose=ns.verbose, seed=ns.seed)
-    if ns.command == "perfect":
-        inputs = (Path(ns.resume),) if ns.resume else ()
-        return RunConfig(
-            "perfect enumerate",
-            input_paths=inputs,
-            output_path=_resolve_out(ns.out),
-            dimension=ns.n,
-            limit=ns.limit,
-            **common,
-        )
-    if ns.command == "reduce":
-        return RunConfig(
-            "reduce",
-            input_paths=(Path(ns.form), Path(ns.catalog)),
-            **common,
-        )
-    if ns.command == "sl2":
-        return RunConfig(
-            "sl2",
-            level=ns.level,
-            output_path=_resolve_out(ns.emit),
-            dual=ns.dual,
-            **common,
-        )
-    if ns.command == "shell":
-        return RunConfig(
-            "shell",
-            input_paths=(Path(ns.complex_path),),
-            budget=ns.budget,
-            **common,
-        )
-    if ns.command == "sp4":
-        return RunConfig("sp4 verify", **common)
-    if ns.command == "building":
-        return RunConfig(
-            "building",
-            dimension=ns.n,
-            output_path=_resolve_out(ns.emit),
-            **common,
-        )
-    if ns.command == "homology":
-        return RunConfig(
-            "homology",
-            input_paths=(Path(ns.complex_path),),
-            integer=ns.integer,
-            **common,
-        )
-    raise CliError(f"unknown command {ns.command!r}")
-
-
-_DISPATCH = {
-    "perfect enumerate": _cmd_perfect_enumerate,
-    "reduce": _cmd_reduce,
-    "sl2": _cmd_sl2,
-    "shell": _cmd_shell,
-    "sp4 verify": _cmd_sp4_verify,
-    "building": _cmd_building,
-    "homology": _cmd_homology,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from(ns)
-        return _DISPATCH[cfg.subcommand](cfg)
+        return ns.func(ns)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

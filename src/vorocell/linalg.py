@@ -125,9 +125,6 @@ class SymMatrix:
             [[sum(u[k][i] * au[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         )
 
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.rows for x in row)
-
     def integral_multiple(self) -> "SymMatrix":
         """The smallest positive rational multiple with integer entries
         of content 1 (gcd of entries)."""
@@ -183,67 +180,77 @@ def identity_matrix(n: int) -> list:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def matrix_rank(rows: Iterable[Sequence]) -> int:
-    """Rank over the rationals, by Gaussian elimination."""
-    work = [[_frac(x) for x in row] for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
+def _eliminate(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int], Fraction]:
+    """Gauss-Jordan elimination in integers; the module's one elimination loop.
+
+    Each row is first scaled by a positive rational to integers of
+    content 1, and each updated row ``p * row - c * pivot_row`` is
+    divided by its content again, so entries stay small integers.
+    Returns ``(reduced, pivots, factor)``: ``reduced[i]`` is nonzero in
+    column ``pivots[i]``, zero in every other pivot column and before
+    ``pivots[i]``, so dividing it by that entry gives row i of the
+    (unique) reduced row echelon form.  For square input of full rank,
+    det = factor * the product of the pivot entries.
+    """
+    work = []
+    num = den = 1  # factor = num / den, kept as ints until the end
+    for row in rows:
+        entries = [x if isinstance(x, (int, Fraction)) else _frac(x) for x in row]
+        scale = lcm(*(x.denominator for x in entries))
+        ints = [x.numerator * (scale // x.denominator) for x in entries]
+        g = gcd(*ints) or 1
+        work.append([x // g for x in ints] if g > 1 else ints)
+        num *= g
+        den *= scale
+    ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
     for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(work):
+            break
         pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if pivot is None:
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                c = work[r][col]
-                work[r] = [x - c * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+        if pivot != rank:
+            work[rank], work[pivot] = work[pivot], work[rank]
+            num = -num
+        prow = work[rank]
+        p = prow[col]
+        for r, row in enumerate(work):
+            c = row[col]
+            if r != rank and c:
+                new = [p * x - c * y for x, y in zip(row, prow)]
+                g = gcd(*new) or 1
+                work[r] = [x // g for x in new] if g > 1 else new
+                num *= g
+                den *= p
+        pivots.append(col)
+    return work[: len(pivots)], pivots, Fraction(num, den)
+
+
+def matrix_rank(rows: Iterable[Sequence]) -> int:
+    """Rank over the rationals."""
+    return len(_eliminate(rows)[1])
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
-    work = [[_frac(x) for x in row] for row in rows]
-    n = len(work)
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            sign = -sign
-        result *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col]:
-                c = work[r][col] * inv
-                work[r] = [x - c * y for x, y in zip(work[r], work[col])]
-    return result * sign
+    reduced, pivots, factor = _eliminate(rows)
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    for row, col in zip(reduced, pivots):
+        factor *= row[col]
+    return factor
 
 
 def invert(rows: Sequence[Sequence]) -> list:
     """Exact inverse of a square matrix; raises on singular input."""
     n = len(rows)
-    work = [[_frac(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                c = work[r][col]
-                work[r] = [x - c * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+    reduced, pivots, _ = _eliminate(
+        list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)
+    )
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(reduced)]
 
 
 def ldlt(a: SymMatrix) -> Optional[tuple[list, list]]:
@@ -297,38 +304,24 @@ class LinearSolution:
 
 
 def solve_linear(a_rows: Sequence[Sequence], b: Sequence) -> LinearSolution:
-    rows = [list(map(_frac, row)) + [_frac(bi)] for row, bi in zip(a_rows, b)]
+    rows = [list(row) + [bi] for row, bi in zip(a_rows, b)]
     if len(rows) != len(b):
         raise ValueError("matrix/vector size mismatch")
     ncols = len(a_rows[0]) if a_rows else 0
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(rows)):
-        if rows[r][ncols]:
-            return LinearSolution(solution=None, kernel=())
+    reduced, pivots, _ = _eliminate(rows)
+    if ncols in pivots:
+        return LinearSolution(solution=None, kernel=())
     particular = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        particular[col] = rows[r][ncols]
-    free = [c for c in range(ncols) if c not in pivots]
+    for row, col in zip(reduced, pivots):
+        particular[col] = Fraction(row[ncols], row[col])
     kernel = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
-        for r, col in enumerate(pivots):
-            vec[col] = -rows[r][f]
+        for row, col in zip(reduced, pivots):
+            vec[col] = Fraction(-row[f], row[col])
         kernel.append(tuple(vec))
     return LinearSolution(solution=tuple(particular), kernel=tuple(kernel))
 

@@ -25,11 +25,11 @@ from typing import Optional, Sequence
 from .linalg import (
     SymMatrix,
     det,
+    identity_matrix,
     invert,
     is_positive_definite,
     matrix_rank,
     solve_linear,
-    cone_membership,
 )
 from .minvec import MinData, minimal_vectors, vectors_below
 
@@ -217,10 +217,10 @@ class PerfectFormRecord:
     content 1, on which all combinatorial work happens.
     """
 
-    def __init__(self, form: SymMatrix, _trusted: bool = False) -> None:
+    def __init__(self, form: SymMatrix) -> None:
         integral = form.integral_multiple()
         md = minimal_vectors(integral)
-        if not _trusted and not is_perfect(integral, md).perfect:
+        if not is_perfect(integral, md).perfect:
             raise ValueError("form is not perfect")
         self.integral_form = integral
         self.min_data = md
@@ -238,9 +238,6 @@ class PerfectFormRecord:
         if self._facets is None:
             self._facets = tuple(facets_of_cone([r.matrix for r in self.rays]))
         return self._facets
-
-    def domain_cone(self) -> tuple[RankOneRay, ...]:
-        return self.rays
 
     def invariant_key(self) -> tuple:
         """Cheap unimodular invariants used to pre-filter equivalence."""
@@ -418,13 +415,21 @@ class Catalog:
         if cached is not None:
             return cached
         rec = self.records[class_index]
+        stored = self.neighbors[class_index]
+        if stored is not None and len(stored) != len(rec.facets):
+            raise ValueError(
+                f"class {class_index}: neighbors has {len(stored)} entries "
+                f"for {len(rec.facets)} facets"
+            )
         contiguous = PerfectFormRecord(neighbor(rec, rec.facets[facet_index]))
         j, u = self.classify(contiguous)
         if j is None:
             raise ValueError("catalog is incomplete: unknown neighbor class")
-        stored = self.neighbors[class_index]
         if stored is not None and stored[facet_index] != j:
-            raise AssertionError("neighbor class disagrees with stored catalog edge")
+            raise ValueError(
+                f"class {class_index}: neighbors[{facet_index}] is "
+                f"{stored[facet_index]}, but that facet leads to class {j}"
+            )
         result = (j, u)
         self._witnesses[(class_index, facet_index)] = result
         return result
@@ -461,10 +466,24 @@ class Catalog:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "Catalog":
+        """Load and check a catalog.  Stored neighbor lists are checked
+        for type and index range here; their lengths and classes are
+        checked against the computed facets in :meth:`edge`, so loading
+        computes no facets."""
         if doc.get("format") != 1:
             raise ValueError("unsupported catalog format")
         cat = Catalog(int(doc["n"]))
-        for entry in doc["classes"]:
+        count = len(doc["classes"])
+        for index, entry in enumerate(doc["classes"]):
+            nb = entry["neighbors"]
+            if nb is not None and not (
+                isinstance(nb, list)
+                and all(type(j) is int and 0 <= j < count for j in nb)
+            ):
+                raise ValueError(
+                    f"class {index}: neighbors must be null or a list of "
+                    f"class indices in [0, {count})"
+                )
             core = {k: entry[k] for k in ("form", "mu", "min_vectors")}
             if Catalog._record_hash(core) != entry["hash"]:
                 raise ValueError("catalog record hash mismatch")
@@ -474,25 +493,26 @@ class Catalog:
             if str(record.min_data.mu) != entry["mu"]:
                 raise ValueError("catalog record minimum mismatch")
             cat.add(record)
-            cat.neighbors[-1] = (
-                list(entry["neighbors"]) if entry["neighbors"] is not None else None
-            )
-        cat.complete = bool(doc["complete"])
+            cat.neighbors[-1] = list(nb) if nb is not None else None
+        if not isinstance(doc["complete"], bool):
+            raise ValueError("complete must be true or false")
+        if doc["complete"] and None in cat.neighbors:
+            raise ValueError("a complete catalog must list the neighbors of every class")
+        cat.complete = doc["complete"]
         return cat
 
 
 def enumerate_perfect_forms(
     n: int,
     limit: Optional[int] = None,
-    seed: Optional[SymMatrix] = None,
     reverse_worklist: bool = False,
     catalog: Optional[Catalog] = None,
 ) -> Catalog:
     """All perfect-form classes in dimension n, by facet-graph traversal.
 
-    Starting from the A_n root form (or a caller-provided seed), expand
-    every facet of every discovered class with the contiguity step and
-    keep one representative per equivalence class.  ``limit`` caps the
+    Starting from the A_n root form, expand every facet of every
+    discovered class with the contiguity step and keep one
+    representative per equivalence class.  ``limit`` caps the
     class count; hitting it leaves the catalog flagged incomplete.
     Passing a partially expanded ``catalog`` resumes it in place.
     """
@@ -500,7 +520,7 @@ def enumerate_perfect_forms(
         raise ValueError("dimension must be at least 2")
     if catalog is None:
         catalog = Catalog(n)
-        catalog.add(PerfectFormRecord(seed if seed is not None else a_root_form(n)))
+        catalog.add(PerfectFormRecord(a_root_form(n)))
     pending = [i for i, nb in enumerate(catalog.neighbors) if nb is None]
     while pending:
         index = pending.pop(-1 if reverse_worklist else 0)
@@ -515,14 +535,10 @@ def enumerate_perfect_forms(
                     catalog.complete = False
                     return catalog
                 found = catalog.add(contiguous)
-                u = identity_like(n)
+                u = identity_matrix(n)
                 pending.append(found)
             catalog._witnesses[(index, fi)] = (found, u)
             edges.append(found)
         catalog.neighbors[index] = edges
     catalog.complete = True
     return catalog
-
-
-def identity_like(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import Cell, RegularComplex, homology
+from .cells import Cell, HomologyResult, RegularComplex
 
 Elt = tuple[int, int, int, int]  # row-major 2x2 matrix mod N
 
@@ -58,28 +58,12 @@ def psl2_elements(n: int) -> list[Elt]:
     return sorted(seen)
 
 
-@dataclass(frozen=True)
-class FiniteMatrixGroup:
-    """Determinant-one matrices mod N, folded by the center."""
-
-    modulus: int
-    elements: tuple[Elt, ...]
-
-    @staticmethod
-    def psl2(n: int) -> "FiniteMatrixGroup":
-        return FiniteMatrixGroup(modulus=n, elements=tuple(psl2_elements(n)))
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
 class QuotientTessellation:
     """The modular triangulation of the level-N quotient surface."""
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.group = FiniteMatrixGroup.psl2(n)
-        self.elements = list(self.group.elements)
+        self.elements = psl2_elements(n)
         rot = _canon(ROTATION, n)
         self._rot_powers = [
             (1, 0, 0, 1),
@@ -173,9 +157,9 @@ class GenusReport:
     ratio: Fraction  # genus relative to level^3 / 24
 
 
-def genus_report(n: int) -> GenusReport:
+def genus_report(tess: QuotientTessellation) -> GenusReport:
     """Genus of the level-N surface by Euler characteristic counting."""
-    tess = QuotientTessellation(n)
+    n = tess.n
     t, e, c = tess.counts()
     chi = c - e + t
     if chi % 2:
@@ -191,26 +175,15 @@ def genus_report(n: int) -> GenusReport:
     )
 
 
-def build_quotient(n: int) -> QuotientTessellation:
-    """The level-N quotient of the modular triangulation."""
-    return QuotientTessellation(n)
+def h1_rank(graph_homology: HomologyResult) -> int:
+    """Rank of the first homology of the dual graph (its cycle rank),
+    read off the graph's homology."""
+    betti = graph_homology.betti
+    return betti[1] if len(betti) > 1 else 0
 
 
-def dual_graph(tess: QuotientTessellation) -> RegularComplex:
-    return tess.dual_graph()
-
-
-def h1_rank(tess: QuotientTessellation) -> int:
-    """Rank of the first homology of the dual graph (its cycle rank)."""
-    h = homology(tess.dual_graph())
-    return h.betti[1] if len(h.betti) > 1 else 0
-
-
-def vcd_vanishing_check(tess: QuotientTessellation) -> bool:
-    """True when the dual graph carries nothing in degree two: the
+def vcd_vanishing_check(graph_homology: HomologyResult) -> bool:
+    """True when the dual graph carries nothing in degree two, read off
+    the graph's homology (one Betti number per cell dimension): the
     graph is one-dimensional, so all higher homology vanishes."""
-    graph = tess.dual_graph()
-    if graph.max_dim > 1:
-        return False
-    h = homology(graph)
-    return all(b == 0 for b in h.betti[2:])
+    return len(graph_homology.betti) <= 2

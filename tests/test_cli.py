@@ -123,6 +123,22 @@ def test_malformed_json_positions(tmp_path):
     assert "malformed JSON" in r.stderr
 
 
+@pytest.mark.parametrize("which", ["form", "catalog", "complex"])
+def test_non_object_json_is_exit_two(tmp_path, which):
+    good_form = tmp_path / "form.json"
+    good_form.write_text(json.dumps({"n": 2, "rows": [["2", "1"], ["1", "2"]]}))
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]" if which == "catalog" else "5")
+    if which == "complex":
+        r = run("homology", "--complex", str(bad))
+    else:
+        form = bad if which == "form" else good_form
+        r = run("reduce", "--form", str(form), "--catalog", str(bad))
+    assert r.returncode == 2
+    assert f"{bad}: expected a JSON object" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_missing_file_is_exit_two(tmp_path):
     r = run("shell", "--complex", str(tmp_path / "nope.json"))
     assert r.returncode == 2
@@ -144,6 +160,38 @@ def test_low_level_is_exit_two():
 def test_unknown_subcommand_is_exit_two():
     r = run("frobnicate")
     assert r.returncode == 2
+
+
+def test_enumerate_dimension_one_is_exit_two():
+    r = run("perfect", "enumerate", "--n", "1")
+    assert r.returncode == 2
+    assert "--n must be at least 2" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("sl2", "--level", "5", "--dual"), ("building", "--n", "3")],
+)
+def test_unwritable_emit_is_exit_two_with_empty_stdout(tmp_path, args):
+    r = run(*args, "--emit", str(tmp_path / "missing" / "out.json"))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "missing" in r.stderr
+
+
+def test_reduce_rejects_catalog_with_wrong_neighbor_count(tmp_path):
+    cat = tmp_path / "cat2.json"
+    assert run("perfect", "enumerate", "--n", "2", "--out", str(cat)).returncode == 0
+    doc = json.loads(cat.read_text())
+    doc["classes"][0]["neighbors"] = [0, 0]
+    cat.write_text(json.dumps(doc))
+    form = tmp_path / "far.json"  # the hexagonal form moved off its domain
+    form.write_text(json.dumps({"n": 2, "rows": [["2", "15"], ["15", "114"]]}))
+    r = run("reduce", "--form", str(form), "--catalog", str(cat))
+    assert r.returncode == 2
+    assert "neighbors has 2 entries for 3 facets" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_reduce_rejects_indefinite_form(tmp_path):
@@ -230,6 +278,17 @@ def test_catalog_dir_env(tmp_path):
     assert (tmp_path / "rel.json").exists()
 
 
+def test_catalog_dir_env_applies_to_resume(tmp_path):
+    env = {"VOROCELL_CATALOG_DIR": str(tmp_path)}
+    r = run("perfect", "enumerate", "--n", "3", "--limit", "1", "--out", "part.json", env=env)
+    assert r.returncode == 0
+    r = run("perfect", "enumerate", "--resume", "part.json", env=env)
+    assert r.returncode == 0
+    summary = json.loads(r.stdout)
+    assert summary["catalog"] == str(tmp_path / "part.json")
+    assert summary["complete"] is True
+
+
 # -- determinism -------------------------------------------------------------------
 
 
@@ -259,8 +318,8 @@ def test_emitted_files_byte_identical(tmp_path):
     assert pairs[0] == pairs[1]
 
 
-def test_verbose_and_seed_leave_stdout_alone():
+def test_verbose_leaves_stdout_alone():
     plain = run("building", "--n", "3")
-    flagged = run("-v", "--seed", "17", "building", "--n", "3")
+    flagged = run("-v", "building", "--n", "3")
     assert flagged.returncode == 0
     assert flagged.stdout == plain.stdout

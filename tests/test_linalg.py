@@ -1,8 +1,8 @@
 """Exact linear algebra kernel tests.
 
-Reference computations (rank, determinant, Smith form) come from sympy
-so the hand-rolled Fraction routines are checked against an
-independent implementation.
+Reference computations (rank, determinant, reduced row echelon form,
+inverse, Smith form) come from sympy so the hand-rolled integer
+elimination is checked against an independent implementation.
 """
 
 from fractions import Fraction
@@ -31,12 +31,22 @@ from vorocell.linalg import (
 # -- independent oracles ---------------------------------------------------
 
 
+def sympy_matrix(rows):
+    return sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+    )
+
+
+def to_fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
 def sympy_rank(rows):
-    return sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows]).rank()
+    return sympy_matrix(rows).rank()
 
 
 def sympy_det(rows):
-    return Fraction(str(sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows]).det()))
+    return to_fraction(sympy_matrix(rows).det())
 
 
 def sympy_smith_factors(rows):
@@ -53,12 +63,30 @@ def sympy_smith_factors(rows):
 small_entries = st.integers(min_value=-6, max_value=6)
 
 
+small_rationals = st.one_of(
+    small_entries, st.fractions(min_value=-6, max_value=6, max_denominator=6)
+)
+
+
 def int_matrix(rows, cols):
     return st.lists(
         st.lists(small_entries, min_size=cols, max_size=cols),
         min_size=rows,
         max_size=rows,
     )
+
+
+@st.composite
+def rational_matrix(draw, rows=None, cols=None):
+    """Integer and rational entries; sometimes the last row is a
+    combination of the first two, so rank deficiency is common."""
+    rows = rows if rows is not None else draw(st.integers(1, 5))
+    cols = cols if cols is not None else draw(st.integers(1, 5))
+    m = [[draw(small_rationals) for _ in range(cols)] for _ in range(rows)]
+    if rows > 2 and draw(st.booleans()):
+        c = draw(small_rationals)
+        m[-1] = [x + c * y for x, y in zip(m[0], m[1])]
+    return m
 
 
 def test_symmatrix_basics():
@@ -89,14 +117,57 @@ def test_conjugate_is_congruence():
     assert [list(r) for r in b.rows] == expect
 
 
-@given(int_matrix(3, 3))
+@given(rational_matrix())
 def test_matrix_rank_matches_sympy(rows):
-    assert matrix_rank([[Fraction(x) for x in r] for r in rows]) == sympy_rank(rows)
+    assert matrix_rank(rows) == sympy_rank(rows)
 
 
-@given(int_matrix(3, 3))
+@given(st.integers(1, 4).flatmap(lambda n: rational_matrix(n, n)))
 def test_det_matches_sympy(rows):
-    assert det([[Fraction(x) for x in r] for r in rows]) == sympy_det(rows)
+    d = det(rows)
+    assert isinstance(d, Fraction)
+    assert d == sympy_det(rows)
+
+
+@given(rational_matrix(), st.data())
+@settings(max_examples=150)
+def test_solve_linear_matches_sympy_rref(a, data):
+    b = data.draw(st.lists(small_rationals, min_size=len(a), max_size=len(a)))
+    ncols = len(a[0])
+    reduced, pivots = sympy_matrix([row + [bi] for row, bi in zip(a, b)]).rref()
+    sol = solve_linear(a, b)
+    if ncols in pivots:
+        assert sol.solution is None and sol.kernel == ()
+        return
+    # the particular solution and kernel basis read off the unique RREF
+    particular = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        particular[col] = to_fraction(reduced[r, ncols])
+    kernel = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(int(c == f)) for c in range(ncols)]
+        for r, col in enumerate(pivots):
+            vec[col] = -to_fraction(reduced[r, f])
+        kernel.append(tuple(vec))
+    assert sol.solution == tuple(particular)
+    assert sol.kernel == tuple(kernel)
+    assert all(isinstance(x, Fraction) for v in (sol.solution, *sol.kernel) for x in v)
+    for row, bi in zip(a, b):
+        assert sum(x * y for x, y in zip(row, sol.solution)) == bi
+        assert all(sum(x * y for x, y in zip(row, k)) == 0 for k in sol.kernel)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: rational_matrix(n, n)))
+def test_invert_matches_sympy(rows):
+    m = sympy_matrix(rows)
+    if m.det() == 0:
+        with pytest.raises(ValueError):
+            invert(rows)
+        return
+    inv = invert(rows)
+    expect = m.inv()
+    assert inv == [[to_fraction(expect[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    assert all(isinstance(x, Fraction) for row in inv for x in row)
 
 
 @given(int_matrix(4, 3))

@@ -264,3 +264,47 @@ def test_catalog_neighbor_edges_reach_every_class():
         j, u = cat.edge(0, fi)
         contiguous = neighbor(rec, rec.facets[fi])
         assert cat.records[j].integral_form.conjugate(u).rows == contiguous.rows
+
+
+# -- catalog validation ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "neighbors, complete",
+    [
+        ("000", True),  # not a list
+        ([0, 0, 1], True),  # index past the last class
+        ([0, 0, -1], True),  # negative index
+        ([0, 0, True], True),  # a boolean is not a class index
+        ([0, 0, "0"], True),
+        ([0, 0, 0.0], True),
+        (None, True),  # a complete catalog cannot leave a class unexpanded
+        ([0, 0, 0], "yes"),
+    ],
+)
+def test_catalog_rejects_bad_neighbor_fields(neighbors, complete):
+    doc = enumerate_perfect_forms(2).to_json_dict()
+    assert doc["classes"][0]["neighbors"] == [0, 0, 0]
+    doc["classes"][0]["neighbors"] = neighbors
+    doc["complete"] = complete
+    with pytest.raises(ValueError):
+        Catalog.from_json_dict(doc)
+
+
+def test_catalog_load_computes_no_facets():
+    doc = enumerate_perfect_forms(2).to_json_dict()
+    doc["classes"][0]["neighbors"] = [0, 0]  # wrong length: found only by edge
+    cat = Catalog.from_json_dict(doc)
+    assert cat.records[0]._facets is None
+    with pytest.raises(ValueError, match="neighbors has 2 entries for 3 facets"):
+        cat.edge(0, 0)
+
+
+def test_catalog_edge_rejects_a_wrong_stored_neighbor():
+    doc = enumerate_perfect_forms(4).to_json_dict()
+    stored = doc["classes"][0]["neighbors"]
+    fi = stored.index(1)
+    stored[fi] = 0
+    cat = Catalog.from_json_dict(doc)
+    with pytest.raises(ValueError, match=rf"neighbors\[{fi}\] is 0, but .* class 1"):
+        cat.edge(0, fi)

@@ -13,12 +13,10 @@ import pytest
 
 from vorocell.cells import homology
 from vorocell.sl2 import (
-    FiniteMatrixGroup,
     QuotientTessellation,
-    build_quotient,
-    dual_graph,
     genus_report,
     h1_rank,
+    psl2_elements,
     vcd_vanishing_check,
 )
 
@@ -36,7 +34,7 @@ def brute_group_order(n: int) -> int:
 
 def test_group_order_matches_brute_force():
     for n in range(3, 10):
-        assert len(FiniteMatrixGroup.psl2(n)) == brute_group_order(n)
+        assert len(psl2_elements(n)) == brute_group_order(n)
 
 
 def test_small_level_cell_counts():
@@ -66,7 +64,7 @@ def test_rejects_small_levels():
 
 def test_genus_by_euler_counting():
     for n, genus in [(3, 0), (4, 0), (5, 0), (6, 1), (7, 3), (11, 26), (13, 50)]:
-        rep = genus_report(n)
+        rep = genus_report(QuotientTessellation(n))
         assert rep.genus == genus, n
         chi = rep.cusps - rep.edges + rep.triangles
         assert chi == 2 - 2 * genus
@@ -77,7 +75,7 @@ def test_prime_level_genus_formula():
     for n in (7, 11, 13):
         order = brute_group_order(n)
         expect = 1 + order * (n - 6) // (12 * n)
-        assert genus_report(n).genus == expect
+        assert genus_report(QuotientTessellation(n)).genus == expect
 
 
 def test_klein_quartic_surface():
@@ -95,7 +93,7 @@ def test_klein_quartic_surface():
 def test_dual_graph_is_cubic():
     for n in (3, 4, 5, 7):
         t = QuotientTessellation(n)
-        g = dual_graph(t)
+        g = t.dual_graph()
         verts, edges = g.f_vector()
         assert verts == t.counts()[0]
         assert 2 * edges == 3 * verts
@@ -109,13 +107,13 @@ def test_dual_graph_is_cubic():
 def test_h1_identity_small_levels():
     for n in range(3, 10):
         t = QuotientTessellation(n)
-        rep = genus_report(n)
-        assert h1_rank(t) == 2 * rep.genus + rep.cusps - 1
+        rep = genus_report(t)
+        assert h1_rank(homology(t.dual_graph())) == 2 * rep.genus + rep.cusps - 1
 
 
 def test_vcd_vanishing():
     for n in (3, 5, 8):
-        assert vcd_vanishing_check(build_quotient(n))
+        assert vcd_vanishing_check(homology(QuotientTessellation(n).dual_graph()))
 
 
 def test_surface_complex_deterministic():
