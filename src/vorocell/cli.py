@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from .cells import RegularComplex, SimplicialComplex, homology
 from .linalg import SymMatrix
 from .parabolic import building_quotient
-from .perfect import Catalog, enumerate_perfect_forms
+from .perfect import Catalog, CatalogError, enumerate_perfect_forms
 from .reduction import voronoi_reduce
 from .shelling import certify_sphere
 from .sl2 import QuotientTessellation, genus_report, h1_rank, vcd_vanishing_check
@@ -33,6 +33,11 @@ CATALOG_DIR_VAR = "VOROCELL_CATALOG_DIR"
 
 class CliError(Exception):
     """Usage or precondition failure; maps to exit code 2."""
+
+
+# what a loader raises on a well-formed JSON document of the wrong shape;
+# ArithmeticError covers entries such as "1/0" and Infinity
+_BAD_DOCUMENT = (ValueError, KeyError, TypeError, ArithmeticError)
 
 
 def _dump(doc: dict) -> str:
@@ -50,6 +55,8 @@ def _load_json(path: Path) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise CliError(f"{path}:{e.lineno}:{e.colno}: malformed JSON: {e.msg}") from e
+    except RecursionError as e:
+        raise CliError(f"{path}: JSON nested too deeply") from e
     if not isinstance(doc, dict):
         raise CliError(f"{path}: expected a JSON object")
     return doc
@@ -81,7 +88,7 @@ def _load_form(path: Path) -> SymMatrix:
         raise CliError(f"{path}: expected a form document with a 'rows' field")
     try:
         return SymMatrix.from_json_dict(doc)
-    except (ValueError, KeyError, TypeError) as e:
+    except _BAD_DOCUMENT as e:
         raise CliError(f"{path}: bad form document: {e}") from e
 
 
@@ -89,7 +96,7 @@ def _load_catalog(path: Path) -> Catalog:
     doc = _load_json(path)
     try:
         return Catalog.from_json_dict(doc)
-    except (ValueError, KeyError, TypeError) as e:
+    except _BAD_DOCUMENT as e:
         raise CliError(f"{path}: bad catalog document: {e}") from e
 
 
@@ -100,7 +107,7 @@ def _load_any_complex(path: Path) -> "RegularComplex | SimplicialComplex":
             return SimplicialComplex.from_json_dict(doc)
         if "cells" in doc:
             return RegularComplex.from_json_dict(doc)
-    except (ValueError, KeyError, TypeError) as e:
+    except _BAD_DOCUMENT as e:
         raise CliError(f"{path}: bad complex document: {e}") from e
     raise CliError(f"{path}: expected 'maximal_faces' or 'cells'")
 
@@ -152,12 +159,15 @@ def _cmd_perfect_enumerate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(ns: argparse.Namespace) -> int:
-    form = _load_form(Path(ns.form))
-    catalog = _load_catalog(Path(ns.catalog))
+    form_path, catalog_path = Path(ns.form), Path(ns.catalog)
+    form = _load_form(form_path)
+    catalog = _load_catalog(catalog_path)
     try:
         result = voronoi_reduce(form, catalog)
-    except ValueError as e:
-        raise CliError(str(e)) from e
+    except CatalogError as e:
+        raise CliError(f"{catalog_path}: {e}") from e
+    except ValueError as e:  # the form is checked before the walk starts
+        raise CliError(f"{form_path}: {e}") from e
     doc = {
         "format": 1,
         "class_index": result.class_index,

@@ -19,7 +19,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .linalg import (
@@ -36,6 +37,10 @@ from .minvec import MinData, minimal_vectors, vectors_below
 
 class NeighborStepError(RuntimeError):
     """The contiguity step across a facet failed to produce a form."""
+
+
+class CatalogError(ValueError):
+    """A catalog's stored data disagrees with what its forms imply."""
 
 
 # -- perfection ----------------------------------------------------------------
@@ -243,21 +248,19 @@ class PerfectFormRecord:
         """Cheap unimodular invariants used to pre-filter equivalence."""
         if self._invariant is not None:
             return self._invariant
-        rows = self.integral_form.rows
-        n = self.n
-        images = [
-            [sum(rows[i][j] * v[j] for j in range(n)) for i in range(n)]
-            for v in self.min_data.vectors
-        ]
+        # integral_form has integer entries, so the numerators are the entries
+        int_rows = [[x.numerator for x in row] for row in self.integral_form.rows]
+        vectors = self.min_data.vectors
+        images = [tuple(sum(map(mul, row, v)) for row in int_rows) for v in vectors]
         products = sorted(
-            abs(sum(a[i] * im[i] for i in range(n)))
-            for k, a in enumerate(self.min_data.vectors)
+            abs(sum(map(mul, a, im)))
+            for k, a in enumerate(vectors)
             for im in images[k + 1 :]
         )
         self._invariant = (
             self.min_data.mu,
             len(self.min_data.vectors),
-            det(rows),
+            det(int_rows),
             tuple(products),
         )
         return self._invariant
@@ -318,9 +321,18 @@ def neighbor(record: PerfectFormRecord, facet: Facet) -> SymMatrix:
 def are_equivalent(a: SymMatrix, b: SymMatrix) -> Optional[list[list[int]]]:
     """A unimodular U with U^T A U = B, or None.  Scaling is not quotiented.
 
-    Backtracks over the columns of U: column j must be a vector of
-    A-value b_jj, and pairs of columns must reproduce the off-diagonal
-    entries of B, so candidates come from one short-vector enumeration.
+    Backtracks over the columns of U, in the order 0..n-1: column j
+    must be a vector of A-value b_jj, and pairs of columns must
+    reproduce the off-diagonal entries of B, so candidates come from one
+    short-vector enumeration.  The search runs in integers, on A and B
+    scaled by one common denominator.  Each candidate's image A v is
+    computed once per call, and placing column j with vector v filters
+    the candidate list of every later column jj down to the u with
+    (A v) . u = b_j,jj (forward checking); v is dropped as soon as one of
+    those lists comes up empty.  The filtered lists keep their sorted
+    order, so the search returns the same first witness, found in the
+    same order, as a plain backtrack that checks each column only
+    against the columns already placed.
     """
     if a.n != b.n:
         return None
@@ -330,40 +342,52 @@ def are_equivalent(a: SymMatrix, b: SymMatrix) -> Optional[list[list[int]]]:
         return None
     n = a.n
     targets = [b.rows[j][j] for j in range(n)]
-    enumerated = vectors_below(a, max(targets))
     by_value: dict[Fraction, list[tuple[int, ...]]] = {}
-    for v, val in enumerated:
+    for v, val in vectors_below(a, max(targets)):
         by_value.setdefault(val, []).extend([v, tuple(-x for x in v)])
+    scale = lcm(*(x.denominator for m in (a, b) for row in m.rows for x in row))
+    a_int, b_int = (
+        [[x.numerator * (scale // x.denominator) for x in row] for row in m.rows]
+        for m in (a, b)
+    )
+    images: dict[tuple[int, ...], tuple[int, ...]] = {}
     candidates = []
     for t in targets:
         pool = sorted(by_value.get(t, []))
         if not pool:
             return None
-        candidates.append(pool)
+        for v in pool:
+            if v not in images:
+                images[v] = tuple(sum(map(mul, row, v)) for row in a_int)
+        candidates.append([(v, images[v]) for v in pool])
 
-    a_rows = a.rows
     cols: list[tuple[int, ...]] = []
-    images: list[list[Fraction]] = []  # A * column, cached for inner products
 
-    def place(j: int) -> bool:
-        for v in candidates[j]:
-            av = [sum(a_rows[i][k] * v[k] for k in range(n)) for i in range(n)]
-            if all(
-                sum(av[i] * u[i] for i in range(n)) == b.rows[j][jj]
-                for jj, u in enumerate(cols)
-            ):
+    def place(j: int, pools: list[list[tuple[tuple[int, ...], tuple[int, ...]]]]) -> bool:
+        """Fill columns j..n-1; pools[k] holds the (u, A u) still open for column j + k."""
+        b_row = b_int[j]
+        for v, av in pools[0]:
+            narrowed = []
+            for jj, pool in enumerate(pools[1:], j + 1):
+                target = b_row[jj]
+                kept = [pair for pair in pool if sum(map(mul, av, pair[0])) == target]
+                if not kept:
+                    break
+                narrowed.append(kept)
+            else:
                 cols.append(v)
-                images.append(av)
-                if j + 1 == n or place(j + 1):
+                if j + 1 == n or place(j + 1, narrowed):
                     return True
                 cols.pop()
-                images.pop()
         return False
 
-    if not place(0):
+    if not place(0, candidates):
         return None
     u = [[cols[j][i] for j in range(n)] for i in range(n)]
-    assert a.conjugate(u) == b and abs(det(u)) == 1
+    conjugate = [
+        [sum(map(mul, cols[i], images[cols[j]])) for j in range(n)] for i in range(n)
+    ]
+    assert conjugate == b_int and abs(det(u)) == 1
     return u
 
 
@@ -417,16 +441,16 @@ class Catalog:
         rec = self.records[class_index]
         stored = self.neighbors[class_index]
         if stored is not None and len(stored) != len(rec.facets):
-            raise ValueError(
+            raise CatalogError(
                 f"class {class_index}: neighbors has {len(stored)} entries "
                 f"for {len(rec.facets)} facets"
             )
         contiguous = PerfectFormRecord(neighbor(rec, rec.facets[facet_index]))
         j, u = self.classify(contiguous)
         if j is None:
-            raise ValueError("catalog is incomplete: unknown neighbor class")
+            raise CatalogError("catalog is incomplete: unknown neighbor class")
         if stored is not None and stored[facet_index] != j:
-            raise ValueError(
+            raise CatalogError(
                 f"class {class_index}: neighbors[{facet_index}] is "
                 f"{stored[facet_index]}, but that facet leads to class {j}"
             )
@@ -474,6 +498,8 @@ class Catalog:
             raise ValueError("unsupported catalog format")
         cat = Catalog(int(doc["n"]))
         count = len(doc["classes"])
+        if count == 0:
+            raise ValueError("catalog has no classes")
         for index, entry in enumerate(doc["classes"]):
             nb = entry["neighbors"]
             if nb is not None and not (
@@ -488,6 +514,10 @@ class Catalog:
             if Catalog._record_hash(core) != entry["hash"]:
                 raise ValueError("catalog record hash mismatch")
             record = PerfectFormRecord(SymMatrix.from_json_dict(entry["form"]))
+            if record.n != cat.n:
+                raise ValueError(
+                    f"class {index}: form has dimension {record.n}, catalog has {cat.n}"
+                )
             if [list(v) for v in record.min_data.vectors] != entry["min_vectors"]:
                 raise ValueError("catalog record minimal vectors mismatch")
             if str(record.min_data.mu) != entry["mu"]:

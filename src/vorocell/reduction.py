@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import SymMatrix, cone_membership, is_positive_definite, mat_mul, transpose
-from .perfect import Catalog, unimodular_inverse
+from .perfect import Catalog, CatalogError, unimodular_inverse
 
 MAX_STEPS = 10_000
 
@@ -86,7 +86,7 @@ def reduce_with_trace(
     in order.  Requires a complete catalog in the matching dimension.
     """
     if not catalog.complete:
-        raise ValueError("reduction requires a complete catalog")
+        raise CatalogError("reduction requires a complete catalog")
     if x.n != catalog.n:
         raise ValueError(f"form has dimension {x.n}, catalog has {catalog.n}")
     if not is_positive_definite(x):

@@ -123,6 +123,14 @@ def test_malformed_json_positions(tmp_path):
     assert "malformed JSON" in r.stderr
 
 
+def test_deeply_nested_json_is_exit_two(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    r = run("homology", "--complex", str(deep))
+    assert r.returncode == 2
+    assert r.stderr == f"error: {deep}: JSON nested too deeply\n"
+
+
 @pytest.mark.parametrize("which", ["form", "catalog", "complex"])
 def test_non_object_json_is_exit_two(tmp_path, which):
     good_form = tmp_path / "form.json"
@@ -190,8 +198,7 @@ def test_reduce_rejects_catalog_with_wrong_neighbor_count(tmp_path):
     form.write_text(json.dumps({"n": 2, "rows": [["2", "15"], ["15", "114"]]}))
     r = run("reduce", "--form", str(form), "--catalog", str(cat))
     assert r.returncode == 2
-    assert "neighbors has 2 entries for 3 facets" in r.stderr
-    assert "Traceback" not in r.stderr
+    assert r.stderr == f"error: {cat}: class 0: neighbors has 2 entries for 3 facets\n"
 
 
 def test_reduce_rejects_indefinite_form(tmp_path):
@@ -201,6 +208,38 @@ def test_reduce_rejects_indefinite_form(tmp_path):
     form.write_text(json.dumps({"n": 2, "rows": [["1", "2"], ["2", "1"]]}))
     r = run("reduce", "--form", str(form), "--catalog", str(cat))
     assert r.returncode == 2
+    assert r.stderr == f"error: {form}: form is not positive definite\n"
+
+
+@pytest.mark.parametrize(
+    "fault, edit, message",
+    [
+        ("form", lambda d: d["rows"][0].__setitem__(0, "1/0"), "Fraction(1, 0)"),
+        ("form", lambda d: d["rows"][0].__setitem__(0, float("inf")), "Infinity"),
+        ("catalog", lambda d: d.__setitem__("classes", []), "catalog has no classes"),
+        ("form", lambda d: d.update(n=1, rows=[["2"]]),
+         "form has dimension 1, catalog has 2"),
+        ("catalog", lambda d: d.__setitem__("n", 3),
+         "class 0: form has dimension 2, catalog has 3"),
+    ],
+    ids=["zero-denominator", "infinite-entry", "no-classes", "form-dimension",
+         "catalog-dimension"],
+)
+def test_reduce_rejects_bad_documents(tmp_path, fault, edit, message):
+    docs = {
+        "catalog": json.loads(run("perfect", "enumerate", "--n", "2").stdout),
+        "form": {"n": 2, "rows": [["4", "1"], ["1", "3"]]},
+    }
+    edit(docs[fault])
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    r = run("reduce", "--form", str(paths["form"]), "--catalog", str(paths["catalog"]))
+    assert r.returncode == 2
+    assert r.stderr.startswith(f"error: {paths[fault]}: ")
+    assert message in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 # -- pipelines ------------------------------------------------------------------

@@ -7,13 +7,14 @@ brute-force subset/nullspace search over the ray configuration.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from vorocell.linalg import SymMatrix, det, mat_mul, transpose
-from vorocell.minvec import minimal_vectors
+from vorocell.linalg import SymMatrix, det, is_positive_definite, mat_mul, transpose
+from vorocell.minvec import minimal_vectors, vectors_below
 from vorocell.perfect import (
     Catalog,
     NeighborStepError,
@@ -202,6 +203,131 @@ def test_inequivalent_with_equal_coarse_invariants():
     assert minimal_vectors(a).mu == minimal_vectors(b).mu
     assert len(minimal_vectors(a).vectors) == len(minimal_vectors(b).vectors)
     assert are_equivalent(a, b) is None
+
+
+# -- oracle 3: the plain rational backtrack ------------------------------------
+# The search as it was first written: Fraction arithmetic, A v recomputed at
+# every node, each column checked only against the columns already placed.
+# are_equivalent must return exactly its first witness, not just some witness.
+
+
+def reference_equivalence(a: SymMatrix, b: SymMatrix):
+    if a.n != b.n:
+        return None
+    if not is_positive_definite(a) or not is_positive_definite(b):
+        raise ValueError("both forms must be positive definite")
+    if det(a.rows) != det(b.rows):
+        return None
+    n = a.n
+    targets = [b.rows[j][j] for j in range(n)]
+    by_value = {}
+    for v, val in vectors_below(a, max(targets)):
+        by_value.setdefault(val, []).extend([v, tuple(-x for x in v)])
+    candidates = []
+    for t in targets:
+        pool = sorted(by_value.get(t, []))
+        if not pool:
+            return None
+        candidates.append(pool)
+    cols = []
+
+    def place(j):
+        for v in candidates[j]:
+            av = [sum(a.rows[i][k] * v[k] for k in range(n)) for i in range(n)]
+            if all(
+                sum(av[i] * u[i] for i in range(n)) == b.rows[j][jj]
+                for jj, u in enumerate(cols)
+            ):
+                cols.append(v)
+                if j + 1 == n or place(j + 1):
+                    return True
+                cols.pop()
+        return False
+
+    if not place(0):
+        return None
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+D4 = [[2, 0, 1, 0], [0, 2, -1, 0], [1, -1, 2, -1], [0, 0, -1, 2]]
+D5 = [
+    [2, -1, 0, 0, 0],
+    [-1, 2, -1, 0, 0],
+    [0, -1, 2, -1, -1],
+    [0, 0, -1, 2, 0],
+    [0, 0, -1, 0, 2],
+]
+
+
+def random_gl(n, rng, steps=5):
+    """A random element of GL_n(Z): transvections, then a column sign
+    flip half of the time, so both determinants occur."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-1, 1])
+        for row in u:
+            row[j] += c * row[i]
+    if rng.random() < 0.5:
+        k = rng.randrange(n)
+        for row in u:
+            row[k] = -row[k]
+    return u
+
+
+def assert_same_witness(a, b):
+    u = are_equivalent(a, b)
+    assert u == reference_equivalence(a, b)
+    return u
+
+
+ROOT_LATTICES = {
+    "A3": a_root_form(3),
+    "A4": a_root_form(4),
+    "D4": SymMatrix(D4),
+    "A5": a_root_form(5),
+    "D5": SymMatrix(D5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_LATTICES))
+def test_witness_matches_reference_on_random_conjugates(name):
+    gram = ROOT_LATTICES[name]
+    rng = random.Random(f"witness:{name}")
+    for _ in range(6):
+        b = gram.conjugate(random_gl(gram.n, rng))
+        for x, y in ((gram, b), (b, gram)):
+            u = assert_same_witness(x, y)
+            assert u is not None
+            assert x.conjugate(u) == y
+
+
+def test_witness_matches_reference_on_rational_forms():
+    a = SymMatrix([[Fraction(7, 3), Fraction(1, 2)], [Fraction(1, 2), Fraction(5, 4)]])
+    b = a.conjugate([[2, 1], [-1, 0]])
+    assert assert_same_witness(a, b) is not None
+    a3 = a_root_form(3).scale(Fraction(2, 7))
+    b3 = a3.conjugate(random_gl(3, random.Random(3)))
+    assert assert_same_witness(a3, b3) is not None
+    # rational entries on one side only: scaling is not quotiented
+    assert assert_same_witness(a3, a_root_form(3)) is None
+
+
+def test_witness_matches_reference_on_scaled_pair():
+    rng = random.Random(11)
+    a = SymMatrix(D4)
+    b = a.conjugate(random_gl(4, rng))
+    u = assert_same_witness(a, b)
+    assert assert_same_witness(a.scale(6), b.scale(6)) == u
+    assert assert_same_witness(a.scale(Fraction(1, 6)), b.scale(Fraction(1, 6))) == u
+
+
+def test_inequivalent_pairs_match_reference():
+    a4 = a_root_form(4)
+    assert assert_same_witness(a4, SymMatrix(D4)) is None
+    a = SymMatrix([[1, 0, 0], [0, 4, 0], [0, 0, 9]])
+    b = SymMatrix([[1, 0, 0], [0, 6, 0], [0, 0, 6]])
+    assert assert_same_witness(a, b) is None
 
 
 def test_unimodular_inverse():

@@ -46,6 +46,11 @@ def cat3():
     return enumerate_perfect_forms(3)
 
 
+@pytest.fixture(scope="module")
+def cat4():
+    return enumerate_perfect_forms(4)
+
+
 def test_hexagonal_form_is_interior(cat2):
     x = SymMatrix([[2, 1], [1, 2]])
     res = voronoi_reduce(x, cat2)
@@ -70,23 +75,63 @@ def test_witness_is_unimodular(cat2):
     assert reconstructs(x, res, cat2)
 
 
+def conjugated_rays(rays, u):
+    return {
+        SymMatrix(mat_mul(mat_mul(transpose(u), [list(r) for r in m.rows]), u)).rows
+        for m in rays
+    }
+
+
+def check_equivariance(x, catalog, unimodulars):
+    """Reducing U^T x U lands in the same class, and its supporting rays
+    are the base result's rays moved by the same conjugation."""
+    base = voronoi_reduce(x, catalog)
+    base_rays = base.translated_rays(catalog)
+    for u in unimodulars:
+        y = x.conjugate(u)
+        res = voronoi_reduce(y, catalog)
+        assert res.class_index == base.class_index
+        assert reconstructs(y, res, catalog)
+        assert {r.rows for r in res.translated_rays(catalog)} == conjugated_rays(base_rays, u)
+    return base
+
+
+def random_gl(n, rng):
+    """random_unimodular, with one column negated half of the time, so
+    both determinants of GL_n(Z) occur."""
+    u = random_unimodular(n, rng)
+    if rng.random() < 0.5:
+        k = rng.randrange(n)
+        for row in u:
+            row[k] = -row[k]
+    return u
+
+
 def test_translation_equivariance(cat2):
     rng = random.Random(20240817)
     x = SymMatrix([[5, 2], [2, 3]])
-    base = voronoi_reduce(x, cat2)
-    base_rays = {r.rows for r in base.translated_rays(cat2)}
-    for _ in range(12):
-        u = random_unimodular(2, rng)
-        y = x.conjugate(u)
-        res = voronoi_reduce(y, cat2)
-        assert res.class_index == base.class_index
-        assert reconstructs(y, res, cat2)
-        # the supporting rays transform with the same conjugation
-        moved = {
-            SymMatrix(mat_mul(mat_mul(transpose(u), [list(r) for r in m.rows]), u)).rows
-            for m in base.translated_rays(cat2)
-        }
-        assert {r.rows for r in res.translated_rays(cat2)} == moved
+    check_equivariance(x, cat2, [random_unimodular(2, rng) for _ in range(12)])
+
+
+def interior_form(record, rng):
+    """A positive combination of every ray of the class's domain cone
+    with generic weights, so the form lies in the open cone."""
+    total = SymMatrix.identity(record.n).scale(0)
+    for ray in record.rays:
+        total = total + ray.matrix.scale(Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+    return total
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_translation_equivariance_in_higher_dimensions(n, request):
+    catalog = request.getfixturevalue(f"cat{n}")
+    rng = random.Random(f"equivariance:{n}")
+    for index, record in enumerate(catalog.records):
+        x = interior_form(record, rng)
+        unimodulars = [random_gl(n, rng) for _ in range(6)]
+        base = check_equivariance(x, catalog, unimodulars)
+        assert base.class_index == index
+        assert base.support == tuple(range(len(record.rays)))
 
 
 def test_far_from_domain_takes_steps(cat2):
