@@ -6,7 +6,11 @@ dimension and its signed list of codimension-one faces, and the signed
 incidence structure must compose to zero (the chain condition).  All
 homology is computed exactly over the integers via Smith normal form,
 with a sparse unit-pivot elimination pass so that boundary matrices
-with tens of thousands of cells stay tractable.
+with tens of thousands of cells stay tractable.  Degrees are reduced
+from the top down with clearing: the rows of the unit pivots of one
+boundary matrix are columns the next one down may drop, because each
+such column is an integer combination of the others (the argument is
+in ``_sparse_reduce``), so rank and torsion are unchanged.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from .linalg import matrix_rank, smith_normal_form
 
@@ -507,20 +511,44 @@ class HomologyResult:
 
 
 def _sparse_reduce(
-    entries: Mapping[tuple[int, int], int], want_factors: bool
-) -> tuple[int, list[int]]:
-    """Rank (and invariant factors) of a sparse integer matrix.
+    entries: Mapping[tuple[int, int], int],
+    want_factors: bool,
+    cleared: AbstractSet[int] = frozenset(),
+) -> tuple[int, list[int], set[int]]:
+    """Rank, invariant factors and unit-pivot rows of a sparse integer
+    matrix, with the columns in ``cleared`` left out.
 
     Pivots on +-1 entries chosen by the Markowitz fill estimate, which
     splits off unit invariant factors one at a time; whatever survives
     without a unit entry goes through the dense Smith routine.  For
     boundary matrices this residual is tiny (it is where torsion
     lives).
+
+    The rows of the +-1 pivots are what ``homology`` clears in the next
+    degree down.  Leaving those columns out keeps the column lattice,
+    so the rank and the invariant factors, exactly over the integers:
+
+    - Let R be the unit-pivot rows and C the pivot columns.  Each pivot
+      is a +-1 entry of the Schur complement of the pivots before it,
+      and the determinant of a block is the product of its successive
+      Schur pivots, so the block R x C of this matrix has determinant
+      +-1 and an integer inverse.
+    - The columns C times that inverse are integer combinations of the
+      columns, so for each r in R the image contains e_r + v with v
+      supported off R.
+    - In the chain complex the next boundary kills that image:
+      d(e_r) = -d(v).  Column r of the next matrix down is thus an
+      integer combination of its columns outside R, and dropping all of
+      R at once leaves its column lattice unchanged.
+
+    This is clearing (Chen & Kerber, *Persistent homology computation
+    with a twist*, 2011), which here holds over Z and not only over a
+    field.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for (r, c), v in entries.items():
-        if v:
+        if v and c not in cleared:
             rows.setdefault(r, {})[c] = v
             cols.setdefault(c, set()).add(r)
     # Candidate unit pivots live in a lazy heap keyed by the Markowitz
@@ -534,7 +562,7 @@ def _sparse_reduce(
             if v in (-1, 1):
                 heap.append(((rlen - 1) * (len(cols[c]) - 1), r, c))
     heapq.heapify(heap)
-    units = 0
+    pivot_rows: set[int] = set()
     while heap:
         cost, pr, pc = heapq.heappop(heap)
         prow = rows.get(pr)
@@ -570,9 +598,10 @@ def _sparse_reduce(
             if not cols[c]:
                 del cols[c]
         del rows[pr]
-        units += 1
+        pivot_rows.add(pr)
+    units = len(pivot_rows)
     if not rows:
-        return units, [1] * units
+        return units, [1] * units, pivot_rows
     live_rows = sorted(rows)
     live_cols = sorted({c for row in rows.values() for c in row})
     cmap = {c: i for i, c in enumerate(live_cols)}
@@ -582,25 +611,30 @@ def _sparse_reduce(
             dense[i][cmap[c]] = v
     if want_factors:
         factors, rank = smith_normal_form(dense)
-        return units + rank, [1] * units + list(factors)
+        return units + rank, [1] * units + list(factors), pivot_rows
     rank = matrix_rank(dense)
-    return units + rank, []
+    return units + rank, [], pivot_rows
 
 
 def homology(
     cx: "RegularComplex | SimplicialComplex", rational: bool = False
 ) -> HomologyResult:
     """Homology of the cell complex: Betti numbers, and over the
-    integers also the torsion invariant factors in each degree."""
+    integers also the torsion invariant factors in each degree.
+
+    Degrees are reduced from the top down, and each boundary matrix
+    leaves out the columns cleared by the unit pivots of the one above
+    (see ``_sparse_reduce`` for why this is exact over Z)."""
     if isinstance(cx, SimplicialComplex):
         cx = cx.to_regular()
     top = cx.max_dim
     counts = cx.f_vector()
     ranks = [0] * (top + 2)
     factors: list[list[int]] = [[] for _ in range(top + 2)]
-    for d in range(1, top + 1):
-        ranks[d], factors[d] = _sparse_reduce(
-            cx.boundary_matrix(d), want_factors=not rational
+    cleared: set[int] = set()
+    for d in range(top, 0, -1):
+        ranks[d], factors[d], cleared = _sparse_reduce(
+            cx.boundary_matrix(d), not rational, cleared
         )
     betti = tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(top + 1))
     torsion = tuple(

@@ -40,6 +40,13 @@ class CliError(Exception):
 _BAD_DOCUMENT = (ValueError, KeyError, TypeError, ArithmeticError)
 
 
+def _fault(e: Exception) -> str:
+    """A loader's exception as a message; a KeyError names the field."""
+    if isinstance(e, KeyError):
+        return f"missing field {e.args[0]!r}"
+    return str(e)
+
+
 def _dump(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
@@ -89,7 +96,7 @@ def _load_form(path: Path) -> SymMatrix:
     try:
         return SymMatrix.from_json_dict(doc)
     except _BAD_DOCUMENT as e:
-        raise CliError(f"{path}: bad form document: {e}") from e
+        raise CliError(f"{path}: bad form document: {_fault(e)}") from e
 
 
 def _load_catalog(path: Path) -> Catalog:
@@ -97,7 +104,7 @@ def _load_catalog(path: Path) -> Catalog:
     try:
         return Catalog.from_json_dict(doc)
     except _BAD_DOCUMENT as e:
-        raise CliError(f"{path}: bad catalog document: {e}") from e
+        raise CliError(f"{path}: bad catalog document: {_fault(e)}") from e
 
 
 def _load_any_complex(path: Path) -> "RegularComplex | SimplicialComplex":
@@ -108,7 +115,7 @@ def _load_any_complex(path: Path) -> "RegularComplex | SimplicialComplex":
         if "cells" in doc:
             return RegularComplex.from_json_dict(doc)
     except _BAD_DOCUMENT as e:
-        raise CliError(f"{path}: bad complex document: {e}") from e
+        raise CliError(f"{path}: bad complex document: {_fault(e)}") from e
     raise CliError(f"{path}: expected 'maximal_faces' or 'cells'")
 
 

@@ -13,6 +13,7 @@ node budget, so "unknown" is an honest possible outcome distinct from
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -76,6 +77,20 @@ class _SearchState:
     opposite ridge is already present in the built part; a facet is a
     legal next step iff that set is nonempty and no used facet contains
     all of it.
+
+    The frontier is a lazy heap of ``(-len(glue[i]), sorted facet, i)``
+    entries.  ``place`` and ``unplace`` push a fresh entry for every
+    facet in their glue log (and ``unplace`` one for the facet it
+    returns to the pool), so every live facet -- unused, with nonempty
+    glue -- always has an entry carrying its current key.  Entries of
+    used facets, with an outdated glue size, or repeating the entry just
+    popped are stale and dropped when popped.  Popping in heap order
+    therefore visits the live facets most-glued first, ties broken by
+    the sorted facet, the order a full rescan and sort would give; a
+    step costs the entries it pops instead of a pass over all facets.
+    The greedy run and the restart pop from it (``next_step``), and each
+    backtracking frame takes a sorted snapshot of it (``candidates``).
+    With nothing placed, every facet is a legal start, in sorted order.
     """
 
     def __init__(self, facets: list[frozenset[int]]) -> None:
@@ -90,6 +105,16 @@ class _SearchState:
         self.used_by_vertex: dict[int, set[int]] = {}
         self.ridge_count: dict[frozenset[int], int] = {}
         self.order: list[int] = []
+        self.frontier: list[tuple[int, tuple[int, ...], int]] = []
+
+    def _push(self, j: int) -> None:
+        glue = self.glue[j]
+        if glue and not self.used[j]:
+            heapq.heappush(self.frontier, (-len(glue), self.sorted_facets[j], j))
+
+    def _is_current(self, entry: tuple[int, tuple[int, ...], int]) -> bool:
+        j = entry[2]
+        return not self.used[j] and len(self.glue[j]) == -entry[0] > 0
 
     def place(self, idx: int) -> list[tuple[int, int]]:
         f = self.facets[idx]
@@ -109,6 +134,8 @@ class _SearchState:
                         if w not in self.glue[j]:
                             self.glue[j].add(w)
                             glue_log.append((j, w))
+        for j in {j for j, _ in glue_log}:
+            self._push(j)
         return glue_log
 
     def unplace(self, idx: int, glue_log: list[tuple[int, int]]) -> None:
@@ -124,6 +151,8 @@ class _SearchState:
             self.used_by_vertex[v].discard(idx)
         self.order.pop()
         self.used[idx] = False
+        for j in {j for j, _ in glue_log} | {idx}:
+            self._push(j)
 
     def is_valid_step(self, idx: int) -> bool:
         if not self.order:
@@ -138,12 +167,36 @@ class _SearchState:
                 return False
         return True
 
+    def next_step(self) -> Optional[int]:
+        """The first valid facet in frontier order, or None; the caller
+        places it.  The invalid current entries popped on the way go back
+        on the heap."""
+        if not self.order:
+            return min(range(len(self.facets)), key=lambda i: self.sorted_facets[i])
+        heap = self.frontier
+        skipped = []
+        found = None
+        last = None
+        while heap:
+            entry = heapq.heappop(heap)
+            if entry == last or not self._is_current(entry):
+                continue
+            last = entry
+            if self.is_valid_step(entry[2]):
+                found = entry[2]
+                break
+            skipped.append(entry)
+        for entry in skipped:
+            heapq.heappush(heap, entry)
+        return found
+
     def candidates(self) -> list[int]:
+        """Every live facet in frontier order; compacts the heap to them."""
         if not self.order:
             return sorted(range(len(self.facets)), key=lambda i: self.sorted_facets[i])
-        live = [i for i in range(len(self.facets)) if not self.used[i] and self.glue[i]]
-        live.sort(key=lambda i: (-len(self.glue[i]), self.sorted_facets[i]))
-        return live
+        live = sorted(set(filter(self._is_current, self.frontier)))
+        self.frontier = live  # a sorted list is a heap
+        return [entry[2] for entry in live]
 
     def attachment(self, idx: int) -> tuple[tuple[int, ...], ...]:
         f = self.facets[idx]
@@ -155,16 +208,12 @@ def _greedy_run(state: _SearchState, nodes: int, budget: int) -> tuple[bool, int
     log = []
     total = len(state.facets)
     while len(state.order) < total and nodes < budget:
-        placed = False
-        for idx in state.candidates():
-            if state.is_valid_step(idx):
-                nodes += 1
-                attach = state.attachment(idx)
-                log.append((idx, state.place(idx), attach))
-                placed = True
-                break
-        if not placed:
+        idx = state.next_step()
+        if idx is None:
             break
+        nodes += 1
+        attach = state.attachment(idx)
+        log.append((idx, state.place(idx), attach))
     return len(state.order) == total, nodes, log
 
 
@@ -312,7 +361,10 @@ def certify_sphere(c: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Sphere
     A shelled complex in which every codimension-one face lies in
     exactly two facets is a sphere; with free ridges present it is a
     ball.  A ridge in three or more facets rules both out; a failed or
-    exhausted search leaves the verdict honestly unknown.
+    exhausted search leaves the verdict honestly unknown.  The order the
+    search found is replayed by ``verify_shelling`` before either
+    verdict is given, and one that fails the replay is reported as
+    unknown.
     """
     try:
         facets = _facet_list(c)
@@ -336,6 +388,10 @@ def certify_sphere(c: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Sphere
             else "node budget exhausted"
         )
         return SphereCertificate("unknown", None, reason, result.nodes_used)
+    if not verify_shelling(c, result.shelling.ordering):
+        return SphereCertificate(
+            "unknown", None, "shelling failed its independent check", result.nodes_used
+        )
     boundary = sum(1 for d in degrees.values() if d == 1)
     if boundary:
         return SphereCertificate(

@@ -31,7 +31,7 @@ from vorocell.parabolic import (
 )
 from vorocell.perfect import enumerate_perfect_forms
 from vorocell.reduction import voronoi_reduce
-from vorocell.shelling import certify_sphere
+from vorocell.shelling import certify_sphere, verify_shelling
 from vorocell.sp4 import default_model, perturbed, verify_model
 
 CLI = [sys.executable, "-m", "vorocell.cli"]
@@ -327,8 +327,13 @@ def test_criterion_5_genus_ratio(box):
     assert not outside, f"genus ratio outside [1/2, 3/2]: {outside}"
 
 
-@pytest.mark.criterion(6, "shelling certifies every sphere; 40256-face S3 in budget")
+@pytest.mark.criterion(
+    6, "shelling certifies every sphere; 40320-facet S6, twice-subdivided S3 in budget"
+)
 def test_criterion_6_shelling(box):
+    # boundaries of simplices and the octahedron, each also subdivided;
+    # the largest is the subdivided boundary of the 7-simplex, an S6
+    # with 8 * 7! = 40320 facets
     small = [boundary_simplex(k) for k in range(1, 7)]
     small.append(SimplicialComplex([
         tuple(2 * i + s for i, s in enumerate(signs))
@@ -340,12 +345,13 @@ def test_criterion_6_shelling(box):
         cert = certify_sphere(cx)
         assert cert.status == "sphere", (cx.f_vector(), cert.status, cert.detail)
         assert cert.nodes_used <= NODE_BUDGET
+        assert verify_shelling(cx, cert.shelling.ordering)
         result = homology(cx)
         assert result.betti == sphere_betti(cx.dim)
         assert all(not t for t in result.torsion)
 
-    # the large stand-in: twice-subdivided boundary of the 4-dimensional
-    # cross-polytope, a 3-sphere with 40256 faces
+    # twice-subdivided boundary of the 4-dimensional cross-polytope, a
+    # 3-sphere with 9216 facets and 40256 faces
     big = SimplicialComplex([
         tuple(2 * i + s for i, s in enumerate(signs))
         for signs in itertools.product((0, 1), repeat=4)
@@ -354,6 +360,7 @@ def test_criterion_6_shelling(box):
     cert = certify_sphere(big)
     assert cert.status == "sphere"
     assert cert.nodes_used <= NODE_BUDGET
+    assert verify_shelling(big, cert.shelling.ordering)
     result = homology(big)
     assert result.betti == sphere_betti(3)
     assert all(not t for t in result.torsion)

@@ -3,7 +3,9 @@
 The homology oracle builds chain boundary matrices straight from the
 textbook definition (alternating-sign faces of sorted simplices) and
 reduces them with sympy — nothing from the module's reduction code is
-reused.
+reused.  A second reference, ``reference_homology``, reduces every
+boundary matrix in full, without the clearing across degrees that
+``homology`` does.
 """
 
 import itertools
@@ -18,11 +20,13 @@ from vorocell.cells import (
     GroupAction,
     RegularComplex,
     SimplicialComplex,
+    _sparse_reduce,
     barycentric_subdivision,
     dual_cells,
     homology,
     quotient,
 )
+from vorocell.sl2 import QuotientTessellation
 
 
 # -- independent homology oracle ---------------------------------------------
@@ -65,6 +69,21 @@ def simplicial_homology_oracle(maximal_faces):
         else:
             torsion.append(())
     return tuple(betti), tuple(torsion)
+
+
+def reference_homology(cx, rational=False):
+    """Betti numbers and torsion with each degree reduced on its own."""
+    if isinstance(cx, SimplicialComplex):
+        cx = cx.to_regular()
+    top = cx.max_dim
+    counts = cx.f_vector()
+    ranks = [0] * (top + 2)
+    factors = [[] for _ in range(top + 2)]
+    for d in range(1, top + 1):
+        ranks[d], factors[d], _ = _sparse_reduce(cx.boundary_matrix(d), not rational)
+    betti = tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(top + 1))
+    torsion = tuple(tuple(f for f in factors[d + 1] if f > 1) for d in range(top + 1))
+    return betti, torsion
 
 
 RP2 = [
@@ -222,6 +241,53 @@ def test_homology_matches_oracle_random(raw):
     h = homology(SimplicialComplex(faces))
     assert h.betti == expect_betti
     assert h.torsion == expect_torsion
+
+
+def assert_clearing_agrees(cx):
+    for rational in (False, True):
+        h = homology(cx, rational=rational)
+        assert (h.betti, h.torsion) == reference_homology(cx, rational=rational)
+
+
+@given(
+    st.lists(
+        st.frozensets(st.integers(0, 7), min_size=1, max_size=4),
+        min_size=1,
+        max_size=12,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_clearing_matches_full_reduction_random(raw):
+    assert_clearing_agrees(SimplicialComplex([tuple(sorted(f)) for f in raw]))
+
+
+def antipodal_quotient(dim):
+    """The cross-polytope boundary modulo the antipodal map: RP^dim."""
+    sc = SimplicialComplex([
+        tuple(2 * i + s for i, s in enumerate(signs))
+        for signs in itertools.product((0, 1), repeat=dim + 1)
+    ])
+    antipodal = {v: v ^ 1 for v in range(2 * dim + 2)}
+    action = GroupAction.from_vertex_permutations(sc, [antipodal])
+    return quotient(sc.to_regular(), action).complex
+
+
+@pytest.mark.parametrize(
+    "dim, betti, torsion",
+    [(2, (1, 0, 0), ((), (2,), ())), (3, (1, 0, 0, 1), ((), (2,), (), ()))],
+)
+def test_clearing_keeps_torsion_of_projective_spaces(dim, betti, torsion):
+    cx = antipodal_quotient(dim)
+    assert_clearing_agrees(cx)
+    h = homology(cx)
+    assert (h.betti, h.torsion) == (betti, torsion)
+
+
+@pytest.mark.parametrize("level", [3, 5, 7, 12])
+def test_clearing_matches_full_reduction_on_sl2_complexes(level):
+    t = QuotientTessellation(level)
+    assert_clearing_agrees(t.surface_complex())
+    assert_clearing_agrees(t.dual_graph())
 
 
 # -- barycentric subdivision ---------------------------------------------------

@@ -242,6 +242,28 @@ def test_reduce_rejects_bad_documents(tmp_path, fault, edit, message):
     assert "Traceback" not in r.stderr
 
 
+def test_catalog_without_n_names_the_field(tmp_path):
+    doc = json.loads(run("perfect", "enumerate", "--n", "2").stdout)
+    del doc["n"]
+    cat = tmp_path / "cat.json"
+    cat.write_text(json.dumps(doc))
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"n": 2, "rows": [["4", "1"], ["1", "3"]]}))
+    r = run("reduce", "--form", str(form), "--catalog", str(cat))
+    assert r.returncode == 2
+    assert r.stderr == f"error: {cat}: bad catalog document: missing field 'n'\n"
+
+
+def test_complex_cell_without_sign_names_the_field(tmp_path):
+    doc = SimplicialComplex([(0, 1)]).to_regular().to_json_dict()
+    del doc["cells"][-1]["faces"][0]["sign"]
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(doc))
+    r = run("homology", "--complex", str(path))
+    assert r.returncode == 2
+    assert r.stderr == f"error: {path}: bad complex document: missing field 'sign'\n"
+
+
 # -- pipelines ------------------------------------------------------------------
 
 

@@ -5,6 +5,11 @@ of the new facet's closure with the union of its predecessors' closures
 must be exactly a nonempty union of closures of the new facet's
 codimension-one faces.  This quadratic checker is the ground truth the
 module's verifier and search results are compared against.
+
+A second reference, ``reference_find_shelling``, is the search as it
+stood before the incremental frontier: it rescans and re-sorts every
+facet at each step.  The module's search must return the same result
+from it, order, attachments and node count included.
 """
 
 import itertools
@@ -14,8 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vorocell import shelling
 from vorocell.cells import SimplicialComplex, homology
 from vorocell.shelling import (
+    Shelling,
+    ShellingResult,
     certify_sphere,
     find_shelling,
     is_pseudomanifold,
@@ -66,6 +74,156 @@ RP2 = SimplicialComplex([
     (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
     (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
 ])
+
+
+# -- rescanning reference search ---------------------------------------------------
+
+
+class RescanState:
+    """The search state with candidates found by a full rescan and sort."""
+
+    def __init__(self, facets):
+        self.facets = facets
+        self.sorted_facets = [tuple(sorted(f)) for f in facets]
+        self.ridge_to_facets = {}
+        for i, f in enumerate(facets):
+            for v in f:
+                self.ridge_to_facets.setdefault(f - {v}, []).append(i)
+        self.glue = [set() for _ in facets]
+        self.used = [False] * len(facets)
+        self.used_by_vertex = {}
+        self.ridge_count = {}
+        self.order = []
+
+    def place(self, idx):
+        f = self.facets[idx]
+        self.used[idx] = True
+        self.order.append(idx)
+        for v in f:
+            self.used_by_vertex.setdefault(v, set()).add(idx)
+        glue_log = []
+        for v in f:
+            r = f - {v}
+            c = self.ridge_count.get(r, 0)
+            self.ridge_count[r] = c + 1
+            if c == 0:
+                for j in self.ridge_to_facets[r]:
+                    if not self.used[j]:
+                        w = next(iter(self.facets[j] - r))
+                        if w not in self.glue[j]:
+                            self.glue[j].add(w)
+                            glue_log.append((j, w))
+        return glue_log
+
+    def unplace(self, idx, glue_log):
+        f = self.facets[idx]
+        for j, w in glue_log:
+            self.glue[j].discard(w)
+        for v in f:
+            r = f - {v}
+            self.ridge_count[r] -= 1
+            if self.ridge_count[r] == 0:
+                del self.ridge_count[r]
+        for v in f:
+            self.used_by_vertex[v].discard(idx)
+        self.order.pop()
+        self.used[idx] = False
+
+    def is_valid_step(self, idx):
+        if not self.order:
+            return True
+        glue = self.glue[idx]
+        if not glue:
+            return False
+        pick = min(glue, key=lambda v: len(self.used_by_vertex.get(v, ())))
+        return not any(glue <= self.facets[u] for u in self.used_by_vertex.get(pick, ()))
+
+    def candidates(self):
+        if not self.order:
+            return sorted(range(len(self.facets)), key=lambda i: self.sorted_facets[i])
+        live = [i for i in range(len(self.facets)) if not self.used[i] and self.glue[i]]
+        live.sort(key=lambda i: (-len(self.glue[i]), self.sorted_facets[i]))
+        return live
+
+    def attachment(self, idx):
+        f = self.facets[idx]
+        return tuple(sorted(tuple(sorted(f - {v})) for v in self.glue[idx]))
+
+    def shelled(self, nodes, attachments):
+        ordering = tuple(self.sorted_facets[i] for i in self.order)
+        return ShellingResult("shelled", Shelling(ordering, tuple(attachments)), nodes)
+
+
+def _reference_greedy(state, nodes, budget):
+    log = []
+    while len(state.order) < len(state.facets) and nodes < budget:
+        for idx in state.candidates():
+            if state.is_valid_step(idx):
+                nodes += 1
+                attach = state.attachment(idx)
+                log.append((idx, state.place(idx), attach))
+                break
+        else:
+            break
+    return len(state.order) == len(state.facets), nodes, log
+
+
+def reference_find_shelling(c, budget=shelling.DEFAULT_BUDGET):
+    """Greedy run, reversed-prefix restart, then exhaustive
+    chronological backtracking, each step taking the first valid facet
+    of a full rescan."""
+    state = RescanState(shelling._facet_list(c))
+    done, nodes, log = _reference_greedy(state, 0, budget)
+    if done:
+        return state.shelled(nodes, [entry[2] for entry in log])
+    if nodes >= budget:
+        return ShellingResult("unknown", None, nodes)
+    prefix = list(reversed(state.order))
+    while state.order:
+        state.unplace(state.order[-1], log.pop()[1])
+    replay = []
+    for idx in prefix:
+        if nodes >= budget:
+            return ShellingResult("unknown", None, nodes)
+        if not state.is_valid_step(idx):
+            break
+        nodes += 1
+        attach = state.attachment(idx)
+        replay.append((idx, state.place(idx), attach))
+    else:
+        done, nodes, tail = _reference_greedy(state, nodes, budget)
+        if done:
+            return state.shelled(nodes, [entry[2] for entry in replay + tail])
+        if nodes >= budget:
+            return ShellingResult("unknown", None, nodes)
+        replay += tail
+    while state.order:
+        state.unplace(state.order[-1], replay.pop()[1])
+    # frames hold [candidates, next position, glue log of the placed facet]
+    frames = [[state.candidates(), 0, None]]
+    attachments = []
+    while frames:
+        frame = frames[-1]
+        cands = frame[0]
+        while frame[1] < len(cands):
+            idx = cands[frame[1]]
+            frame[1] += 1
+            if state.is_valid_step(idx):
+                if nodes >= budget:
+                    return ShellingResult("unknown", None, nodes)
+                nodes += 1
+                attachments.append(state.attachment(idx))
+                frame[2] = state.place(idx)
+                if len(state.order) == len(state.facets):
+                    return state.shelled(nodes, attachments)
+                frames.append([state.candidates(), 0, None])
+                break
+        else:
+            frames.pop()
+            if frames:
+                state.unplace(state.order[-1], frames[-1][2])
+                attachments.pop()
+    return ShellingResult("not-shellable", None, nodes)
 
 
 # -- pseudomanifold test ---------------------------------------------------------
@@ -229,3 +387,88 @@ def test_relabeling_invariance():
         [tuple(v + 100 for v in f) for f in MOEBIUS.maximal_faces]
     )
     assert find_shelling(shifted).status == "not-shellable"
+
+
+# -- the frontier against the rescanning reference ----------------------------------
+
+
+def relabelled(c, rng):
+    verts = sorted({v for f in c.maximal_faces for v in f})
+    images = rng.sample(range(3 * len(verts)), len(verts))
+    relabel = dict(zip(verts, images))
+    return SimplicialComplex([tuple(relabel[v] for v in f) for f in c.maximal_faces])
+
+
+SUBDIVIDED = {
+    "S1": boundary_simplex(1).subdivide(),
+    "S2": boundary_simplex(2).subdivide(),
+    "S3": boundary_simplex(3).subdivide(),
+    "octahedron": OCTAHEDRON.subdivide(),
+    "B2": SimplicialComplex([(0, 1, 2)]).subdivide(),
+    "B3": SimplicialComplex([(0, 1, 2, 3)]).subdivide(),
+    "strip": SimplicialComplex([(0, 1, 2), (1, 2, 3), (2, 3, 4)]).subdivide(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBDIVIDED))
+@pytest.mark.parametrize("seed", range(4))
+def test_frontier_matches_rescan_on_relabelled_spheres_and_balls(name, seed):
+    c = relabelled(SUBDIVIDED[name], random.Random(f"{name}:{seed}"))
+    res = find_shelling(c)
+    assert res.status == "shelled"
+    assert res == reference_find_shelling(c)
+
+
+# two shellable complexes, found by a random search, on which the greedy
+# run gets stuck and its reversed prefix fails to replay, so that only
+# backtracking shells them
+STUCK_GREEDY = SimplicialComplex([
+    (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 4, 5), (1, 2, 3),
+    (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5),
+])
+DEEP_BACKTRACK = SimplicialComplex([
+    (0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 3, 4), (0, 4, 5), (0, 4, 6), (1, 2, 3),
+    (1, 4, 6), (2, 3, 5), (2, 4, 5), (2, 4, 6), (2, 5, 6), (3, 4, 6), (3, 5, 6),
+])
+
+
+@pytest.mark.parametrize(
+    "c",
+    [OCTAHEDRON, MOEBIUS, RP2, SimplicialComplex([(0, 1, 2), (3, 4, 5)]),
+     STUCK_GREEDY, DEEP_BACKTRACK],
+    ids=["octahedron", "moebius", "rp2", "disjoint", "stuck-greedy", "deep-backtrack"],
+)
+def test_frontier_matches_rescan_through_restart_and_backtracking(c):
+    assert find_shelling(c) == reference_find_shelling(c)
+
+
+@pytest.mark.parametrize("budget", range(1, 9))
+def test_frontier_matches_rescan_at_every_budget(budget):
+    assert find_shelling(OCTAHEDRON, budget) == reference_find_shelling(OCTAHEDRON, budget)
+
+
+@given(
+    st.lists(
+        st.sampled_from(list(itertools.combinations(range(7), 3))),
+        min_size=1,
+        max_size=10,
+        unique=True,
+    ),
+    st.integers(1, 400),
+)
+@settings(max_examples=60, deadline=None)
+def test_frontier_matches_rescan_on_random_complexes(faces, budget):
+    c = SimplicialComplex(faces)
+    assert find_shelling(c, budget) == reference_find_shelling(c, budget)
+
+
+def test_certify_rejects_an_order_that_fails_the_check(monkeypatch):
+    order = list(OCTAHEDRON.maximal_faces)  # (0, 2, 4) first, (1, 3, 5) last
+    order.insert(1, order.pop())  # two disjoint facets in a row
+    assert not verify_shelling(OCTAHEDRON, order)
+    broken = ShellingResult("shelled", Shelling(tuple(order), ((),) * 8), 8)
+    monkeypatch.setattr(shelling, "find_shelling", lambda c, budget: broken)
+    cert = certify_sphere(OCTAHEDRON)
+    assert (cert.status, cert.shelling, cert.detail, cert.nodes_used) == (
+        "unknown", None, "shelling failed its independent check", 8
+    )
