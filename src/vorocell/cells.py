@@ -163,13 +163,16 @@ class RegularComplex:
     def from_json_dict(doc: dict) -> "RegularComplex":
         if doc.get("format") != 1:
             raise ValueError("unsupported complex format")
+        entries = doc["cells"]
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ValueError("cells must be a list of objects")
         cells = [
             Cell(
                 id=str(entry["id"]),
                 dim=int(entry["dim"]),
                 faces=tuple((str(f["id"]), int(f["sign"])) for f in entry["faces"]),
             )
-            for entry in doc["cells"]
+            for entry in entries
         ]
         cx = RegularComplex(cells)
         if "dims" in doc and list(cx.f_vector()) != list(doc["dims"]):
@@ -207,15 +210,13 @@ class SimplicialComplex:
     def faces(self) -> dict[int, list[tuple[int, ...]]]:
         """All faces grouped by dimension, each sorted lexicographically."""
         if self._faces is None:
-            seen: set[frozenset[int]] = set()
+            # maximal faces are sorted, so their combinations are too
+            seen: set[tuple[int, ...]] = set()
             for f in self.maximal_faces:
-                fs = frozenset(f)
                 for k in range(1, len(f) + 1):
-                    for sub in combinations(f, k):
-                        seen.add(frozenset(sub))
+                    seen.update(combinations(f, k))
             grouped: dict[int, list[tuple[int, ...]]] = {}
-            for fs in seen:
-                t = tuple(sorted(fs))
+            for t in seen:
                 grouped.setdefault(len(t) - 1, []).append(t)
             for d in grouped:
                 grouped[d].sort()
@@ -262,7 +263,10 @@ class SimplicialComplex:
     def from_json_dict(doc: dict) -> "SimplicialComplex":
         if doc.get("format") != 1:
             raise ValueError("unsupported complex format")
-        return SimplicialComplex(doc["maximal_faces"])
+        faces = doc["maximal_faces"]
+        if not isinstance(faces, list) or not all(isinstance(f, list) for f in faces):
+            raise ValueError("maximal_faces must be a list of lists")
+        return SimplicialComplex(faces)
 
 
 def barycentric_subdivision(cx: RegularComplex) -> SimplicialComplex:

@@ -155,7 +155,10 @@ class SymMatrix:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "SymMatrix":
-        m = SymMatrix([[Fraction(s) for s in row] for row in doc["rows"]])
+        rows = doc["rows"]
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError("rows must be a list of lists")
+        m = SymMatrix([[Fraction(s) for s in row] for row in rows])
         if m.n != doc["n"]:
             raise ValueError("declared dimension does not match rows")
         return m

@@ -535,7 +535,6 @@ class Catalog:
 def enumerate_perfect_forms(
     n: int,
     limit: Optional[int] = None,
-    reverse_worklist: bool = False,
     catalog: Optional[Catalog] = None,
 ) -> Catalog:
     """All perfect-form classes in dimension n, by facet-graph traversal.
@@ -553,7 +552,7 @@ def enumerate_perfect_forms(
         catalog.add(PerfectFormRecord(a_root_form(n)))
     pending = [i for i, nb in enumerate(catalog.neighbors) if nb is None]
     while pending:
-        index = pending.pop(-1 if reverse_worklist else 0)
+        index = pending.pop(0)
         record = catalog.records[index]
         edges = []
         for fi, facet in enumerate(record.facets):

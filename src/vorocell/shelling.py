@@ -6,9 +6,10 @@ meets the union of its predecessors in a nonempty union of its own
 codimension-one faces.  Joined with the condition that every
 codimension-one face lies in exactly two maximal faces, a shelling
 certifies the complex is a sphere; with boundary present it certifies
-a ball.  The search is greedy with chronological backtracking under a
-node budget, so "unknown" is an honest possible outcome distinct from
-"not shellable" (which only an exhausted search may report).
+a ball.  The search is depth first, most-glued facet first, with
+chronological backtracking under a node budget, so "unknown" is an
+honest possible outcome distinct from "not shellable" (which only an
+exhausted search may report).
 """
 
 from __future__ import annotations
@@ -88,8 +89,9 @@ class _SearchState:
     therefore visits the live facets most-glued first, ties broken by
     the sorted facet, the order a full rescan and sort would give; a
     step costs the entries it pops instead of a pass over all facets.
-    The greedy run and the restart pop from it (``next_step``), and each
-    backtracking frame takes a sorted snapshot of it (``candidates``).
+    A level of the search descends by popping from it (``next_step``)
+    and, once backtracked into, resumes from a sorted snapshot of it
+    (``candidates``).
     With nothing placed, every facet is a legal start, in sorted order.
     """
 
@@ -203,24 +205,14 @@ class _SearchState:
         return tuple(sorted(tuple(sorted(f - {v})) for v in self.glue[idx]))
 
 
-def _greedy_run(state: _SearchState, nodes: int, budget: int) -> tuple[bool, int, list]:
-    """Extend the current order greedily; returns (complete, nodes, log)."""
-    log = []
-    total = len(state.facets)
-    while len(state.order) < total and nodes < budget:
-        idx = state.next_step()
-        if idx is None:
-            break
-        nodes += 1
-        attach = state.attachment(idx)
-        log.append((idx, state.place(idx), attach))
-    return len(state.order) == total, nodes, log
-
-
 def find_shelling(c: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> ShellingResult:
-    """Search for a shelling: greedy by most-glued-first, then a
-    one-shot reversed-prefix restart, then chronological backtracking.
+    """Search for a shelling depth first, placing the most-glued valid
+    facet first and backtracking chronologically.
 
+    A level descends by the frontier's first valid facet.  Backtracking
+    into it restores the state it started from, so its first return
+    takes a sorted snapshot of the frontier and resumes after the facet
+    it had placed, every earlier one being invalid there.
     "not-shellable" is reported only when the full search space was
     exhausted inside the budget; running out of budget yields
     "unknown".
@@ -230,91 +222,39 @@ def find_shelling(c: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Shellin
     facets = _facet_list(c)
     state = _SearchState(facets)
     nodes = 0
-
-    done, nodes, log = _greedy_run(state, nodes, budget)
-    if done:
-        return _success(state, nodes, _attachments_of(log))
-    if nodes >= budget:
-        return ShellingResult("unknown", None, nodes)
-
-    # reversed-prefix restart: a failed prefix, reversed, is often a
-    # viable start on pseudomanifolds
-    prefix = list(reversed(state.order))
-    while state.order:
-        idx = state.order[-1]
-        glue_log = log.pop()[1]
-        state.unplace(idx, glue_log)
-    replay: list = []
-    ok = True
-    for idx in prefix:
-        if nodes >= budget:
-            return ShellingResult("unknown", None, nodes)
-        if state.is_valid_step(idx):
-            nodes += 1
-            attach = state.attachment(idx)
-            replay.append((idx, state.place(idx), attach))
+    # one frame per placed facet: (facet, glue log, attachment, its
+    # level's candidate snapshot or None, its position in the snapshot)
+    frames: list[tuple[int, list, tuple, Optional[list[int]], int]] = []
+    cands: Optional[list[int]] = None
+    pos = 0
+    while True:
+        if cands is None:
+            idx = state.next_step()
         else:
-            ok = False
-            break
-    if ok:
-        done, nodes, tail = _greedy_run(state, nodes, budget)
-        if done:
-            return _success(state, nodes, _attachments_of(replay + tail))
+            idx = None
+            for pos in range(pos + 1, len(cands)):
+                if state.is_valid_step(cands[pos]):
+                    idx = cands[pos]
+                    break
+        if idx is None:
+            if not frames:
+                return ShellingResult("not-shellable", None, nodes)
+            idx, glue_log, _, cands, pos = frames.pop()
+            state.unplace(idx, glue_log)
+            if cands is None:
+                cands = state.candidates()
+                pos = cands.index(idx)
+            continue
         if nodes >= budget:
             return ShellingResult("unknown", None, nodes)
-    while state.order:
-        idx = state.order[-1]
-        glue_log = replay.pop()[1]
-        state.unplace(idx, glue_log)
-
-    # exhaustive chronological backtracking
-    frames: list[tuple[list[int], int, Optional[list], Optional[tuple]]] = []
-    frames.append([state.candidates(), 0, None, None])  # type: ignore[arg-type]
-    attach_stack: list[tuple[tuple[int, ...], ...]] = []
-    while frames:
-        frame = frames[-1]
-        cands, pos = frame[0], frame[1]
-        advanced = False
-        while pos < len(cands):
-            idx = cands[pos]
-            pos += 1
-            if state.is_valid_step(idx):
-                if nodes >= budget:
-                    frame[1] = pos
-                    return ShellingResult("unknown", None, nodes)
-                nodes += 1
-                attach = state.attachment(idx)
-                glue_log = state.place(idx)
-                frame[1] = pos
-                frame[2] = glue_log
-                frame[3] = idx
-                attach_stack.append(attach)
-                if len(state.order) == len(facets):
-                    ordering = tuple(state.sorted_facets[i] for i in state.order)
-                    return ShellingResult(
-                        "shelled", Shelling(ordering, tuple(attach_stack)), nodes
-                    )
-                frames.append([state.candidates(), 0, None, None])  # type: ignore[arg-type]
-                advanced = True
-                break
-        if advanced:
-            continue
-        frame[1] = pos
-        frames.pop()
-        if frames:
-            parent = frames[-1]
-            state.unplace(parent[3], parent[2])  # type: ignore[arg-type]
-            attach_stack.pop()
-    return ShellingResult("not-shellable", None, nodes)
-
-
-def _attachments_of(log: list) -> tuple:
-    return tuple(entry[2] for entry in log)
-
-
-def _success(state: _SearchState, nodes: int, attachments: tuple) -> ShellingResult:
-    ordering = tuple(state.sorted_facets[i] for i in state.order)
-    return ShellingResult("shelled", Shelling(ordering, attachments), nodes)
+        nodes += 1
+        attach = state.attachment(idx)
+        frames.append((idx, state.place(idx), attach, cands, pos))
+        if len(frames) == len(facets):
+            ordering = tuple(state.sorted_facets[i] for i in state.order)
+            attachments = tuple(frame[2] for frame in frames)
+            return ShellingResult("shelled", Shelling(ordering, attachments), nodes)
+        cands = None
 
 
 def verify_shelling(c: SimplicialComplex, ordering: Sequence[Sequence[int]]) -> bool:

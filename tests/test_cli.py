@@ -100,6 +100,18 @@ def test_homology_of_simplicial(tmp_path):
 # -- failure exit codes -------------------------------------------------------------
 
 
+def test_shell_moebius_band_output(tmp_path):
+    moebius = [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4), (0, 1, 4)]
+    path = write_complex(tmp_path / "moebius.json", moebius)
+    r = run("shell", "--complex", path)
+    assert r.returncode == 1
+    assert r.stdout == (
+        '{\n  "format": 1,\n  "status": "unknown",\n'
+        '  "detail": "search space exhausted without a shelling",\n'
+        '  "facets": 5,\n  "nodes_used": 35\n}\n'
+    )
+
+
 def test_shell_unshellable_is_exit_one(tmp_path):
     path = write_complex(tmp_path / "two.json", [(0, 1, 2), (3, 4, 5)])
     r = run("shell", "--complex", path)
@@ -262,6 +274,35 @@ def test_complex_cell_without_sign_names_the_field(tmp_path):
     r = run("homology", "--complex", str(path))
     assert r.returncode == 2
     assert r.stderr == f"error: {path}: bad complex document: missing field 'sign'\n"
+
+
+@pytest.mark.parametrize(
+    "rows", [5, [1, 2]], ids=["rows-not-a-list", "rows-of-numbers"]
+)
+def test_form_rows_must_be_a_list_of_lists(tmp_path, rows):
+    cat = tmp_path / "cat2.json"
+    assert run("perfect", "enumerate", "--n", "2", "--out", str(cat)).returncode == 0
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"n": 2, "rows": rows}))
+    r = run("reduce", "--form", str(form), "--catalog", str(cat))
+    assert r.returncode == 2
+    assert r.stderr == f"error: {form}: bad form document: rows must be a list of lists\n"
+
+
+@pytest.mark.parametrize(
+    "command, field, message",
+    [
+        ("shell", "maximal_faces", "maximal_faces must be a list of lists"),
+        ("homology", "cells", "cells must be a list of objects"),
+    ],
+    ids=["maximal-faces", "cells"],
+)
+def test_complex_list_fields_name_the_field(tmp_path, command, field, message):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"format": 1, field: 5}))
+    r = run(command, "--complex", str(path))
+    assert r.returncode == 2
+    assert r.stderr == f"error: {path}: bad complex document: {message}\n"
 
 
 # -- pipelines ------------------------------------------------------------------

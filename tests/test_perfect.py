@@ -345,12 +345,15 @@ def test_enumeration_small_dimensions():
     assert len(enumerate_perfect_forms(4).records) == 2
 
 
-def test_enumeration_reversed_worklist_same_classes():
-    fwd = enumerate_perfect_forms(4)
-    rev = enumerate_perfect_forms(4, reverse_worklist=True)
-    assert len(fwd.records) == len(rev.records)
-    assert {r.invariant_key() for r in fwd.records} == {
-        r.invariant_key() for r in rev.records
+def test_enumeration_from_d4_finds_the_same_classes():
+    a4_first = enumerate_perfect_forms(4)
+    seeded = Catalog(4)
+    seeded.add(PerfectFormRecord(SymMatrix(D4)))
+    d4_first = enumerate_perfect_forms(4, catalog=seeded)
+    assert d4_first.complete
+    assert [len(r.facets) for r in d4_first.records] == [64, 10]
+    assert {r.invariant_key() for r in d4_first.records} == {
+        r.invariant_key() for r in a4_first.records
     }
 
 

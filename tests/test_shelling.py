@@ -6,10 +6,11 @@ must be exactly a nonempty union of closures of the new facet's
 codimension-one faces.  This quadratic checker is the ground truth the
 module's verifier and search results are compared against.
 
-A second reference, ``reference_find_shelling``, is the search as it
-stood before the incremental frontier: it rescans and re-sorts every
-facet at each step.  The module's search must return the same result
-from it, order, attachments and node count included.
+A second reference, ``reference_find_shelling``, is the depth-first
+search without the incremental frontier: every level rescans and
+re-sorts every facet and tries them in that order.  The module's search
+must return the same result as it, order, attachments and node count
+included.
 """
 
 import itertools
@@ -154,51 +155,11 @@ class RescanState:
         return ShellingResult("shelled", Shelling(ordering, tuple(attachments)), nodes)
 
 
-def _reference_greedy(state, nodes, budget):
-    log = []
-    while len(state.order) < len(state.facets) and nodes < budget:
-        for idx in state.candidates():
-            if state.is_valid_step(idx):
-                nodes += 1
-                attach = state.attachment(idx)
-                log.append((idx, state.place(idx), attach))
-                break
-        else:
-            break
-    return len(state.order) == len(state.facets), nodes, log
-
-
 def reference_find_shelling(c, budget=shelling.DEFAULT_BUDGET):
-    """Greedy run, reversed-prefix restart, then exhaustive
-    chronological backtracking, each step taking the first valid facet
-    of a full rescan."""
+    """Exhaustive chronological backtracking, each level taking the
+    first valid facet of a full rescan."""
     state = RescanState(shelling._facet_list(c))
-    done, nodes, log = _reference_greedy(state, 0, budget)
-    if done:
-        return state.shelled(nodes, [entry[2] for entry in log])
-    if nodes >= budget:
-        return ShellingResult("unknown", None, nodes)
-    prefix = list(reversed(state.order))
-    while state.order:
-        state.unplace(state.order[-1], log.pop()[1])
-    replay = []
-    for idx in prefix:
-        if nodes >= budget:
-            return ShellingResult("unknown", None, nodes)
-        if not state.is_valid_step(idx):
-            break
-        nodes += 1
-        attach = state.attachment(idx)
-        replay.append((idx, state.place(idx), attach))
-    else:
-        done, nodes, tail = _reference_greedy(state, nodes, budget)
-        if done:
-            return state.shelled(nodes, [entry[2] for entry in replay + tail])
-        if nodes >= budget:
-            return ShellingResult("unknown", None, nodes)
-        replay += tail
-    while state.order:
-        state.unplace(state.order[-1], replay.pop()[1])
+    nodes = 0
     # frames hold [candidates, next position, glue log of the placed facet]
     frames = [[state.candidates(), 0, None]]
     attachments = []
@@ -419,9 +380,8 @@ def test_frontier_matches_rescan_on_relabelled_spheres_and_balls(name, seed):
     assert res == reference_find_shelling(c)
 
 
-# two shellable complexes, found by a random search, on which the greedy
-# run gets stuck and its reversed prefix fails to replay, so that only
-# backtracking shells them
+# two shellable complexes, found by a random search, on which the first
+# descent gets stuck, so that only backtracking shells them
 STUCK_GREEDY = SimplicialComplex([
     (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 4, 5), (1, 2, 3),
     (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5),
@@ -440,6 +400,24 @@ DEEP_BACKTRACK = SimplicialComplex([
 )
 def test_frontier_matches_rescan_through_restart_and_backtracking(c):
     assert find_shelling(c) == reference_find_shelling(c)
+
+
+@pytest.mark.parametrize(
+    "c, status, nodes",
+    [
+        (STUCK_GREEDY, "shelled", 11),
+        (DEEP_BACKTRACK, "shelled", 31),
+        (MOEBIUS, "not-shellable", 35),
+        (RP2, "not-shellable", 760),
+        (SimplicialComplex([(0, 1, 2), (3, 4, 5)]), "not-shellable", 2),
+    ],
+    ids=["stuck-greedy", "deep-backtrack", "moebius", "rp2", "disjoint"],
+)
+def test_backtracking_resumes_without_redescending(c, status, nodes):
+    """A stuck first descent backtracks in place: no node is spent
+    replaying or re-descending a path already searched."""
+    res = find_shelling(c)
+    assert (res.status, res.nodes_used) == (status, nodes)
 
 
 @pytest.mark.parametrize("budget", range(1, 9))
