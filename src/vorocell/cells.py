@@ -166,6 +166,10 @@ class RegularComplex:
         entries = doc["cells"]
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ValueError("cells must be a list of objects")
+        for entry in entries:
+            faces = entry["faces"]
+            if not isinstance(faces, list) or not all(isinstance(f, dict) for f in faces):
+                raise ValueError("faces must be a list of objects")
         cells = [
             Cell(
                 id=str(entry["id"]),
@@ -266,6 +270,10 @@ class SimplicialComplex:
         faces = doc["maximal_faces"]
         if not isinstance(faces, list) or not all(isinstance(f, list) for f in faces):
             raise ValueError("maximal_faces must be a list of lists")
+        try:
+            faces = [list(map(int, f)) for f in faces]
+        except (ValueError, TypeError, OverflowError):
+            raise ValueError("maximal_faces must be a list of lists of integers") from None
         return SimplicialComplex(faces)
 
 

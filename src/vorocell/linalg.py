@@ -1,10 +1,10 @@
 """Exact rational linear algebra over small dense matrices.
 
-Everything in this module works with ``fractions.Fraction`` (or plain
-``int`` where entries are integral); there is deliberately no floating
-point anywhere.  The matrices that show up downstream live in spaces of
-dimension n(n+1)/2 for n <= 8, so simple dense algorithms are fine and
-determinism matters more than speed.
+Everything in this module is exact, with no floating point: the kernels
+(elimination, LDL^T, Smith form) run in ``int``, and rational results
+are ``fractions.Fraction``.  The matrices that show up downstream live
+in spaces of dimension n(n+1)/2 for n <= 8, so simple dense algorithms
+are fine and determinism matters more than speed.
 
 Conventions:
 
@@ -256,36 +256,40 @@ def invert(rows: Sequence[Sequence]) -> list:
     return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(reduced)]
 
 
-def ldlt(a: SymMatrix) -> Optional[tuple[list, list]]:
-    """A = L D L^T with unit lower-triangular L and positive diagonal D.
+def integer_ldlt(a: SymMatrix) -> Optional[tuple[int, list[list[int]]]]:
+    """Fraction-free LDL^T: Bareiss elimination on scale * A, with
+    ``scale`` clearing A's denominators; every division is exact.
 
-    Returns (d, l) where d is the pivot list and l the strictly-lower
-    multiplier table, or None as soon as a pivot fails to be positive:
-    the decomposition doubles as the positive-definiteness test (the
-    pivots are the ratios of consecutive leading principal minors).
+    Returns (scale, rows) with rows[k] zero before column k, so that
+    scale * x^T A x = sum_k t_k^2 / (D_{k-1} D_k) for D_k = rows[k][k],
+    D_{-1} = 1 and t_k = sum_{j>=k} rows[k][j] x_j.  D_k is scale^(k+1)
+    times a leading principal minor, so by Sylvester's criterion the
+    result is None, at the first D_k <= 0, exactly when A is not
+    positive definite.
     """
     n = a.n
-    work = [list(row) for row in a.rows]
-    d: list = []
-    lower = [[Fraction(0)] * n for _ in range(n)]
+    scale = lcm(*(x.denominator for row in a.rows for x in row))
+    work = [[x.numerator * (scale // x.denominator) for x in row] for row in a.rows]
+    rows = []
+    prev = 1
     for k in range(n):
-        pivot = work[k][k]
+        pivot_row = work[k]
+        pivot = pivot_row[k]
         if pivot <= 0:
             return None
-        d.append(pivot)
+        rows.append([0] * k + pivot_row[k:])
+        # stage k + 1 on the upper triangle; work[i][k] == work[k][i] by symmetry
         for i in range(k + 1, n):
-            lower[i][k] = work[i][k] / pivot
-        for i in range(k + 1, n):
-            lik = lower[i][k]
-            if lik:
-                for j in range(k + 1, i + 1):
-                    work[i][j] -= lik * work[j][k]
-                    work[j][i] = work[i][j]
-    return d, lower
+            c = pivot_row[i]
+            row = work[i]
+            for j in range(i, n):
+                row[j] = (pivot * row[j] - c * pivot_row[j]) // prev
+        prev = pivot
+    return scale, rows
 
 
 def is_positive_definite(a: SymMatrix) -> bool:
-    return ldlt(a) is not None
+    return integer_ldlt(a) is not None
 
 
 @dataclass(frozen=True)

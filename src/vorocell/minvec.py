@@ -3,12 +3,13 @@
 The arithmetic minimum mu(A) is the least value of x^T A x over nonzero
 primitive integer vectors, and M(A) the finite set of vectors attaining
 it.  Enumeration is a Fincke--Pohst style recursive sweep driven by the
-exact LDL^T decomposition: writing
+fraction-free LDL^T of :func:`~vorocell.linalg.integer_ldlt`: writing
 
-    x^T A x = sum_k d_k (x_k + sum_{i>k} L[i][k] x_i)^2,
+    scale * M * x^T A x = sum_k w_k t_k^2,   w_k = M / (D_{k-1} D_k),
 
-coordinates are chosen from the last to the first, and at each level the
-admissible integer interval is computed exactly with ``math.isqrt`` —
+with t_k as there and M the lcm of the D_{k-1} D_k, is an integer.
+Coordinates are chosen from the last to the first, and at each level the
+admissible integer interval is computed in integers with ``math.isqrt`` —
 no floating point, no rounding.
 
 Vectors are stored up to sign with the representative whose first
@@ -21,16 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
-from .linalg import SymMatrix, ldlt
-
-
-def _floor_sqrt_plus(s: Fraction, c: Fraction) -> int:
-    """floor(sqrt(s) + c) for s >= 0, computed exactly."""
-    p, q = s.numerator, s.denominator
-    a, b = c.numerator, c.denominator
-    return (isqrt(p * q * b * b) + a * q) // (q * b)
+from .linalg import SymMatrix, integer_ldlt
 
 
 def canonical_sign(v: tuple[int, ...]) -> tuple[int, ...]:
@@ -54,42 +48,49 @@ def vectors_below(q: SymMatrix, bound) -> list[tuple[tuple[int, ...], Fraction]]
     their first nonzero coordinate positive.
     """
     bound = Fraction(bound)
-    if bound <= 0:
+    if bound.numerator <= 0:
         raise ValueError("bound must be positive")
-    decomp = ldlt(q)
+    decomp = integer_ldlt(q)
     if decomp is None:
         raise ValueError("form is not positive definite")
-    d, lower = decomp
+    scale, rows = decomp
     n = q.n
+    pivots = [rows[k][k] for k in range(n)]
+    denoms = [p * (pivots[k - 1] if k else 1) for k, p in enumerate(pivots)]
+    m = lcm(*denoms)
+    weights = [m // d for d in denoms]
+    # scale * m * x^T q x = sum_k weights[k] * t_k^2 is an integer, so
+    # flooring the bound loses nothing
+    limit = bound.numerator * scale * m // bound.denominator
     x = [0] * n
     found: list[tuple[tuple[int, ...], Fraction]] = []
 
-    def sweep(k: int, remaining: Fraction, zero_above: bool) -> None:
-        # center of the admissible interval at this level, from the
-        # already-fixed coordinates x_{k+1}..x_{n-1}
-        c = Fraction(0)
-        for i in range(k + 1, n):
-            if x[i]:
-                c += lower[i][k] * x[i]
-        s = remaining / d[k]
-        hi = _floor_sqrt_plus(s, -c)
-        lo = -_floor_sqrt_plus(s, c)
+    def sweep(k: int, remaining: int, zero_above: bool) -> None:
+        # t_k = d * x_k + s, from the already-fixed coordinates x_{k+1}..x_{n-1}
+        row = rows[k]
+        s = 0
+        for j in range(k + 1, n):
+            if x[j]:
+                s += row[j] * x[j]
+        d, w = pivots[k], weights[k]
+        top = isqrt(remaining // w)  # |t_k| <= top
+        lo = -((top + s) // d)
+        hi = (top - s) // d
         if zero_above and lo < 0:
             lo = 0  # pick one representative per +/- pair
         for xk in range(lo, hi + 1):
             x[k] = xk
-            used = d[k] * (xk + c) ** 2
-            if used > remaining:
-                continue
+            t = d * xk + s
+            left = remaining - w * t * t
             if k == 0:
                 v = tuple(x)
                 if (not zero_above or xk) and is_primitive(v):
-                    found.append((canonical_sign(v), bound - (remaining - used)))
+                    found.append((canonical_sign(v), Fraction(limit - left, scale * m)))
             else:
-                sweep(k - 1, remaining - used, zero_above and xk == 0)
+                sweep(k - 1, left, zero_above and xk == 0)
         x[k] = 0
 
-    sweep(n - 1, bound, True)
+    sweep(n - 1, limit, True)
     found.sort(key=lambda pair: pair[0])
     return found
 
@@ -105,16 +106,6 @@ class MinData:
     def signed_count(self) -> int:
         """Cardinality when v and -v are counted separately."""
         return 2 * len(self.vectors)
-
-    def to_json_dict(self) -> dict:
-        return {"mu": str(self.mu), "vectors": [list(v) for v in self.vectors]}
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "MinData":
-        return MinData(
-            mu=Fraction(doc["mu"]),
-            vectors=tuple(tuple(int(x) for x in v) for v in doc["vectors"]),
-        )
 
 
 def minimal_vectors(q: SymMatrix) -> MinData:

@@ -9,8 +9,8 @@ determines Z uniquely among symmetric matrices.  Each perfect form spans
 a full-dimensional "domain" cone generated by the rank-one matrices
 q(m) = mm^T; these cones tile the positive-definite cone, neighboring
 domains share facets, and walking the facet graph enumerates all
-perfect forms up to unimodular equivalence.  Everything here is exact
-rational arithmetic.
+perfect forms up to unimodular equivalence.  Everything here is exact;
+minimal vectors, rays and facet normals are kept as integer vectors.
 """
 
 from __future__ import annotations
@@ -81,26 +81,15 @@ def is_perfect(q: SymMatrix, min_data: Optional[MinData] = None) -> PerfectionRe
 
 
 @dataclass(frozen=True)
-class RankOneRay:
-    vector: tuple[int, ...]
-    matrix: SymMatrix
-
-    @staticmethod
-    def from_vector(v: Sequence[int]) -> "RankOneRay":
-        v = tuple(int(x) for x in v)
-        return RankOneRay(vector=v, matrix=SymMatrix.rank_one(v))
-
-
-@dataclass(frozen=True)
 class Facet:
     """A codimension-1 face of a domain cone.
 
-    ``normal`` pairs to zero exactly on the supporting rays and is
-    positive on the rest (inward normal under the trace pairing),
-    scaled to integer entries of content 1.
+    ``normal`` is the inward normal R as upper-triangle integers of
+    content 1; dotted with the value row of a ray m m^T it gives m^T R m,
+    zero exactly on the supporting rays and positive on the rest.
     """
 
-    normal: SymMatrix
+    normal: tuple[int, ...]
     ray_support: tuple[int, ...]
 
 
@@ -113,32 +102,19 @@ def _reduce_content(vec: list[int]) -> tuple[int, ...]:
     return tuple(x // g for x in vec)
 
 
-def _pairing_vector(m: SymMatrix) -> tuple[int, ...]:
-    """Upper-triangle coordinates of <m, .> (off-diagonals doubled)."""
-    out = []
-    for i in range(m.n):
-        for j in range(i, m.n):
-            x = m.rows[i][j] if i == j else 2 * m.rows[i][j]
-            if x.denominator != 1:
-                raise ValueError("expected integral matrix")
-            out.append(x.numerator)
-    return tuple(out)
-
-
-def facets_of_cone(ray_matrices: Sequence[SymMatrix]) -> list[Facet]:
+def facets_of_cone(halfspaces: Sequence[Sequence[int]]) -> list[Facet]:
     """All facets of cone(rays), by double description of the dual cone.
 
-    The extreme rays of {y : <r_i, y> >= 0 for all i} are exactly the
+    The rays m m^T are given by their value rows (:func:`_value_row`).
+    The extreme rays of {y : row_i . y >= 0 for all i} are exactly the
     inward facet normals of the primal cone; they are built up one
     halfspace at a time from a simplicial start, with the standard
     combinatorial adjacency test deciding which generator pairs may be
     combined.  Requires the rays to span (a full-dimensional cone).
     """
-    if not ray_matrices:
+    if not halfspaces:
         raise ValueError("need at least one ray")
-    n = ray_matrices[0].n
-    dim = n * (n + 1) // 2
-    halfspaces = [_pairing_vector(r) for r in ray_matrices]
+    dim = len(halfspaces[0])
     # greedy choice of dim independent halfspaces for the simplicial start
     basis_idx: list[int] = []
     chosen: list[tuple[int, ...]] = []
@@ -205,8 +181,7 @@ def facets_of_cone(ray_matrices: Sequence[SymMatrix]) -> list[Facet]:
         support = tuple(
             i for i, h in enumerate(halfspaces) if dot(h, g) == 0
         )
-        normal = SymMatrix.from_upper(n, g)
-        facets.append(Facet(normal=normal, ray_support=support))
+        facets.append(Facet(normal=g, ray_support=support))
     facets.sort(key=lambda f: f.ray_support)
     return facets
 
@@ -215,7 +190,8 @@ def facets_of_cone(ray_matrices: Sequence[SymMatrix]) -> list[Facet]:
 
 
 class PerfectFormRecord:
-    """A perfect form with its minimal vectors, rays, and (lazily) facets.
+    """A perfect form with its minimal vectors m, whose m m^T are the
+    rays of its domain cone in that order, and (lazily) its facets.
 
     The record keeps two scalings of the same form: ``form`` normalized
     to mu = 1, and ``integral_form``, the smallest integer multiple with
@@ -230,7 +206,6 @@ class PerfectFormRecord:
         self.integral_form = integral
         self.min_data = md
         self.form = integral.scale(1 / md.mu)
-        self.rays = tuple(RankOneRay.from_vector(v) for v in md.vectors)
         self._facets: Optional[tuple[Facet, ...]] = None
         self._invariant: Optional[tuple] = None
 
@@ -241,7 +216,8 @@ class PerfectFormRecord:
     @property
     def facets(self) -> tuple[Facet, ...]:
         if self._facets is None:
-            self._facets = tuple(facets_of_cone([r.matrix for r in self.rays]))
+            rows = [_value_row(v, self.n) for v in self.min_data.vectors]
+            self._facets = tuple(facets_of_cone(rows))
         return self._facets
 
     def invariant_key(self) -> tuple:
@@ -289,9 +265,14 @@ def neighbor(record: PerfectFormRecord, facet: Facet) -> SymMatrix:
     parameter (mu - Q[v]) / R[v] over vectors with R[v] < 0 is exact.
     """
     q = record.integral_form
+    n = q.n
     mu = record.min_data.mu
-    r = facet.normal
+    r = SymMatrix.from_upper(n, facet.normal)
     old = set(record.min_data.vectors)
+
+    def r_value(v: tuple[int, ...]) -> int:
+        return sum(map(mul, _value_row(v, n), facet.normal))
+
     lo = Fraction(0)
     step = Fraction(1)
     for _ in range(200):
@@ -303,10 +284,10 @@ def neighbor(record: PerfectFormRecord, facet: Facet) -> SymMatrix:
         fresh = [
             v
             for v, _val in vectors_below(candidate, mu)
-            if v not in old and r.evaluate(v) < 0
+            if v not in old and r_value(v) < 0
         ]
         if fresh:
-            rho = min((mu - q.evaluate(v)) / r.evaluate(v) for v in fresh)
+            rho = min((mu - q.evaluate(v)) / r_value(v) for v in fresh)
             return q + r.scale(rho)
         lo = cur
         step *= 2

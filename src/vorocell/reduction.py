@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .linalg import SymMatrix, cone_membership, is_positive_definite, mat_mul, transpose
@@ -49,7 +51,7 @@ class ReductionResult:
         w = [list(row) for row in self.witness]
         out = []
         for i in self.support:
-            m = record.rays[i].vector
+            m = record.min_data.vectors[i]
             image = tuple(sum(w[r][c] * m[c] for c in range(len(m))) for r in range(len(w)))
             out.append(SymMatrix.rank_one(image))
         return out
@@ -77,6 +79,15 @@ def _positive_certificate(
     raise WalkDivergenceError("no strictly positive certificate on the face")
 
 
+def _pairing_coordinates(y: SymMatrix) -> list[int]:
+    """y's upper triangle, off-diagonals doubled, times a positive integer:
+    dotted with a facet normal R it is a positive multiple of <R, y>."""
+    n = y.n
+    coords = [y.rows[i][j] * (1 if i == j else 2) for i in range(n) for j in range(i, n)]
+    scale = lcm(*(x.denominator for x in coords))
+    return [x.numerator * (scale // x.denominator) for x in coords]
+
+
 def reduce_with_trace(
     x: SymMatrix, catalog: Catalog
 ) -> tuple[ReductionResult, list[tuple[int, int]]]:
@@ -101,7 +112,8 @@ def reduce_with_trace(
     for step in range(MAX_STEPS):
         record = catalog.records[j]
         facets = record.facets
-        values = [f.normal.pair(y) for f in facets]
+        coords = _pairing_coordinates(y)
+        values = [sum(map(mul, f.normal, coords)) for f in facets]
         worst = min(range(len(facets)), key=lambda i: values[i])
         if values[worst] >= 0:
             active = [i for i, v in enumerate(values) if v == 0]
@@ -110,12 +122,12 @@ def reduce_with_trace(
                 for i in active[1:]:
                     support &= frozenset(facets[i].ray_support)
             else:
-                support = frozenset(range(len(record.rays)))
+                support = frozenset(range(len(record.min_data.vectors)))
             support_idx = tuple(sorted(support))
             if not support_idx:
                 raise WalkDivergenceError("empty face support for a nonzero form")
             coeffs = _positive_certificate(
-                [record.rays[i].matrix for i in support_idx], y
+                [SymMatrix.rank_one(record.min_data.vectors[i]) for i in support_idx], y
             )
             return (
                 ReductionResult(

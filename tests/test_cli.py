@@ -305,6 +305,39 @@ def test_complex_list_fields_name_the_field(tmp_path, command, field, message):
     assert r.stderr == f"error: {path}: bad complex document: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"format": 1, "cells": [{"id": "a", "dim": 0, "faces": 5}]},
+         "faces must be a list of objects"),
+        ({"format": 1, "cells": [{"id": "a", "dim": 0, "faces": [5]}]},
+         "faces must be a list of objects"),
+        ({"format": 1, "maximal_faces": [[1, "a"]]},
+         "maximal_faces must be a list of lists of integers"),
+    ],
+    ids=["faces-not-a-list", "faces-of-numbers", "vertex-not-an-integer"],
+)
+def test_complex_nested_fields_name_the_field(tmp_path, doc, message):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(doc))
+    r = run("homology", "--complex", str(path))
+    assert r.returncode == 2
+    assert r.stderr == f"error: {path}: bad complex document: {message}\n"
+
+
+def test_complex_loaders_still_convert_entries(tmp_path):
+    # string and float vertex labels and string signs loaded before the
+    # field checks, and still do
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"format": 1, "maximal_faces": [["0", 1.0]]}))
+    assert json.loads(run("homology", "--complex", str(path)).stdout)["betti"] == [1, 0]
+    doc = SimplicialComplex([(0, 1)]).to_regular().to_json_dict()
+    for face in doc["cells"][-1]["faces"]:
+        face["sign"] = str(face["sign"])
+    path.write_text(json.dumps(doc))
+    assert json.loads(run("homology", "--complex", str(path)).stdout)["betti"] == [1, 0]
+
+
 # -- pipelines ------------------------------------------------------------------
 
 

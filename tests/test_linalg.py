@@ -5,6 +5,7 @@ inverse, Smith form) come from sympy so the hand-rolled integer
 elimination is checked against an independent implementation.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,8 @@ from vorocell.linalg import (
     det,
     identity_matrix,
     invert,
+    integer_ldlt,
     is_positive_definite,
-    ldlt,
     mat_mul,
     matrix_rank,
     smith_normal_form,
@@ -215,22 +216,33 @@ def test_pd_agrees_with_leading_minors(rows):
     assert is_positive_definite(a) == all(m > 0 for m in minors)
 
 
-def test_ldlt_reconstructs():
-    a = SymMatrix([[4, 2], [2, 3]])
-    d, lower = ldlt(a)
-    n = a.n
-
-    def ell(i, k):
-        if i == k:
-            return Fraction(1)
-        return lower[i][k] if k < i else Fraction(0)
-
-    prod = [
-        [sum(ell(i, k) * d[k] * ell(j, k) for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    assert prod == [list(r) for r in a.rows]
-    assert ldlt(SymMatrix([[1, 2], [2, 1]])) is None
+def test_integer_ldlt_identity():
+    # scale * x^T A x = sum_k t_k^2 / (D_{k-1} D_k), t_k = sum_{j>=k} rows[k][j] x_j
+    rng = random.Random("integer_ldlt")
+    for rows in (
+        [[4, 2], [2, 3]],
+        [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+        [[Fraction(7, 3), Fraction(1, 2), 0], [Fraction(1, 2), Fraction(5, 4), Fraction(-2, 5)],
+         [0, Fraction(-2, 5), 3]],
+    ):
+        a = SymMatrix(rows)
+        scale, table = integer_ldlt(a)
+        n = a.n
+        assert all(type(e) is int for row in table for e in row)
+        assert all(table[k][j] == 0 for k in range(n) for j in range(k))
+        assert [table[k][k] for k in range(n)] == [
+            scale ** (k + 1) * det([row[: k + 1] for row in a.rows[: k + 1]]) for k in range(n)
+        ]
+        for _ in range(50):
+            x = [rng.randint(-6, 6) for _ in range(n)]
+            total = Fraction(0)
+            prev = 1
+            for k in range(n):
+                t = sum(table[k][j] * x[j] for j in range(k, n))
+                total += Fraction(t * t, prev * table[k][k])
+                prev = table[k][k]
+            assert total == scale * a.evaluate(x)
+    assert integer_ldlt(SymMatrix([[1, 2], [2, 1]])) is None
 
 
 def test_cone_membership_interior_and_outside():

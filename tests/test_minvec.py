@@ -1,4 +1,5 @@
-"""Minimal-vector enumeration against a brute-force box search."""
+"""Minimal-vector enumeration against a brute-force box search, and the
+integer sweep against a reference sweep in ``Fraction`` arithmetic."""
 
 from fractions import Fraction
 from math import isqrt
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vorocell.linalg import SymMatrix, is_positive_definite
-from vorocell.minvec import MinData, canonical_sign, is_primitive, minimal_vectors, vectors_below
+from vorocell.minvec import canonical_sign, is_primitive, minimal_vectors, vectors_below
 
 
 # -- oracle: exhaustive search over a crude coordinate box -------------------
@@ -38,6 +39,84 @@ def brute_minimum(q: SymMatrix, box: int = 12):
 
     rec([])
     return best, sorted(found)
+
+
+# -- oracle: the same Fincke-Pohst sweep on a rational LDL^T -----------------
+
+
+def rational_ldlt(a: SymMatrix):
+    """A = L D L^T with Fraction pivots d and multipliers lower[i][k]."""
+    n = a.n
+    work = [list(row) for row in a.rows]
+    d = []
+    lower = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        d.append(work[k][k])
+        for i in range(k + 1, n):
+            lower[i][k] = work[i][k] / work[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, i + 1):
+                work[i][j] -= lower[i][k] * work[j][k]
+                work[j][i] = work[i][j]
+    return d, lower
+
+
+def floor_sqrt_plus(s: Fraction, c: Fraction) -> int:
+    """floor(sqrt(s) + c) for s >= 0, computed exactly."""
+    p, q = s.numerator, s.denominator
+    a, b = c.numerator, c.denominator
+    return (isqrt(p * q * b * b) + a * q) // (q * b)
+
+
+def reference_vectors_below(q: SymMatrix, bound: Fraction):
+    """vectors_below, swept in Fraction arithmetic on the rational LDL^T:
+    x^T A x = sum_k d_k (x_k + sum_{i>k} L[i][k] x_i)^2."""
+    d, lower = rational_ldlt(q)
+    n = q.n
+    x = [0] * n
+    found = []
+
+    def sweep(k, remaining, zero_above):
+        c = sum((lower[i][k] * x[i] for i in range(k + 1, n)), Fraction(0))
+        s = remaining / d[k]
+        hi = floor_sqrt_plus(s, -c)
+        lo = -floor_sqrt_plus(s, c)
+        if zero_above and lo < 0:
+            lo = 0
+        for xk in range(lo, hi + 1):
+            x[k] = xk
+            used = d[k] * (xk + c) ** 2
+            if used > remaining:
+                continue
+            if k == 0:
+                v = tuple(x)
+                if (not zero_above or xk) and is_primitive(v):
+                    found.append((canonical_sign(v), bound - (remaining - used)))
+            else:
+                sweep(k - 1, remaining - used, zero_above and xk == 0)
+        x[k] = 0
+
+    sweep(n - 1, bound, True)
+    found.sort(key=lambda pair: pair[0])
+    return found
+
+
+@st.composite
+def rational_forms(draw):
+    """(B^T B + D) / d with small integer B, a positive diagonal D of at
+    least 1 per entry and d in {1, 2, 3, 6}: positive definite, and
+    conditioned well enough that a bound of a few diagonal entries keeps
+    the sweep small."""
+    n = draw(st.integers(1, 5))
+    b = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+    diag = [draw(st.integers(1, 4)) for _ in range(n)]
+    d = draw(st.sampled_from([1, 2, 3, 6]))
+    rows = [
+        [Fraction(sum(b[k][i] * b[k][j] for k in range(n)) + (diag[i] if i == j else 0), d)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    return SymMatrix(rows)
 
 
 def symmetric_pd(entries):
@@ -107,7 +186,17 @@ def test_fractional_form():
     assert md.vectors == ((1, 0),)
 
 
-def test_min_data_round_trip():
-    md = minimal_vectors(SymMatrix([[2, 1], [1, 2]]))
-    again = MinData.from_json_dict(md.to_json_dict())
-    assert again == md
+@given(rational_forms(), st.fractions(Fraction(1, 3), Fraction(5)))
+@settings(max_examples=150, deadline=None)
+def test_integer_sweep_matches_fraction_sweep(q, ratio):
+    bound = min(q.rows[i][i] for i in range(q.n)) * ratio
+    assert vectors_below(q, bound) == reference_vectors_below(q, bound)
+
+
+def test_bound_between_values_is_floored_exactly():
+    # values of the identity are integers; a bound just below 2 keeps the
+    # unit vectors and drops (1, 1) and (1, -1)
+    got = vectors_below(SymMatrix.identity(2), Fraction(199, 100))
+    assert got == [((0, 1), 1), ((1, 0), 1)]
+    again = vectors_below(SymMatrix([[Fraction(1, 3), 0], [0, Fraction(1, 3)]]), Fraction(2, 3))
+    assert [v for v, _ in again] == [(0, 1), (1, -1), (1, 0), (1, 1)]

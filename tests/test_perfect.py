@@ -9,6 +9,7 @@ brute-force subset/nullspace search over the ray configuration.
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -89,6 +90,14 @@ def facet_supports_brute(rays):
     return supports
 
 
+def ray_matrices(record):
+    """The rank-one rays m m^T of a record's domain cone."""
+    return [SymMatrix.rank_one(m) for m in record.min_data.vectors]
+
+
+D4 = [[2, 0, 1, 0], [0, 2, -1, 0], [1, -1, 2, -1], [0, 0, -1, 2]]
+
+
 # -- perfection ----------------------------------------------------------------
 
 
@@ -132,30 +141,33 @@ def test_perfection_result_kernel_spans_violations():
 @pytest.mark.parametrize("n", [2, 3])
 def test_facets_match_brute_force(n):
     record = PerfectFormRecord(a_root_form(n))
-    expected = facet_supports_brute([r.matrix for r in record.rays])
+    expected = facet_supports_brute(ray_matrices(record))
     got = {frozenset(f.ray_support) for f in record.facets}
     assert got == expected
 
 
 def test_d4_facet_count_matches_brute_force():
-    d4 = SymMatrix([[2, 0, 1, 0], [0, 2, -1, 0], [1, -1, 2, -1], [0, 0, -1, 2]])
-    record = PerfectFormRecord(d4)
-    assert len(record.rays) == 12
-    expected = facet_supports_brute([r.matrix for r in record.rays])
+    record = PerfectFormRecord(SymMatrix(D4))
+    assert len(record.min_data.vectors) == 12
+    expected = facet_supports_brute(ray_matrices(record))
     got = {frozenset(f.ray_support) for f in record.facets}
     assert got == expected
     assert len(got) == 64
 
 
 def test_facet_normals_are_supporting():
-    record = PerfectFormRecord(a_root_form(3))
-    rays = record.rays
-    for facet in record.facets:
-        values = [facet.normal.pair(r.matrix) for r in rays]
-        assert all(v >= 0 for v in values)
-        zero = frozenset(i for i, v in enumerate(values) if v == 0)
-        assert zero == frozenset(facet.ray_support)
-        assert any(v > 0 for v in values)
+    for form in (a_root_form(3), a_root_form(4), SymMatrix(D4)):
+        record = PerfectFormRecord(form)
+        rays = ray_matrices(record)
+        for facet in record.facets:
+            assert all(type(x) is int for x in facet.normal)
+            assert gcd(*facet.normal) == 1
+            normal = SymMatrix.from_upper(record.n, facet.normal)
+            values = [normal.pair(r) for r in rays]
+            assert all(v >= 0 for v in values)
+            zero = frozenset(i for i, v in enumerate(values) if v == 0)
+            assert zero == frozenset(facet.ray_support)
+            assert any(v > 0 for v in values)
 
 
 # -- neighbors -----------------------------------------------------------------
@@ -173,8 +185,9 @@ def test_neighbor_has_shared_facet_rays():
     record = PerfectFormRecord(a_root_form(3))
     facet = record.facets[0]
     other = PerfectFormRecord(neighbor(record, facet))
-    shared = {record.rays[i].matrix.rows for i in facet.ray_support}
-    assert shared <= {r.matrix.rows for r in other.rays}
+    rays = ray_matrices(record)
+    shared = {rays[i].rows for i in facet.ray_support}
+    assert shared <= {r.rows for r in ray_matrices(other)}
 
 
 # -- equivalence ---------------------------------------------------------------
@@ -249,7 +262,6 @@ def reference_equivalence(a: SymMatrix, b: SymMatrix):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-D4 = [[2, 0, 1, 0], [0, 2, -1, 0], [1, -1, 2, -1], [0, 0, -1, 2]]
 D5 = [
     [2, -1, 0, 0, 0],
     [-1, 2, -1, 0, 0],

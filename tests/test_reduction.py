@@ -117,8 +117,9 @@ def interior_form(record, rng):
     """A positive combination of every ray of the class's domain cone
     with generic weights, so the form lies in the open cone."""
     total = SymMatrix.identity(record.n).scale(0)
-    for ray in record.rays:
-        total = total + ray.matrix.scale(Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+    for m in record.min_data.vectors:
+        ray = SymMatrix.rank_one(m)
+        total = total + ray.scale(Fraction(rng.randint(1, 9), rng.randint(1, 4)))
     return total
 
 
@@ -131,7 +132,7 @@ def test_translation_equivariance_in_higher_dimensions(n, request):
         unimodulars = [random_gl(n, rng) for _ in range(6)]
         base = check_equivariance(x, catalog, unimodulars)
         assert base.class_index == index
-        assert base.support == tuple(range(len(record.rays)))
+        assert base.support == tuple(range(len(record.min_data.vectors)))
 
 
 def test_far_from_domain_takes_steps(cat2):
