@@ -1,16 +1,19 @@
-"""Finite regular cell complexes: chain complexes, subdivision, duality,
-quotients, and exact homology.
+"""Finite regular cell complexes and simplicial complexes: chain
+complexes, subdivision, duality, quotients, and integer homology.
 
-A complex is stored purely combinatorially: every cell knows its
+A regular complex is stored purely combinatorially: every cell knows its
 dimension and its signed list of codimension-one faces, and the signed
-incidence structure must compose to zero (the chain condition).  All
-homology is computed exactly over the integers via Smith normal form,
-with a sparse unit-pivot elimination pass so that boundary matrices
-with tens of thousands of cells stay tractable.  Degrees are reduced
-from the top down with clearing: the rows of the unit pivots of one
-boundary matrix are columns the next one down may drop, because each
-such column is an integer combination of the others (the argument is
-in ``_sparse_reduce``), so rank and torsion are unchanged.
+incidence structure must compose to zero (the chain condition).  A
+simplicial complex builds its boundary matrices straight from its sorted
+integer faces.  ``homology`` reads only ``f_vector()`` and
+``boundary_matrix(d)`` of either kind and works over the integers via
+Smith normal form, with a sparse unit-pivot elimination pass so that
+boundary matrices with tens of thousands of cells stay tractable.
+Degrees are reduced from the top down with clearing: the rows of the
+unit pivots of one boundary matrix are columns the next one down may
+drop, because each such column is an integer combination of the others
+(the argument is in ``_sparse_reduce``), so rank and torsion are
+unchanged.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
-from .linalg import matrix_rank, smith_normal_form
+from .linalg import smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -184,6 +187,18 @@ class RegularComplex:
         return cx
 
 
+def _simplex_id(simplex: Sequence[int]) -> str:
+    """The cell id of a sorted simplex: its vertices joined by dots."""
+    return ".".join(map(str, simplex))
+
+
+def _facets_of(simplex: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """The codimension-one faces of a sorted simplex with their signs in
+    the sorted-vertex orientation: the face dropping the i-th vertex
+    enters with sign (-1)^i."""
+    return [(simplex[:i] + simplex[i + 1 :], (-1) ** i) for i in range(len(simplex))]
+
+
 class SimplicialComplex:
     """An abstract simplicial complex given by its maximal faces."""
 
@@ -238,20 +253,28 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * k for d, k in enumerate(self.f_vector()))
 
+    def boundary_matrix(self, d: int) -> dict[tuple[int, int], int]:
+        """Sparse boundary map from d-faces to (d-1)-faces, d >= 1, both
+        indexed in the sorted order of ``faces()``; signs as in
+        ``_facets_of``."""
+        faces = self.faces()
+        rows = {f: i for i, f in enumerate(faces.get(d - 1, ()))}
+        out: dict[tuple[int, int], int] = {}
+        for j, s in enumerate(faces.get(d, ())):
+            for f, sign in _facets_of(s):
+                out[(rows[f], j)] = sign
+        return out
+
     def to_regular(self) -> RegularComplex:
-        """Signed cell structure with the sorted-vertex orientation: the
-        face dropping the i-th vertex enters with sign (-1)^i."""
-
-        def name(simplex: tuple[int, ...]) -> str:
-            return ".".join(str(v) for v in simplex)
-
+        """The same complex as string-named signed cells, with the
+        orientation of ``_facets_of``."""
         cells = []
         for d, simplices in sorted(self.faces().items()):
             for s in simplices:
                 faces = tuple(
-                    (name(s[:i] + s[i + 1 :]), (-1) ** i) for i in range(len(s))
+                    (_simplex_id(f), sign) for f, sign in _facets_of(s)
                 ) if d > 0 else ()
-                cells.append(Cell(id=name(s), dim=d, faces=faces))
+                cells.append(Cell(id=_simplex_id(s), dim=d, faces=faces))
         return RegularComplex(cells)
 
     def subdivide(self) -> "SimplicialComplex":
@@ -410,7 +433,7 @@ class GroupAction:
         """Lift vertex permutations to signed maps on the cells of
         ``simplicial.to_regular()``, with the sort-parity sign."""
         all_faces = [s for d, group in sorted(simplicial.faces().items()) for s in group]
-        face_set = {f: ".".join(map(str, f)) for f in all_faces}
+        face_set = {f: _simplex_id(f) for f in all_faces}
         vertices = {v for f in all_faces for v in f}
         gens = []
         for p in perms:
@@ -519,16 +542,14 @@ def quotient(cx: RegularComplex, action: GroupAction) -> QuotientResult:
 class HomologyResult:
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]  # invariant factors > 1, per degree
-    rational: bool
 
 
 def _sparse_reduce(
     entries: Mapping[tuple[int, int], int],
-    want_factors: bool,
     cleared: AbstractSet[int] = frozenset(),
-) -> tuple[int, list[int], set[int]]:
-    """Rank, invariant factors and unit-pivot rows of a sparse integer
-    matrix, with the columns in ``cleared`` left out.
+) -> tuple[list[int], set[int]]:
+    """Invariant factors (as many as the rank) and unit-pivot rows of a
+    sparse integer matrix, with the columns in ``cleared`` left out.
 
     Pivots on +-1 entries chosen by the Markowitz fill estimate, which
     splits off unit invariant factors one at a time; whatever survives
@@ -611,9 +632,9 @@ def _sparse_reduce(
                 del cols[c]
         del rows[pr]
         pivot_rows.add(pr)
-    units = len(pivot_rows)
+    units = [1] * len(pivot_rows)
     if not rows:
-        return units, [1] * units, pivot_rows
+        return units, pivot_rows
     live_rows = sorted(rows)
     live_cols = sorted({c for row in rows.values() for c in row})
     cmap = {c: i for i, c in enumerate(live_cols)}
@@ -621,35 +642,29 @@ def _sparse_reduce(
     for i, r in enumerate(live_rows):
         for c, v in rows[r].items():
             dense[i][cmap[c]] = v
-    if want_factors:
-        factors, rank = smith_normal_form(dense)
-        return units + rank, [1] * units + list(factors), pivot_rows
-    rank = matrix_rank(dense)
-    return units + rank, [], pivot_rows
+    factors, _ = smith_normal_form(dense)
+    return units + list(factors), pivot_rows
 
 
-def homology(
-    cx: "RegularComplex | SimplicialComplex", rational: bool = False
-) -> HomologyResult:
-    """Homology of the cell complex: Betti numbers, and over the
-    integers also the torsion invariant factors in each degree.
+def homology(cx: "RegularComplex | SimplicialComplex") -> HomologyResult:
+    """Integer homology of the complex: in each degree the Betti number
+    and the torsion invariant factors, read off ``cx.f_vector()`` and
+    ``cx.boundary_matrix(d)``.  The Betti numbers are those over the
+    rationals too (universal coefficients).
 
     Degrees are reduced from the top down, and each boundary matrix
     leaves out the columns cleared by the unit pivots of the one above
     (see ``_sparse_reduce`` for why this is exact over Z)."""
-    if isinstance(cx, SimplicialComplex):
-        cx = cx.to_regular()
-    top = cx.max_dim
     counts = cx.f_vector()
-    ranks = [0] * (top + 2)
+    top = len(counts) - 1
     factors: list[list[int]] = [[] for _ in range(top + 2)]
     cleared: set[int] = set()
     for d in range(top, 0, -1):
-        ranks[d], factors[d], cleared = _sparse_reduce(
-            cx.boundary_matrix(d), not rational, cleared
-        )
-    betti = tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(top + 1))
+        factors[d], cleared = _sparse_reduce(cx.boundary_matrix(d), cleared)
+    betti = tuple(
+        counts[d] - len(factors[d]) - len(factors[d + 1]) for d in range(top + 1)
+    )
     torsion = tuple(
         tuple(f for f in factors[d + 1] if f > 1) for d in range(top + 1)
     )
-    return HomologyResult(betti=betti, torsion=torsion, rational=rational)
+    return HomologyResult(betti=betti, torsion=torsion)

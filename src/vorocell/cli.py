@@ -270,7 +270,7 @@ def _cmd_building(ns: argparse.Namespace) -> int:
 
 def _cmd_homology(ns: argparse.Namespace) -> int:
     cx = _load_any_complex(Path(ns.complex_path))
-    result = homology(cx, rational=not ns.integer)
+    result = homology(cx)
     doc: dict = {"format": 1, "betti": list(result.betti)}
     if ns.integer:
         doc["torsion"] = [list(t) for t in result.torsion]

@@ -26,7 +26,6 @@ from typing import Optional, Sequence
 from .linalg import (
     SymMatrix,
     det,
-    identity_matrix,
     invert,
     is_positive_definite,
     matrix_rank,
@@ -536,18 +535,16 @@ def enumerate_perfect_forms(
         index = pending.pop(0)
         record = catalog.records[index]
         edges = []
-        for fi, facet in enumerate(record.facets):
+        for facet in record.facets:
             contiguous = PerfectFormRecord(neighbor(record, facet))
-            found, u = catalog.classify(contiguous)
+            found, _ = catalog.classify(contiguous)
             if found is None:
                 if limit is not None and len(catalog) >= limit:
                     catalog.neighbors[index] = None
                     catalog.complete = False
                     return catalog
                 found = catalog.add(contiguous)
-                u = identity_matrix(n)
                 pending.append(found)
-            catalog._witnesses[(index, fi)] = (found, u)
             edges.append(found)
         catalog.neighbors[index] = edges
     catalog.complete = True

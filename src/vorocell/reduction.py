@@ -143,7 +143,6 @@ def reduce_with_trace(
         j2, u = catalog.edge(j, worst)
         y = y.conjugate(transpose(u))
         w = mat_mul(w, unimodular_inverse(u))
-        w = [[int(e) for e in row] for row in w]
         j = j2
         next_potential = catalog.records[j].form.pair(y)
         if next_potential >= potential:

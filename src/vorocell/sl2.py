@@ -83,9 +83,14 @@ class QuotientTessellation:
         self.cusps = sorted(set(self._cusp_of.values()))
 
     def _coset_map(self, subgroup: list[Elt]) -> dict[Elt, Elt]:
-        out = {}
+        """Each element's coset g.H, named by its least member.  The
+        elements are sorted and H holds the identity, so the first
+        element not yet assigned is the least member of its coset."""
+        out: dict[Elt, Elt] = {}
         for g in self.elements:
-            out[g] = min(_canon(_mul(g, h, self.n), self.n) for h in subgroup)
+            if g not in out:
+                for h in subgroup:
+                    out[_canon(_mul(g, h, self.n), self.n)] = g
         return out
 
     def counts(self) -> tuple[int, int, int]:
@@ -97,9 +102,9 @@ class QuotientTessellation:
         canonical direction (its lexicographically least lift)."""
         out = []
         for rp in self._rot_powers:
-            x = _mul(g, rp, self.n)
-            coset = self._edge_of[_canon(x, self.n)]
-            sign = 1 if _canon(x, self.n) == coset else -1
+            x = _canon(_mul(g, rp, self.n), self.n)
+            coset = self._edge_of[x]
+            sign = 1 if x == coset else -1
             out.append((coset, sign))
         return out
 

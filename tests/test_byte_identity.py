@@ -1,10 +1,15 @@
-"""Pinned stdout of `perfect enumerate` and `reduce`.
+"""Pinned stdout of `perfect enumerate`, `reduce`, `sl2` and `homology`.
 
-The hashes were recorded from the `Fraction` implementation of the
-short-vector sweep, the rank-one rays and the facet normals.  Any
-change to the exact core that moves a byte of these outputs (a class
-order, a facet order, a witness, a coefficient) fails here, so the
-integer paths are held to the same bytes.
+The `perfect enumerate` and `reduce` hashes were recorded from the
+`Fraction` implementation of the short-vector sweep, the rank-one rays
+and the facet normals.  Any change to the exact core that moves a byte
+of these outputs (a class order, a facet order, a witness, a
+coefficient) fails here, so the integer paths are held to the same
+bytes.  The `sl2` and `homology` hashes were recorded when a simplicial
+complex still went through its string-id regular complex and the
+default `homology` took a rank-only exit over the rationals; the direct
+integer boundary matrices and the single path over the integers keep
+them.
 """
 
 import contextlib
@@ -42,6 +47,41 @@ REDUCE = {
 }
 
 
+# (stdout, emitted file) of `sl2 --level N --emit PATH [--dual]`
+SL2 = {
+    (7, False): (
+        "68b29de49a4ac717efcab3a7c88fed5807cfec0e17479db426f8de35f90864f0",
+        "6d8a11810c206cea7c2e16defa721bc1fa94ae2eb54b2d5575d047a7ed3d7a4b",
+    ),
+    (12, False): (
+        "c0986ddeebe9a9916dc2569e14f660bc6f1f46a5fd69ba64279fb8c5d4fdf7da",
+        "5000b95f51837cb3faa2bb53042af1dcfcbaedf67faaf60c48db3e2450eb5a95",
+    ),
+    (7, True): (
+        "68b29de49a4ac717efcab3a7c88fed5807cfec0e17479db426f8de35f90864f0",
+        "6e4f434a56387946aebbcfeb99d5e8712e19b44bf82832ac12160bf661978268",
+    ),
+}
+
+# stdout of `homology --complex PATH` and of `... --integer`
+HOMOLOGY = {
+    "rp2": (
+        "32b48474d734b3769acc8f0ebf04739410cffb069eb84afb0c3b340ddbf19073",
+        "3df46692a0ad0b488a90e80038cb970428e20a1f852a7189e8ab25ca09599dd1",
+    ),
+    "surface7": (
+        "d1565aa07faee7c62c9b00da29189bef46ba0bea575c6ddd5e5ee0f569aa18eb",
+        "3b8eca41cb9cb594a915710838b44517ed9e54854f419ce3b61e0e1c27f59f55",
+    ),
+}
+
+# the six-vertex real projective plane, as a `maximal_faces` document
+RP2 = [
+    [0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5],
+    [1, 2, 4], [2, 3, 5], [3, 4, 1], [4, 5, 2], [5, 1, 3],
+]
+
+
 def stdout_of(*argv) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -75,3 +115,22 @@ def test_reduce_bytes(name, catalog4, tmp_path):
     form = tmp_path / f"{name}.json"
     form.write_text(json.dumps({"n": 4, "rows": rows}))
     assert sha256(stdout_of("reduce", "--form", form, "--catalog", catalog4[1])) == digest
+
+
+@pytest.mark.parametrize("level, dual", sorted(SL2))
+def test_sl2_bytes(level, dual, tmp_path):
+    path = tmp_path / "emitted.json"
+    argv = ["sl2", "--level", level, "--emit", path] + (["--dual"] if dual else [])
+    assert (sha256(stdout_of(*argv)), sha256(path.read_text())) == SL2[(level, dual)]
+
+
+@pytest.mark.parametrize("name", sorted(HOMOLOGY))
+def test_homology_bytes(name, tmp_path):
+    path = tmp_path / f"{name}.json"
+    if name == "rp2":
+        path.write_text(json.dumps({"format": 1, "maximal_faces": RP2}))
+    else:
+        stdout_of("sl2", "--level", 7, "--emit", path)
+    plain = stdout_of("homology", "--complex", path)
+    integer = stdout_of("homology", "--complex", path, "--integer")
+    assert (sha256(plain), sha256(integer)) == HOMOLOGY[name]

@@ -3,18 +3,26 @@
 The homology oracle builds chain boundary matrices straight from the
 textbook definition (alternating-sign faces of sorted simplices) and
 reduces them with sympy — nothing from the module's reduction code is
-reused.  A second reference, ``reference_homology``, reduces every
-boundary matrix in full, without the clearing across degrees that
-``homology`` does.
+reused.  A second reference, ``reference_homology``, goes through the
+string-id cells of ``to_regular`` and reduces every boundary matrix in
+full, without the clearing across degrees that ``homology`` does; it
+checks the integer boundary matrices a simplicial complex builds
+itself.  A third, ``rational_betti``, takes the ranks of the dense
+boundary matrices over the rationals; by universal coefficients its
+Betti numbers are the integer ones.
 """
 
+import contextlib
+import io
 import itertools
+import json
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vorocell import cli
 from vorocell.cells import (
     Cell,
     GroupAction,
@@ -26,6 +34,7 @@ from vorocell.cells import (
     homology,
     quotient,
 )
+from vorocell.linalg import matrix_rank
 from vorocell.sl2 import QuotientTessellation
 
 
@@ -71,19 +80,34 @@ def simplicial_homology_oracle(maximal_faces):
     return tuple(betti), tuple(torsion)
 
 
-def reference_homology(cx, rational=False):
+def reference_homology(cx):
     """Betti numbers and torsion with each degree reduced on its own."""
     if isinstance(cx, SimplicialComplex):
         cx = cx.to_regular()
     top = cx.max_dim
     counts = cx.f_vector()
-    ranks = [0] * (top + 2)
     factors = [[] for _ in range(top + 2)]
     for d in range(1, top + 1):
-        ranks[d], factors[d], _ = _sparse_reduce(cx.boundary_matrix(d), not rational)
-    betti = tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(top + 1))
+        factors[d], _ = _sparse_reduce(cx.boundary_matrix(d))
+    betti = tuple(
+        counts[d] - len(factors[d]) - len(factors[d + 1]) for d in range(top + 1)
+    )
     torsion = tuple(tuple(f for f in factors[d + 1] if f > 1) for d in range(top + 1))
     return betti, torsion
+
+
+def rational_betti(cx):
+    """Betti numbers over Q: c_d - rank d_d - rank d_(d+1), with the
+    ranks of the dense boundary matrices."""
+    counts = cx.f_vector()
+    top = len(counts) - 1
+    ranks = [0] * (top + 2)
+    for d in range(1, top + 1):
+        dense = [[0] * counts[d] for _ in range(counts[d - 1])]
+        for (i, j), v in cx.boundary_matrix(d).items():
+            dense[i][j] = v
+        ranks[d] = matrix_rank(dense)
+    return tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(top + 1))
 
 
 RP2 = [
@@ -185,6 +209,37 @@ def test_to_regular_builds_valid_chain_complex():
     assert reg.f_vector() == (6, 15, 10)
 
 
+def simplex_id(simplex):
+    return ".".join(map(str, simplex))
+
+
+@given(
+    st.lists(
+        st.frozensets(st.integers(0, 11), min_size=1, max_size=4),
+        min_size=1,
+        max_size=10,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_simplicial_boundary_matches_to_regular(raw):
+    # the integer faces sort as tuples and the cells by id, where "1.10"
+    # comes before "1.2"; both matrices are compared on simplex ids
+    sc = SimplicialComplex([tuple(sorted(f)) for f in raw])
+    reg = sc.to_regular()
+    faces = sc.faces()
+    for d in range(1, sc.dim + 1):
+        got = {
+            (simplex_id(faces[d - 1][i]), simplex_id(faces[d][j])): v
+            for (i, j), v in sc.boundary_matrix(d).items()
+        }
+        rows = [c.id for c in reg.cells_of_dim(d - 1)]
+        cols = [c.id for c in reg.cells_of_dim(d)]
+        expected = {
+            (rows[i], cols[j]): v for (i, j), v in reg.boundary_matrix(d).items()
+        }
+        assert got == expected
+
+
 def test_simplicial_json_round_trip():
     sc = SimplicialComplex([(0, 1, 2), (1, 2, 3)])
     assert SimplicialComplex.from_json_dict(sc.to_json_dict()).maximal_faces == sc.maximal_faces
@@ -213,10 +268,14 @@ def test_circle_and_disjoint_pieces():
     assert homology(two).betti == (2, 0)
 
 
-def test_rational_mode_drops_torsion():
-    h = homology(SimplicialComplex(RP2), rational=True)
-    assert h.betti == (1, 0, 0)
-    assert h.rational
+def test_rational_mode_drops_torsion(tmp_path):
+    # without --integer the command prints the Betti numbers only
+    path = tmp_path / "rp2.json"
+    path.write_text(json.dumps(SimplicialComplex(RP2).to_json_dict()))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(["homology", "--complex", str(path)]) == 0
+    assert buf.getvalue() == json.dumps({"format": 1, "betti": [1, 0, 0]}, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("faces", [OCTAHEDRON, RP2, [(0, 1, 2, 3)], [(0, 1), (1, 2)]])
@@ -244,9 +303,9 @@ def test_homology_matches_oracle_random(raw):
 
 
 def assert_clearing_agrees(cx):
-    for rational in (False, True):
-        h = homology(cx, rational=rational)
-        assert (h.betti, h.torsion) == reference_homology(cx, rational=rational)
+    h = homology(cx)
+    assert (h.betti, h.torsion) == reference_homology(cx)
+    assert h.betti == rational_betti(cx)
 
 
 @given(

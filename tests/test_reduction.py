@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from vorocell.linalg import SymMatrix, det, is_positive_definite, mat_mul, transpose
-from vorocell.perfect import enumerate_perfect_forms
+from vorocell.perfect import Catalog, enumerate_perfect_forms
 from vorocell.reduction import reduce_with_trace, voronoi_reduce
 
 
@@ -152,6 +152,15 @@ def test_three_dimensional_walk(cat3):
         res = voronoi_reduce(x, cat3)
         assert res.class_index == 0
         assert reconstructs(x, res, cat3)
+
+
+def test_enumerated_and_loaded_catalogs_reduce_alike(cat4):
+    # lies on a proper face of a D4 domain; its walk crosses the edge
+    # along which the enumeration discovered a class, so the witness of
+    # that edge must not depend on how the catalog was obtained
+    x = SymMatrix([[3, 6, 2, 0], [6, 15, 5, -3], [2, 5, 4, 2], [0, -3, 2, 7]])
+    loaded = Catalog.from_json_dict(cat4.to_json_dict())
+    assert voronoi_reduce(x, cat4) == voronoi_reduce(x, loaded)
 
 
 def test_rational_entries(cat2):
