@@ -1,8 +1,9 @@
 """Exact rational linear algebra over small dense matrices.
 
 Everything in this module is exact, with no floating point: the kernels
-(elimination, LDL^T, Smith form) run in ``int``, and rational results
-are ``fractions.Fraction``.  The matrices that show up downstream live
+(elimination, LDL^T, Smith form and the simplex tableau of the cone
+membership LP) run in ``int``, and rational results are
+``fractions.Fraction``.  The matrices that show up downstream live
 in spaces of dimension n(n+1)/2 for n <= 8, so simple dense algorithms
 are fine and determinism matters more than speed.
 
@@ -256,6 +257,22 @@ def invert(rows: Sequence[Sequence]) -> list:
     return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(reduced)]
 
 
+def unimodular_inverse(u: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Inverse of an integer matrix of determinant +-1, in integers.
+
+    Each row of the eliminated [U | I] is primitive, so it is +-(e_i |
+    row i of U^-1) exactly when that inverse row is integral; any other
+    pivot than +-1 means U is singular or not unimodular.
+    """
+    n = len(u)
+    reduced, pivots, _ = _eliminate(
+        list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(u)
+    )
+    if pivots != list(range(n)) or any(abs(row[i]) != 1 for i, row in enumerate(reduced)):
+        raise ValueError("matrix is not unimodular")
+    return [[x * row[i] for x in row[n:]] for i, row in enumerate(reduced)]
+
+
 def integer_ldlt(a: SymMatrix) -> Optional[tuple[int, list[list[int]]]]:
     """Fraction-free LDL^T: Bareiss elimination on scale * A, with
     ``scale`` clearing A's denominators; every division is exact.
@@ -433,64 +450,78 @@ def _simplex_phase1(columns: list[list[Fraction]], rhs: list[Fraction]) -> Optio
     the certificate it produces — is canonical for a given input order.
     Returns the structural solution x, or None when the optimum is
     positive (the system has no nonnegative solution).
+
+    The tableau is fraction-free (Edmonds, Bareiss): column j of A is
+    multiplied by the lcm s_j of its denominators and b by the lcm t of
+    its denominators, and the integer rows T stand for the tableau T / d
+    with d the last pivot (initially 1).  Pivoting on p = T[l][e] > 0
+    replaces every other row r, the cost row included, by
+    (p T[r] - T[r][e] T[l]) / d, an exact division, and sets d = p; the
+    entries stay minors of the scaled system.  The scalings keep Bland's
+    pivots: a column scaled by s_j > 0 has its reduced cost scaled by
+    s_j, so the first negative one is the same column, and scaling b by
+    t and the entering column by s_e multiplies every ratio of the
+    ratio test by t / s_e > 0, which keeps their order and their ties.
+    x_j = s_j x'_j / t undoes the scaling of the solution x' found.
     """
     m = len(rhs)
     nstruct = len(columns)
+    col_scale = [lcm(*(x.denominator for x in col)) for col in columns]
+    int_columns = [
+        [x.numerator * (s // x.denominator) for x in col] for col, s in zip(columns, col_scale)
+    ]
+    rhs_scale = lcm(*(x.denominator for x in rhs))
     # rows with negative right-hand side are flipped so b >= 0
     tableau = []
     for r in range(m):
-        row = [col[r] for col in columns]
-        if rhs[r] < 0:
-            row = [-x for x in row]
-            b = -rhs[r]
-        else:
-            b = rhs[r]
-        tableau.append(row + [Fraction(0)] * m + [b])
-    for r in range(m):
-        tableau[r][nstruct + r] = Fraction(1)
+        row = [col[r] for col in int_columns] + [0] * m
+        row[nstruct + r] = 1
+        b = rhs[r].numerator * (rhs_scale // rhs[r].denominator)
+        if b < 0:
+            row = [-x for x in row[:nstruct]] + row[nstruct:]
+            b = -b
+        tableau.append(row + [b])
     basis = [nstruct + r for r in range(m)]
-    # reduced costs for the phase-1 objective (sum of artificials)
-    cost = [Fraction(0)] * (nstruct + m) + [Fraction(0)]
-    for r in range(m):
-        cost = [c - t for c, t in zip(cost, tableau[r])]
-    for j in range(nstruct, nstruct + m):
-        cost[j] += 1
+    # reduced costs for the phase-1 objective (sum of artificials): zero
+    # on the artificial columns, minus the column sums elsewhere
+    cost = [-sum(row[j] for row in tableau) for j in range(nstruct)] + [0] * m
+    cost.append(-sum(row[-1] for row in tableau))
+    d = 1
     while True:
         entering = next((j for j in range(nstruct + m) if cost[j] < 0), None)
         if entering is None:
             break
         leaving_row = None
-        best_ratio = None
         for r in range(m):
             a = tableau[r][entering]
             if a > 0:
-                ratio = tableau[r][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[leaving_row])
-                ):
-                    best_ratio = ratio
+                if leaving_row is None:
+                    leaving_row = r
+                    continue
+                # this row's ratio against the best one, cross-multiplied
+                here = tableau[r][-1] * tableau[leaving_row][entering]
+                best = tableau[leaving_row][-1] * a
+                if here < best or (here == best and basis[r] < basis[leaving_row]):
                     leaving_row = r
         if leaving_row is None:
             raise ArithmeticError("phase-1 objective unbounded; cannot happen")
-        piv = tableau[leaving_row][entering]
-        tableau[leaving_row] = [x / piv for x in tableau[leaving_row]]
+        prow = tableau[leaving_row]
+        p = prow[entering]
         for r in range(m):
-            if r != leaving_row and tableau[r][entering]:
-                c = tableau[r][entering]
-                tableau[r] = [x - c * y for x, y in zip(tableau[r], tableau[leaving_row])]
-        if cost[entering]:
-            c = cost[entering]
-            cost = [x - c * y for x, y in zip(cost, tableau[leaving_row] + [])]
+            if r != leaving_row:
+                row = tableau[r]
+                c = row[entering]
+                tableau[r] = [(p * x - c * y) // d for x, y in zip(row, prow)]
+        c = cost[entering]
+        cost = [(p * x - c * y) // d for x, y in zip(cost, prow)]
+        d = p
         basis[leaving_row] = entering
-    objective = -cost[-1]
-    if objective > 0:
+    if cost[-1] < 0:  # the objective, -cost[-1] / d, is positive
         return None
     x = [Fraction(0)] * nstruct
     for r, var in enumerate(basis):
         if var < nstruct:
-            x[var] = tableau[r][-1]
+            x[var] = Fraction(tableau[r][-1] * col_scale[var], d * rhs_scale)
     return x
 
 

@@ -192,9 +192,8 @@ class PerfectFormRecord:
     """A perfect form with its minimal vectors m, whose m m^T are the
     rays of its domain cone in that order, and (lazily) its facets.
 
-    The record keeps two scalings of the same form: ``form`` normalized
-    to mu = 1, and ``integral_form``, the smallest integer multiple with
-    content 1, on which all combinatorial work happens.
+    The record keeps the form as ``integral_form``, its smallest integer
+    multiple with content 1, on which all combinatorial work happens.
     """
 
     def __init__(self, form: SymMatrix) -> None:
@@ -204,7 +203,6 @@ class PerfectFormRecord:
             raise ValueError("form is not perfect")
         self.integral_form = integral
         self.min_data = md
-        self.form = integral.scale(1 / md.mu)
         self._facets: Optional[tuple[Facet, ...]] = None
         self._invariant: Optional[tuple] = None
 
@@ -369,14 +367,6 @@ def are_equivalent(a: SymMatrix, b: SymMatrix) -> Optional[list[list[int]]]:
     ]
     assert conjugate == b_int and abs(det(u)) == 1
     return u
-
-
-def unimodular_inverse(u: Sequence[Sequence[int]]) -> list[list[int]]:
-    inv = invert(u)
-    out = [[int(x) for x in row] for row in inv]
-    if any(x != y for row, irow in zip(inv, out) for x, y in zip(row, irow)):
-        raise ValueError("matrix is not unimodular")
-    return out
 
 
 # -- enumeration and the on-disk catalog -------------------------------------------

@@ -8,6 +8,12 @@ domain, and crosses the most-violated facet into the neighboring class
 until all inequalities hold.  The trace pairing of the current class
 form with the pulled-back target strictly decreases at each crossing,
 which is what makes the walk terminate.
+
+The walk runs in integers: the pulled-back target is kept as integer
+rows over one positive denominator, which a unimodular change of basis
+leaves alone, so each crossing is an integer conjugation and each
+facet test an integer dot product.  The final certificate solves the
+cone-membership LP on the fraction-free tableau of ``linalg``.
 """
 
 from __future__ import annotations
@@ -18,8 +24,15 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .linalg import SymMatrix, cone_membership, is_positive_definite, mat_mul, transpose
-from .perfect import Catalog, CatalogError, unimodular_inverse
+from .linalg import (
+    SymMatrix,
+    cone_membership,
+    is_positive_definite,
+    mat_mul,
+    transpose,
+    unimodular_inverse,
+)
+from .perfect import Catalog, CatalogError, PerfectFormRecord
 
 MAX_STEPS = 10_000
 
@@ -58,34 +71,48 @@ class ReductionResult:
 
 
 def _positive_certificate(
-    rays: Sequence[SymMatrix], target: SymMatrix
+    vectors: Sequence[Sequence[int]], y: Sequence[Sequence[int]], den: int
 ) -> tuple[Fraction, ...]:
-    """Strictly positive weights over *all* rays summing to target.
+    """Strictly positive weights over *all* rays q(v), v in vectors,
+    summing to the form y / den.
 
     Exists exactly when the target sits in the relative interior of the
-    cone; found by pushing the target slightly toward the ray barycenter
-    and solving the resulting membership problem exactly.
+    cone; found by pushing the target slightly toward the ray barycenter,
+    to y / den - eps * sum_v q(v) for eps = 1, 1/2, 1/4, ..., and solving
+    the resulting membership problem exactly.
     """
-    total = rays[0]
-    for r in rays[1:]:
-        total = total + r
-    eps = Fraction(1)
-    for _ in range(64):
-        shifted = target + total.scale(-eps)
-        member = cone_membership(list(rays), shifted)
+    n = len(y)
+    rays = [SymMatrix.rank_one(v) for v in vectors]
+    total = [[sum(v[i] * v[j] for v in vectors) for j in range(n)] for i in range(n)]
+    for k in range(64):
+        # y / den - total / 2^k, over the denominator 2^k * den
+        shifted = SymMatrix(
+            [
+                [Fraction((a << k) - den * t, den << k) for a, t in zip(row, trow)]
+                for row, trow in zip(y, total)
+            ]
+        )
+        member = cone_membership(rays, shifted)
         if member is not None:
+            eps = Fraction(1, 1 << k)
             return tuple(c + eps for c in member.coefficients)
-        eps /= 2
     raise WalkDivergenceError("no strictly positive certificate on the face")
 
 
-def _pairing_coordinates(y: SymMatrix) -> list[int]:
-    """y's upper triangle, off-diagonals doubled, times a positive integer:
-    dotted with a facet normal R it is a positive multiple of <R, y>."""
-    n = y.n
-    coords = [y.rows[i][j] * (1 if i == j else 2) for i in range(n) for j in range(i, n)]
-    scale = lcm(*(x.denominator for x in coords))
-    return [x.numerator * (scale // x.denominator) for x in coords]
+def _pairing_coordinates(y: Sequence[Sequence[int]]) -> list[int]:
+    """The upper triangle of the integer matrix y, off-diagonals doubled:
+    dotted with the upper triangle of a symmetric R it gives <R, y>."""
+    n = len(y)
+    return [y[i][j] * (1 if i == j else 2) for i in range(n) for j in range(i, n)]
+
+
+def _potential(record: PerfectFormRecord, coords: list[int]) -> Fraction:
+    """The walk's potential for the pulled-back form y / den with
+    pairing coordinates ``coords``: den times the trace pairing of the
+    record's form (normalized to mu = 1) with y / den.  den stays fixed
+    along the walk, so the potentials compare as the pairings do."""
+    upper = (a.numerator for a in record.integral_form.upper())
+    return Fraction(sum(map(mul, upper, coords)), record.min_data.mu)
 
 
 def reduce_with_trace(
@@ -105,14 +132,18 @@ def reduce_with_trace(
 
     n = x.n
     j = 0
-    w = [[int(r == c) for c in range(n)] for r in range(n)]
-    y = x
+    # the pulled-back form is y / den = v x v^T for the product v of the
+    # unimodular U crossed so far; crossing one conjugates the integer
+    # rows y by U and keeps den, and the witness is v^-1
+    v = [[int(r == c) for c in range(n)] for r in range(n)]
+    den = lcm(*(a.denominator for row in x.rows for a in row))
+    y = [[a.numerator * (den // a.denominator) for a in row] for row in x.rows]
     trace: list[tuple[int, int]] = []
-    potential = catalog.records[j].form.pair(y)
+    coords = _pairing_coordinates(y)
+    potential = _potential(catalog.records[j], coords)
     for step in range(MAX_STEPS):
         record = catalog.records[j]
         facets = record.facets
-        coords = _pairing_coordinates(y)
         values = [sum(map(mul, f.normal, coords)) for f in facets]
         worst = min(range(len(facets)), key=lambda i: values[i])
         if values[worst] >= 0:
@@ -127,12 +158,12 @@ def reduce_with_trace(
             if not support_idx:
                 raise WalkDivergenceError("empty face support for a nonzero form")
             coeffs = _positive_certificate(
-                [SymMatrix.rank_one(record.min_data.vectors[i]) for i in support_idx], y
+                [record.min_data.vectors[i] for i in support_idx], y, den
             )
             return (
                 ReductionResult(
                     class_index=j,
-                    witness=tuple(tuple(row) for row in w),
+                    witness=tuple(map(tuple, unimodular_inverse(v))),
                     support=support_idx,
                     coefficients=coeffs,
                     steps=step,
@@ -140,11 +171,11 @@ def reduce_with_trace(
                 trace,
             )
         trace.append((j, worst))
-        j2, u = catalog.edge(j, worst)
-        y = y.conjugate(transpose(u))
-        w = mat_mul(w, unimodular_inverse(u))
-        j = j2
-        next_potential = catalog.records[j].form.pair(y)
+        j, u = catalog.edge(j, worst)
+        y = mat_mul(u, mat_mul(y, transpose(u)))
+        v = mat_mul(u, v)
+        coords = _pairing_coordinates(y)
+        next_potential = _potential(catalog.records[j], coords)
         if next_potential >= potential:
             raise WalkDivergenceError("walk potential failed to decrease")
         potential = next_potential

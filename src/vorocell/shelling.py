@@ -80,18 +80,23 @@ class _SearchState:
     all of it.
 
     The frontier is a lazy heap of ``(-len(glue[i]), sorted facet, i)``
-    entries.  ``place`` and ``unplace`` push a fresh entry for every
-    facet in their glue log (and ``unplace`` one for the facet it
-    returns to the pool), so every live facet -- unused, with nonempty
-    glue -- always has an entry carrying its current key.  Entries of
-    used facets, with an outdated glue size, or repeating the entry just
-    popped are stale and dropped when popped.  Popping in heap order
-    therefore visits the live facets most-glued first, ties broken by
-    the sorted facet, the order a full rescan and sort would give; a
-    step costs the entries it pops instead of a pass over all facets.
-    A level of the search descends by popping from it (``next_step``)
-    and, once backtracked into, resumes from a sorted snapshot of it
-    (``candidates``).
+    entries, with a ``parked`` list beside it.  Every live facet --
+    unused, with nonempty glue -- has an entry carrying its current key
+    either on the heap or parked, and the parked ones are invalid steps.
+    ``place`` pushes a fresh entry for every facet in its glue log;
+    ``unplace`` does the same, plus one for the facet it returns to the
+    pool, and moves the parked entries back onto the heap.  An entry
+    ``next_step`` pops and finds invalid is parked: while the search
+    only places facets, the used facet containing its glue stays used,
+    so it stays invalid until its glue grows, and then ``place`` pushes
+    it again.  Entries of used facets, with an outdated glue size, or
+    repeating the entry just popped are stale and dropped when popped.
+    Popping in heap order therefore visits the live facets most-glued
+    first, ties broken by the sorted facet, the order a full rescan and
+    sort would give; a step costs the entries it pops instead of a pass
+    over all facets.  A level of the search descends by popping from
+    the heap (``next_step``) and, once backtracked into, resumes from a
+    sorted snapshot of the heap and the parked entries (``candidates``).
     With nothing placed, every facet is a legal start, in sorted order.
     """
 
@@ -108,6 +113,7 @@ class _SearchState:
         self.ridge_count: dict[frozenset[int], int] = {}
         self.order: list[int] = []
         self.frontier: list[tuple[int, tuple[int, ...], int]] = []
+        self.parked: list[tuple[int, tuple[int, ...], int]] = []
 
     def _push(self, j: int) -> None:
         glue = self.glue[j]
@@ -153,6 +159,9 @@ class _SearchState:
             self.used_by_vertex[v].discard(idx)
         self.order.pop()
         self.used[idx] = False
+        for entry in self.parked:
+            heapq.heappush(self.frontier, entry)
+        self.parked = []
         for j in {j for j, _ in glue_log} | {idx}:
             self._push(j)
 
@@ -171,13 +180,11 @@ class _SearchState:
 
     def next_step(self) -> Optional[int]:
         """The first valid facet in frontier order, or None; the caller
-        places it.  The invalid current entries popped on the way go back
-        on the heap."""
+        places it.  The invalid current entries popped on the way are
+        parked."""
         if not self.order:
             return min(range(len(self.facets)), key=lambda i: self.sorted_facets[i])
         heap = self.frontier
-        skipped = []
-        found = None
         last = None
         while heap:
             entry = heapq.heappop(heap)
@@ -185,19 +192,18 @@ class _SearchState:
                 continue
             last = entry
             if self.is_valid_step(entry[2]):
-                found = entry[2]
-                break
-            skipped.append(entry)
-        for entry in skipped:
-            heapq.heappush(heap, entry)
-        return found
+                return entry[2]
+            self.parked.append(entry)
+        return None
 
     def candidates(self) -> list[int]:
-        """Every live facet in frontier order; compacts the heap to them."""
+        """Every live facet in frontier order; compacts the heap and the
+        parked entries to them, on the heap."""
         if not self.order:
             return sorted(range(len(self.facets)), key=lambda i: self.sorted_facets[i])
-        live = sorted(set(filter(self._is_current, self.frontier)))
+        live = sorted(set(filter(self._is_current, self.frontier + self.parked)))
         self.frontier = live  # a sorted list is a heap
+        self.parked = []
         return [entry[2] for entry in live]
 
     def attachment(self, idx: int) -> tuple[tuple[int, ...], ...]:

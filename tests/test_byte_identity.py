@@ -9,7 +9,9 @@ bytes.  The `sl2` and `homology` hashes were recorded when a simplicial
 complex still went through its string-id regular complex and the
 default `homology` took a rank-only exit over the rationals; the direct
 integer boundary matrices and the single path over the integers keep
-them.
+them.  The three `bench1_*` reduce hashes were recorded while the
+certificate LP and the reduction walk still ran in `Fraction`; the
+fraction-free tableau and the integer walk keep them.
 """
 
 import contextlib
@@ -43,6 +45,30 @@ REDUCE = {
         [["3", "6", "2", "0"], ["6", "15", "5", "-3"],
          ["2", "5", "4", "2"], ["0", "-3", "2", "7"]],
         "e6bd986c016ac805c2aa1fc0569185a759a62b389d06713380b579f7f0af9fb7",
+    ),
+    # seed-1 forms 19 and 37 of the benchmark's `reduce_forms`: their
+    # certificates take 8 and 9 cone-membership LPs (several halvings of
+    # the shift); form 24 walks across 12 facets
+    "bench1_19": (
+        [["155/72", "-83/72", "-43/36", "1/9"],
+         ["-83/72", "811/360", "233/180", "-19/90"],
+         ["-43/36", "233/180", "107/45", "-109/90"],
+         ["1/9", "-19/90", "-109/90", "199/90"]],
+        "00dd2025b184039db75f95a790af3fb892fb7988302af22c15002c9637bc6a2e",
+    ),
+    "bench1_37": (
+        [["601/288", "-143/144", "7/288", "7/288"],
+         ["-143/144", "301/72", "-17/144", "-305/144"],
+         ["7/288", "-17/144", "601/288", "-263/288"],
+         ["7/288", "-305/144", "-263/288", "601/288"]],
+        "fc98393d6ce0b0f6584b2ee2214caaefc7118b560225cff134171340fc509059",
+    ),
+    "bench1_24": (
+        [["7010/21", "4562/21", "-3215/21", "-14317/105"],
+         ["4562/21", "3025/21", "-716/7", "-3124/35"],
+         ["-3215/21", "-716/7", "1534/21", "6602/105"],
+         ["-14317/105", "-3124/35", "6602/105", "6077/105"]],
+        "1e5d0ea048c011bb8490f52761c0abf184978aea4ed4704dd951ac6ffc599881",
     ),
 }
 

@@ -13,6 +13,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vorocell import linalg
 from vorocell.linalg import (
     SymMatrix,
     cone_membership,
@@ -263,6 +264,118 @@ def test_cone_membership_boundary_support():
     face = cone_membership(rays, SymMatrix([[1, 0], [0, 1]]))
     assert face is not None
     assert face.support == frozenset({0, 1})
+
+
+# -- the phase-1 simplex against its Fraction reference --------------------------
+
+
+def reference_simplex_phase1(columns, rhs):
+    """The phase-1 simplex with Bland's rule as it ran in ``Fraction``
+    before the fraction-free tableau: every row divided by its pivot,
+    ratios compared as rationals."""
+    m = len(rhs)
+    nstruct = len(columns)
+    tableau = []
+    for r in range(m):
+        row = [col[r] for col in columns]
+        if rhs[r] < 0:
+            row = [-x for x in row]
+            b = -rhs[r]
+        else:
+            b = rhs[r]
+        tableau.append(row + [Fraction(0)] * m + [b])
+    for r in range(m):
+        tableau[r][nstruct + r] = Fraction(1)
+    basis = [nstruct + r for r in range(m)]
+    cost = [Fraction(0)] * (nstruct + m) + [Fraction(0)]
+    for r in range(m):
+        cost = [c - t for c, t in zip(cost, tableau[r])]
+    for j in range(nstruct, nstruct + m):
+        cost[j] += 1
+    while True:
+        entering = next((j for j in range(nstruct + m) if cost[j] < 0), None)
+        if entering is None:
+            break
+        leaving_row = None
+        best_ratio = None
+        for r in range(m):
+            a = tableau[r][entering]
+            if a > 0:
+                ratio = tableau[r][-1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[r] < basis[leaving_row])
+                ):
+                    best_ratio = ratio
+                    leaving_row = r
+        piv = tableau[leaving_row][entering]
+        tableau[leaving_row] = [x / piv for x in tableau[leaving_row]]
+        for r in range(m):
+            if r != leaving_row and tableau[r][entering]:
+                c = tableau[r][entering]
+                tableau[r] = [x - c * y for x, y in zip(tableau[r], tableau[leaving_row])]
+        if cost[entering]:
+            c = cost[entering]
+            cost = [x - c * y for x, y in zip(cost, tableau[leaving_row])]
+        basis[leaving_row] = entering
+    if -cost[-1] > 0:
+        return None
+    x = [Fraction(0)] * nstruct
+    for r, var in enumerate(basis):
+        if var < nstruct:
+            x[var] = tableau[r][-1]
+    return x
+
+
+lp_entries = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+)
+
+
+@st.composite
+def lp_systems(draw):
+    """A x = b with columns drawn from a small pool, so zero and repeated
+    columns are common, and small entries, so ratio ties are.  b is
+    either random (often with negative entries or infeasible) or A x
+    for a nonnegative x (feasible, often degenerate)."""
+    m = draw(st.integers(1, 4))
+    column = st.lists(lp_entries, min_size=m, max_size=m)
+    integral = st.lists(st.integers(-3, 3).map(Fraction), min_size=m, max_size=m)
+    pool = draw(st.lists(st.one_of(column, integral), min_size=1, max_size=4))
+    pool.append([Fraction(0)] * m)
+    columns = [list(c) for c in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7))]
+    if draw(st.booleans()):
+        weights = st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(1, 3)])
+        x = draw(st.lists(weights, min_size=len(columns), max_size=len(columns)))
+        rhs = [sum(xi * col[r] for xi, col in zip(x, columns)) for r in range(m)]
+    else:
+        rhs = draw(st.lists(lp_entries, min_size=m, max_size=m))
+    return columns, rhs
+
+
+@given(lp_systems())
+@settings(max_examples=300, deadline=None)
+def test_fraction_free_simplex_matches_fraction_reference(system):
+    columns, rhs = system
+    expected = reference_simplex_phase1(columns, rhs)
+    assert linalg._simplex_phase1(columns, rhs) == expected
+    if expected is not None:
+        assert all(v >= 0 for v in expected)
+        for r, b in enumerate(rhs):
+            assert sum(v * col[r] for v, col in zip(expected, columns)) == b
+
+
+def test_fraction_free_simplex_breaks_ratio_ties_by_basis():
+    # a tie in a later ratio test, where the first tied row does not hold
+    # the basic variable of least index; random systems of this size hit
+    # one about once in 20000 draws, so it is pinned here
+    columns = [[Fraction(a) for a in col] for col in ([0, 2, -1], [-1, 0, 1], [1, 2, -1], [1, 0, 1])]
+    rhs = [Fraction(1), Fraction(2), Fraction(1)]
+    expected = [Fraction(1), Fraction(1, 2), Fraction(0), Fraction(3, 2)]
+    assert reference_simplex_phase1(columns, rhs) == expected
+    assert linalg._simplex_phase1(columns, rhs) == expected
 
 
 def test_serialization_round_trip():

@@ -14,7 +14,14 @@ from math import gcd
 import pytest
 import sympy
 
-from vorocell.linalg import SymMatrix, det, is_positive_definite, mat_mul, transpose
+from vorocell.linalg import (
+    SymMatrix,
+    det,
+    is_positive_definite,
+    mat_mul,
+    transpose,
+    unimodular_inverse,
+)
 from vorocell.minvec import minimal_vectors, vectors_below
 from vorocell.perfect import (
     Catalog,
@@ -26,7 +33,6 @@ from vorocell.perfect import (
     facets_of_cone,
     is_perfect,
     neighbor,
-    unimodular_inverse,
 )
 
 

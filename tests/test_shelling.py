@@ -420,6 +420,25 @@ def test_backtracking_resumes_without_redescending(c, status, nodes):
     assert (res.status, res.nodes_used) == (status, nodes)
 
 
+@pytest.mark.parametrize(
+    "c", [RP2, STUCK_GREEDY, DEEP_BACKTRACK], ids=["rp2", "stuck-greedy", "deep-backtrack"]
+)
+def test_snapshot_includes_parked_facets(c):
+    """Where the first descent gets stuck, every live facet is parked,
+    and a snapshot still lists them all, in the rescan's order.  The
+    search takes its snapshots just after ``unplace`` has moved the
+    parked entries back onto the heap, so this checks ``candidates``
+    directly."""
+    facets = shelling._facet_list(c)
+    state, ref = shelling._SearchState(facets), RescanState(facets)
+    while (idx := state.next_step()) is not None:
+        state.place(idx)
+        ref.place(idx)
+    assert state.parked
+    assert not any(state.is_valid_step(entry[2]) for entry in state.parked)
+    assert state.candidates() == ref.candidates()
+
+
 @pytest.mark.parametrize("budget", range(1, 9))
 def test_frontier_matches_rescan_at_every_budget(budget):
     assert find_shelling(OCTAHEDRON, budget) == reference_find_shelling(OCTAHEDRON, budget)
