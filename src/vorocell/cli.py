@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from . import obs
 from .cells import RegularComplex, SimplicialComplex, homology
 from .linalg import SymMatrix
 from .parabolic import building_quotient
@@ -287,7 +288,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact-arithmetic cell complexes from quadratic forms "
         "and arithmetic quotients.",
     )
-    parser.add_argument("-v", "--verbose", action="count", default=0)
+    parser.add_argument(
+        "-v", "--verbose", action="count", default=0,
+        help="print the run's counters as one JSON line on stderr",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_perfect = sub.add_parser("perfect", help="perfect-form catalogs")
@@ -341,13 +345,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    ns = _build_parser().parse_args(argv)
+def _run(ns: argparse.Namespace) -> int:
     try:
         return ns.func(ns)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    ns = _build_parser().parse_args(argv)
+    if not ns.verbose:
+        return _run(ns)
+    with obs.collecting() as counters:
+        try:
+            return _run(ns)
+        finally:
+            print(json.dumps(counters, sort_keys=True), file=sys.stderr)
 
 
 if __name__ == "__main__":

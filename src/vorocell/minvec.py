@@ -53,8 +53,17 @@ def vectors_below(q: SymMatrix, bound) -> list[tuple[tuple[int, ...], Fraction]]
     decomp = integer_ldlt(q)
     if decomp is None:
         raise ValueError("form is not positive definite")
+    return _vectors_below(decomp, bound)
+
+
+def _vectors_below(
+    decomp: tuple[int, list[list[int]]], bound: Fraction
+) -> list[tuple[tuple[int, ...], Fraction]]:
+    """:func:`vectors_below` for a positive bound on a form already
+    factored by :func:`~vorocell.linalg.integer_ldlt`, for callers that
+    factored it to test positive definiteness."""
     scale, rows = decomp
-    n = q.n
+    n = len(rows)
     pivots = [rows[k][k] for k in range(n)]
     denoms = [p * (pivots[k - 1] if k else 1) for k, p in enumerate(pivots)]
     m = lcm(*denoms)

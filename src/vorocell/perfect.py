@@ -25,13 +25,14 @@ from typing import Optional, Sequence
 
 from .linalg import (
     SymMatrix,
+    _eliminate,
     det,
-    invert,
+    integer_ldlt,
     is_positive_definite,
-    matrix_rank,
     solve_linear,
 )
-from .minvec import MinData, minimal_vectors, vectors_below
+from . import obs
+from .minvec import MinData, _vectors_below, minimal_vectors
 
 
 class NeighborStepError(RuntimeError):
@@ -65,9 +66,16 @@ def _value_row(m: Sequence[int], n: int) -> list[int]:
 
 def is_perfect(q: SymMatrix, min_data: Optional[MinData] = None) -> PerfectionResult:
     """Rank test of the minimal-vector value system, with kernel certificate."""
-    if not is_positive_definite(q):
+    if min_data is None:
+        min_data = minimal_vectors(q)  # raises unless q is positive definite
+    elif not is_positive_definite(q):
         raise ValueError("form is not positive definite")
-    md = min_data if min_data is not None else minimal_vectors(q)
+    return _perfection(q, min_data)
+
+
+def _perfection(q: SymMatrix, md: MinData) -> PerfectionResult:
+    """:func:`is_perfect` for a form whose minimal vectors md were
+    enumerated, which proves it positive definite."""
     rows = [_value_row(m, q.n) for m in md.vectors]
     rhs = [md.mu] * len(rows)
     sol = solve_linear(rows, rhs)
@@ -101,87 +109,127 @@ def _reduce_content(vec: list[int]) -> tuple[int, ...]:
     return tuple(x // g for x in vec)
 
 
+def _bit_indices(mask: int) -> list[int]:
+    """The indices of the set bits of a mask, in increasing order."""
+    indices = []
+    while mask:
+        low = mask & -mask
+        indices.append(low.bit_length() - 1)
+        mask ^= low
+    return indices
+
+
 def facets_of_cone(halfspaces: Sequence[Sequence[int]]) -> list[Facet]:
     """All facets of cone(rays), by double description of the dual cone.
 
-    The rays m m^T are given by their value rows (:func:`_value_row`).
-    The extreme rays of {y : row_i . y >= 0 for all i} are exactly the
-    inward facet normals of the primal cone; they are built up one
-    halfspace at a time from a simplicial start, with the standard
-    combinatorial adjacency test deciding which generator pairs may be
-    combined.  Requires the rays to span (a full-dimensional cone).
+    The rays m m^T are given by their integer value rows h_i
+    (:func:`_value_row`).  The extreme rays of {y : h_i . y >= 0 for
+    all i} are exactly the inward facet normals of the primal cone.
+    They are built up one halfspace at a time, in index order, from a
+    simplicial start.  Requires the rays to span (a full-dimensional
+    cone).
+
+    The start is one elimination of [H^T | I], H the matrix of the
+    rows h_i.  Its pivot columns are the first ``dim`` independent
+    halfspaces, and its row r reads [E_r H^T | E_r] for the row
+    operations E, so E_r pairs to zero with every chosen halfspace but
+    its own pivot.  Made primitive and positive there, the E_r are the
+    start generators.
+
+    Tight sets are ``int`` masks, bit i set when h_i is processed and
+    h_i . g == 0; they are built, never recomputed:
+
+    * a start generator is tight on every chosen halfspace but its own;
+    * processing h_i sets bit i on the kept generators with h_i . g == 0;
+    * a new generator g = vp gm - vm gp, from gp with vp = h_i . gp > 0
+      and gm with vm = h_i . gm < 0, has the mask ``common | bit`` for
+      common = mask(gp) & mask(gm): both coefficients vp and -vm are
+      positive, so on a processed h_j, vp (h_j . gm) - vm (h_j . gp) is
+      a sum of two terms >= 0 that vanishes exactly when both do, and
+      on h_i it is vp vm - vm vp = 0.
+
+    Only adjacent pairs are combined.  Two extreme rays of the pointed
+    intermediate cone are adjacent exactly when no third generator's
+    mask contains ``common`` (the combinatorial test, Fukuda–Prodon
+    1996).  Adjacent rays span a 2-face, so their common tight rows
+    have rank dim - 2 and ``common`` at least dim - 2 bits; a pair
+    with fewer is dropped before the test.  The test itself ANDs, over
+    the bits of ``common``, the masks over generator indices of the
+    generators tight on each row, and passes when only gp and gm are
+    left.  The facet normals are the final generators and their
+    supports the bits of the final masks.
     """
     if not halfspaces:
         raise ValueError("need at least one ray")
     dim = len(halfspaces[0])
-    # greedy choice of dim independent halfspaces for the simplicial start
-    basis_idx: list[int] = []
-    chosen: list[tuple[int, ...]] = []
-    for i, h in enumerate(halfspaces):
-        if matrix_rank(chosen + [h]) > len(chosen):
-            basis_idx.append(i)
-            chosen.append(h)
-        if len(chosen) == dim:
-            break
-    if len(chosen) < dim:
+    count = len(halfspaces)
+    reduced, pivots, _ = _eliminate(
+        list(col) + [int(r == j) for j in range(dim)]
+        for r, col in enumerate(zip(*halfspaces))
+    )
+    if pivots[-1] >= count:  # a pivot in I: the rows do not span
         raise ValueError("ray set is not full-dimensional")
-    inv = invert(chosen)  # columns pair to delta_ij against the chosen rows
-    generators = []
-    for j in range(dim):
-        col = [inv[r][j] for r in range(dim)]
-        denom = 1
-        for x in col:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        generators.append(_reduce_content([int(x * denom) for x in col]))
+    generators = [
+        _reduce_content(row[count:] if row[i] > 0 else [-x for x in row[count:]])
+        for row, i in zip(reduced, pivots)
+    ]
+    start = 0
+    for i in pivots:
+        start |= 1 << i
+    tight = [start ^ (1 << i) for i in pivots]
 
-    def dot(h: tuple[int, ...], g: tuple[int, ...]) -> int:
-        return sum(a * b for a, b in zip(h, g))
-
-    processed = list(basis_idx)
-    tight = [frozenset(i for i in processed if dot(halfspaces[i], g) == 0) for g in generators]
-    for idx in range(len(halfspaces)):
-        if idx in basis_idx:
+    pairs = survivors = made = 0
+    peak = dim
+    for idx, h in enumerate(halfspaces):
+        bit = 1 << idx
+        if start & bit:
             continue
-        h = halfspaces[idx]
-        vals = [dot(h, g) for g in generators]
-        if all(v >= 0 for v in vals):
-            processed.append(idx)
-            tight = [
-                t | {idx} if v == 0 else t for t, v in zip(tight, vals)
-            ]
-            continue
-        keep = [g for g, v in zip(generators, vals) if v >= 0]
-        keep_tight = [t | ({idx} if v == 0 else set()) for t, v in zip(tight, vals) if v >= 0]
-        new_gens: list[tuple[int, ...]] = []
-        pos = [(g, t, v) for g, t, v in zip(generators, tight, vals) if v > 0]
-        neg = [(g, t, v) for g, t, v in zip(generators, tight, vals) if v < 0]
-        for gp, tp, vp in pos:
-            for gm, tm, vm in neg:
-                common = tp & tm
-                # adjacency: no third generator is tight on everything both are
-                if any(
-                    common <= t2 and g2 is not gp and g2 is not gm
-                    for g2, t2 in zip(generators, tight)
-                ):
+        vals = [sum(map(mul, h, g)) for g in generators]
+        pos = [k for k, v in enumerate(vals) if v > 0]
+        neg = [k for k, v in enumerate(vals) if v < 0]
+        kept_gens = [g for g, v in zip(generators, vals) if v >= 0]
+        kept_tight = [t | bit if v == 0 else t for t, v in zip(tight, vals) if v >= 0]
+        pairs += len(pos) * len(neg)
+        # per halfspace, the mask of the generators tight on it; built for
+        # the first pair that passes the popcount prefilter
+        holders: Optional[list[int]] = None
+        everyone = (1 << len(tight)) - 1
+        for kp in pos:
+            gp, tp, vp = generators[kp], tight[kp], vals[kp]
+            for km in neg:
+                common = tp & tight[km]
+                if common.bit_count() < dim - 2:
                     continue
-                combo = [vp * a - vm * b for a, b in zip(gm, gp)]
-                new_gens.append(_reduce_content(combo))
-        processed.append(idx)
-        generators = keep
-        tight = keep_tight
-        for g in new_gens:
-            if g not in generators:
-                generators.append(g)
-                tight.append(
-                    frozenset(i for i in processed if dot(halfspaces[i], g) == 0)
-                )
-    facets = []
-    for g in generators:
-        support = tuple(
-            i for i, h in enumerate(halfspaces) if dot(h, g) == 0
-        )
-        facets.append(Facet(normal=g, ray_support=support))
-    facets.sort(key=lambda f: f.ray_support)
+                survivors += 1
+                if holders is None:
+                    holders = [0] * count
+                    for k, t in enumerate(tight):
+                        for i in _bit_indices(t):
+                            holders[i] |= 1 << k
+                containing = everyone
+                for i in _bit_indices(common):
+                    containing &= holders[i]
+                if containing == (1 << kp) | (1 << km):
+                    vm = vals[km]
+                    combo = [vp * a - vm * b for a, b in zip(generators[km], gp)]
+                    kept_gens.append(_reduce_content(combo))
+                    kept_tight.append(common | bit)
+                    made += 1
+        generators, tight = kept_gens, kept_tight
+        peak = max(peak, len(generators))
+    facets = sorted(
+        (Facet(normal=g, ray_support=tuple(_bit_indices(t))) for g, t in zip(generators, tight)),
+        key=lambda f: f.ray_support,
+    )
+    obs.add(
+        "dd",
+        cones=1,
+        facets=len(facets),
+        pairs=pairs,
+        pairs_cut_popcount=pairs - survivors,
+        pairs_cut_adjacency=survivors - made,
+    )
+    obs.peak("dd", peak_generators=peak)
     return facets
 
 
@@ -199,7 +247,7 @@ class PerfectFormRecord:
     def __init__(self, form: SymMatrix) -> None:
         integral = form.integral_multiple()
         md = minimal_vectors(integral)
-        if not is_perfect(integral, md).perfect:
+        if not _perfection(integral, md).perfect:
             raise ValueError("form is not perfect")
         self.integral_form = integral
         self.min_data = md
@@ -274,13 +322,13 @@ def neighbor(record: PerfectFormRecord, facet: Facet) -> SymMatrix:
     step = Fraction(1)
     for _ in range(200):
         cur = lo + step
-        candidate = q + r.scale(cur)
-        if not is_positive_definite(candidate):
+        decomp = integer_ldlt(q + r.scale(cur))
+        if decomp is None:
             step /= 2
             continue
         fresh = [
             v
-            for v, _val in vectors_below(candidate, mu)
+            for v, _val in _vectors_below(decomp, mu)
             if v not in old and r_value(v) < 0
         ]
         if fresh:
@@ -314,14 +362,15 @@ def are_equivalent(a: SymMatrix, b: SymMatrix) -> Optional[list[list[int]]]:
     """
     if a.n != b.n:
         return None
-    if not is_positive_definite(a) or not is_positive_definite(b):
+    decomp = integer_ldlt(a)
+    if decomp is None or not is_positive_definite(b):
         raise ValueError("both forms must be positive definite")
     if det(a.rows) != det(b.rows):
         return None
     n = a.n
     targets = [b.rows[j][j] for j in range(n)]
     by_value: dict[Fraction, list[tuple[int, ...]]] = {}
-    for v, val in vectors_below(a, max(targets)):
+    for v, val in _vectors_below(decomp, max(targets)):
         by_value.setdefault(val, []).extend([v, tuple(-x for x in v)])
     scale = lcm(*(x.denominator for m in (a, b) for row in m.rows for x in row))
     a_int, b_int = (

@@ -458,3 +458,17 @@ def test_verbose_leaves_stdout_alone():
     flagged = run("-v", "building", "--n", "3")
     assert flagged.returncode == 0
     assert flagged.stdout == plain.stdout
+
+
+def test_verbose_reports_dd_counters():
+    plain = run("perfect", "enumerate", "--n", "4")
+    flagged = run("-v", "perfect", "enumerate", "--n", "4")
+    assert flagged.returncode == 0
+    assert flagged.stdout == plain.stdout
+    assert plain.stderr == ""
+    (line,) = flagged.stderr.splitlines()
+    dd = json.loads(line)["dd"]
+    assert dd["cones"] == 2
+    assert dd["facets"] == 74  # 10 for A4, 64 for D4
+    assert dd["peak_generators"] == 64
+    assert dd["pairs"] >= dd["pairs_cut_popcount"] + dd["pairs_cut_adjacency"]

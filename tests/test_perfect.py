@@ -6,13 +6,21 @@ system (computed with sympy), and facet enumeration against a
 brute-force subset/nullspace search over the ray configuration.
 """
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import vorocell.linalg
+import vorocell.minvec
+import vorocell.perfect
 
 from vorocell.linalg import (
     SymMatrix,
@@ -74,10 +82,14 @@ def pairing_row(ray: SymMatrix):
 
 
 def facet_supports_brute(rays):
-    d = rays[0].n * (rays[0].n + 1) // 2
-    rows = [pairing_row(r) for r in rays]
+    return cone_facet_supports_brute([pairing_row(r) for r in rays])
+
+
+def cone_facet_supports_brute(rows):
+    """Facet supports of the cone spanned by the given rows."""
+    d = len(rows[0])
     supports = set()
-    for subset in itertools.combinations(range(len(rays)), d - 1):
+    for subset in itertools.combinations(range(len(rows)), d - 1):
         mat = sympy.Matrix([rows[i] for i in subset])
         null = mat.nullspace()
         if len(null) != 1:
@@ -161,6 +173,70 @@ def test_d4_facet_count_matches_brute_force():
     assert len(got) == 64
 
 
+def assert_facets_of_cone(rows, facets):
+    """Each normal is a primitive integer vector, >= 0 on every row and
+    zero exactly on its support."""
+    for facet in facets:
+        assert all(type(x) is int for x in facet.normal)
+        assert gcd(*facet.normal) == 1
+        values = [sum(a * b for a, b in zip(row, facet.normal)) for row in rows]
+        assert all(v >= 0 for v in values)
+        assert tuple(i for i, v in enumerate(values) if v == 0) == facet.ray_support
+
+
+@st.composite
+def degenerate_ray_sets(draw):
+    """Full-dimensional integer ray sets in dimensions 3-5 with a positive
+    first coordinate (a pointed cone).  Other coordinates in {-1, 0, 1}
+    put many rays on common hyperplanes; some rays come again, as they
+    are or doubled."""
+    d = draw(st.integers(3, 5))
+    ray = st.tuples(st.integers(1, 2), *[st.integers(-1, 1)] * (d - 1))
+    rays = draw(st.lists(ray, min_size=d, max_size=d + 6))
+    for i in draw(st.lists(st.integers(0, len(rays) - 1), max_size=2)):
+        factor = draw(st.sampled_from([1, 2]))
+        rays.append(tuple(factor * x for x in rays[i]))
+    assume(sympy.Matrix(rays).rank() == d)
+    return [list(r) for r in rays]
+
+
+@given(degenerate_ray_sets())
+@settings(max_examples=60, deadline=None)
+def test_facets_of_cone_match_sympy_brute_force(rows):
+    facets = facets_of_cone(rows)
+    supports = [f.ray_support for f in facets]
+    assert supports == sorted(supports)
+    assert {frozenset(s) for s in supports} == cone_facet_supports_brute(rows)
+    assert len(set(supports)) == len(supports)
+    assert_facets_of_cone(rows, facets)
+
+
+D6 = [
+    [2, -1, 0, 0, 0, 0],
+    [-1, 2, -1, 0, 0, 0],
+    [0, -1, 2, -1, 0, 0],
+    [0, 0, -1, 2, -1, -1],
+    [0, 0, 0, -1, 2, 0],
+    [0, 0, 0, -1, 0, 2],
+]
+# sha256 of the sorted (ray_support, normal) list of D6's domain cone, as
+# written below; recorded with the double description that tested tight
+# sets by recomputing dot products.  The count 6336 is that code's, not
+# checked against a published figure.
+D6_FACETS_SHA256 = "9a585a46ebacd37fdf4093deed7da1337a5fa8f40e9907e9a18736d176af9c52"
+
+
+def test_d6_facets_are_pinned():
+    record = PerfectFormRecord(SymMatrix(D6))
+    assert len(record.min_data.vectors) == 30
+    facets = record.facets
+    assert len(facets) == 6336
+    blob = json.dumps(
+        [[list(f.ray_support), list(f.normal)] for f in facets], separators=(",", ":")
+    )
+    assert hashlib.sha256(blob.encode()).hexdigest() == D6_FACETS_SHA256
+
+
 def test_facet_normals_are_supporting():
     for form in (a_root_form(3), a_root_form(4), SymMatrix(D4)):
         record = PerfectFormRecord(form)
@@ -174,6 +250,41 @@ def test_facet_normals_are_supporting():
             zero = frozenset(i for i, v in enumerate(values) if v == 0)
             assert zero == frozenset(facet.ray_support)
             assert any(v > 0 for v in values)
+
+
+def test_each_step_factors_a_form_once(monkeypatch):
+    """neighbor, PerfectFormRecord and are_equivalent reuse the LDL^T made
+    to test positive definiteness: none factors one matrix twice."""
+    real = vorocell.linalg.integer_ldlt
+    scopes = []
+    calls = repeats = 0
+
+    def counted(a):
+        nonlocal calls, repeats
+        calls += 1
+        if scopes:
+            repeats += any(seen is a for seen in scopes[-1])
+            scopes[-1].append(a)
+        return real(a)
+
+    def scoped(fn):
+        def wrapper(*args, **kwargs):
+            scopes.append([])
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                scopes.pop()
+
+        return wrapper
+
+    for module in (vorocell.linalg, vorocell.minvec, vorocell.perfect):
+        monkeypatch.setattr(module, "integer_ldlt", counted)
+    for name in ("neighbor", "are_equivalent"):
+        monkeypatch.setattr(vorocell.perfect, name, scoped(getattr(vorocell.perfect, name)))
+    monkeypatch.setattr(PerfectFormRecord, "__init__", scoped(PerfectFormRecord.__init__))
+    assert len(vorocell.perfect.enumerate_perfect_forms(4)) == 2
+    assert calls > 0
+    assert repeats == 0
 
 
 # -- neighbors -----------------------------------------------------------------
