@@ -65,17 +65,13 @@ def _value_row(m: Sequence[int], n: int) -> list[int]:
 
 
 def is_perfect(q: SymMatrix, min_data: Optional[MinData] = None) -> PerfectionResult:
-    """Rank test of the minimal-vector value system, with kernel certificate."""
-    if min_data is None:
-        min_data = minimal_vectors(q)  # raises unless q is positive definite
-    elif not is_positive_definite(q):
-        raise ValueError("form is not positive definite")
-    return _perfection(q, min_data)
+    """Rank test of the minimal-vector value system, with kernel certificate.
 
-
-def _perfection(q: SymMatrix, md: MinData) -> PerfectionResult:
-    """:func:`is_perfect` for a form whose minimal vectors md were
-    enumerated, which proves it positive definite."""
+    ``min_data``, when given, must be :func:`minimal_vectors` of q, whose
+    enumeration already proved q positive definite; without it that
+    enumeration runs here and raises ValueError unless q is.
+    """
+    md = min_data if min_data is not None else minimal_vectors(q)
     rows = [_value_row(m, q.n) for m in md.vectors]
     rhs = [md.mu] * len(rows)
     sol = solve_linear(rows, rhs)
@@ -247,7 +243,7 @@ class PerfectFormRecord:
     def __init__(self, form: SymMatrix) -> None:
         integral = form.integral_multiple()
         md = minimal_vectors(integral)
-        if not _perfection(integral, md).perfect:
+        if not is_perfect(integral, md).perfect:
             raise ValueError("form is not perfect")
         self.integral_form = integral
         self.min_data = md
