@@ -173,17 +173,6 @@ def test_d4_facet_count_matches_brute_force():
     assert len(got) == 64
 
 
-def assert_facets_of_cone(rows, facets):
-    """Each normal is a primitive integer vector, >= 0 on every row and
-    zero exactly on its support."""
-    for facet in facets:
-        assert all(type(x) is int for x in facet.normal)
-        assert gcd(*facet.normal) == 1
-        values = [sum(a * b for a, b in zip(row, facet.normal)) for row in rows]
-        assert all(v >= 0 for v in values)
-        assert tuple(i for i, v in enumerate(values) if v == 0) == facet.ray_support
-
-
 @st.composite
 def degenerate_ray_sets(draw):
     """Full-dimensional integer ray sets in dimensions 3-5 with a positive
@@ -208,7 +197,12 @@ def test_facets_of_cone_match_sympy_brute_force(rows):
     assert supports == sorted(supports)
     assert {frozenset(s) for s in supports} == cone_facet_supports_brute(rows)
     assert len(set(supports)) == len(supports)
-    assert_facets_of_cone(rows, facets)
+    for facet in facets:
+        assert all(type(x) is int for x in facet.normal)
+        assert gcd(*facet.normal) == 1
+        values = [sum(a * b for a, b in zip(row, facet.normal)) for row in rows]
+        assert all(v >= 0 for v in values)
+        assert tuple(i for i, v in enumerate(values) if v == 0) == facet.ray_support
 
 
 D6 = [
