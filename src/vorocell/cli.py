@@ -345,6 +345,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args keeps no state between calls
+_PARSER = _build_parser()
+
+
 def _run(ns: argparse.Namespace) -> int:
     try:
         return ns.func(ns)
@@ -354,7 +358,7 @@ def _run(ns: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ns = _build_parser().parse_args(argv)
+    ns = _PARSER.parse_args(argv)
     if not ns.verbose:
         return _run(ns)
     with obs.collecting() as counters:

@@ -2,16 +2,19 @@
 
 Everything in this module is exact, with no floating point: the kernels
 (elimination, LDL^T, Smith form and the simplex tableau of the cone
-membership LP) run in ``int``, and rational results are
-``fractions.Fraction``.  The matrices that show up downstream live
-in spaces of dimension n(n+1)/2 for n <= 8, so simple dense algorithms
-are fine and determinism matters more than speed.
+membership LP) and the arithmetic of symmetric matrices run in
+``int``, and rational results are ``fractions.Fraction``.  The matrices
+that show up downstream live in spaces of dimension n(n+1)/2 for
+n <= 8, so simple dense algorithms are fine and determinism matters
+more than speed.
 
 Conventions:
 
 * a "matrix" argument is a sequence of equal-length rows,
 * symmetric matrices get their own immutable type (:class:`SymMatrix`)
-  because the rest of the package passes them around as values,
+  because the rest of the package passes them around as values; one
+  is an integer matrix over one positive denominator, in lowest terms,
+  and its ``Fraction`` entries are read-only views,
 * rationals serialize as ``"p/q"`` (or ``"p"`` when q == 1), which is
   exactly ``str(Fraction)``.
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 
@@ -35,13 +39,21 @@ def _frac(x) -> Fraction:
 
 
 class SymMatrix:
-    """Immutable symmetric matrix with exact rational entries."""
+    """Immutable symmetric matrix with exact rational entries, stored as
+    one integer matrix ``num`` over one positive denominator ``den``.
 
-    __slots__ = ("n", "rows")
+    The pair is normalized so that gcd(content(num), den) = 1 (and a
+    zero matrix has den = 1), which makes it canonical: two matrices
+    are equal exactly when their ``num`` and ``den`` are.  ``den`` is
+    then the lcm of the entries' denominators.  ``rows``, :meth:`upper`
+    and indexing are read-only ``Fraction`` views of the same entries.
+    """
+
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, rows: Sequence[Sequence]) -> None:
         n = len(rows)
-        table = tuple(tuple(_frac(x) for x in row) for row in rows)
+        table = [[_frac(x) for x in row] for row in rows]
         for row in table:
             if len(row) != n:
                 raise ValueError("symmetric matrix must be square")
@@ -49,44 +61,82 @@ class SymMatrix:
             for j in range(i):
                 if table[i][j] != table[j][i]:
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
+        # over the lcm of the reduced denominators the content is already
+        # prime to den: a prime power dividing den exactly divides some
+        # entry's denominator, and that entry's numerator is prime to it
+        den = lcm(*(x.denominator for row in table for x in row))
         self.n = n
-        self.rows = table
+        self.num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in table)
+        self.den = den
+
+    @staticmethod
+    def _over(num: Sequence[Sequence[int]], den: int) -> "SymMatrix":
+        """The matrix num / den for a symmetric integer num and den > 0,
+        normalized; the constructor of every result built here, which is
+        symmetric by construction and needs no checks."""
+        num = tuple(map(tuple, num))
+        if den != 1:
+            g = gcd(den, *(x for row in num for x in row))
+            if g != 1:
+                num = tuple(tuple(x // g for x in row) for row in num)
+                den //= g
+        m = object.__new__(SymMatrix)
+        m.n = len(num)
+        m.num = num
+        m.den = den
+        return m
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
     def identity(n: int) -> "SymMatrix":
-        return SymMatrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return SymMatrix._over([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @staticmethod
     def rank_one(v: Sequence[int]) -> "SymMatrix":
         """The rank-one form v v^T of an integer vector."""
-        return SymMatrix([[Fraction(a * b) for b in v] for a in v])
+        return SymMatrix._over([[a * b for b in v] for a in v], 1)
 
     @staticmethod
     def from_upper(n: int, coords: Sequence) -> "SymMatrix":
         """Inverse of :meth:`upper`: rebuild from upper-triangle entries."""
-        it = iter(coords)
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        coords = [_frac(x) for x in coords]
+        den = lcm(*(x.denominator for x in coords))
+        it = iter(x.numerator * (den // x.denominator) for x in coords)
+        num = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                rows[i][j] = rows[j][i] = _frac(next(it))
-        return SymMatrix(rows)
+                num[i][j] = num[j][i] = next(it)
+        return SymMatrix._over(num, den)
 
-    # -- arithmetic ----------------------------------------------------------
+    # -- read-only Fraction views ----------------------------------------------
+
+    @property
+    def rows(self) -> tuple:
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self.rows[i][j]
+        return Fraction(self.num[i][j], self.den)
+
+    def upper(self) -> tuple:
+        """Upper-triangle entries, row by row; a coordinate system of
+        dimension n(n+1)/2 in which entrywise equality of symmetric
+        matrices becomes equality of vectors."""
+        n, den = self.n, self.den
+        return tuple(Fraction(self.num[i][j], den) for i in range(n) for j in range(i, n))
+
+    # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        return SymMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
+        den = lcm(self.den, other.den)
+        p, q = den // self.den, den // other.den
+        return SymMatrix._over(
+            [[p * a + q * b for a, b in zip(ra, rb)] for ra, rb in zip(self.num, other.num)],
+            den,
         )
 
     def __sub__(self, other: "SymMatrix") -> "SymMatrix":
@@ -94,57 +144,43 @@ class SymMatrix:
 
     def scale(self, c) -> "SymMatrix":
         c = _frac(c)
-        return SymMatrix([[c * x for x in row] for row in self.rows])
+        p = c.numerator
+        return SymMatrix._over([[p * x for x in row] for row in self.num], self.den * c.denominator)
 
     def evaluate(self, v: Sequence) -> Fraction:
         """The value v^T A v."""
-        total = Fraction(0)
-        for i, vi in enumerate(v):
-            if not vi:
-                continue
-            row = self.rows[i]
-            total += vi * sum(row[j] * vj for j, vj in enumerate(v) if vj)
-        return total
+        total = 0
+        for vi, row in zip(v, self.num):
+            if vi:
+                total += vi * sum(map(mul, row, v))
+        return Fraction(total, self.den)
 
     def pair(self, other: "SymMatrix") -> Fraction:
         """Trace pairing <A,B> = trace(AB) = sum_ij A_ij B_ij."""
-        return sum(
-            a * b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-        )
-
-    def upper(self) -> tuple:
-        """Upper-triangle entries, row by row; a coordinate system of
-        dimension n(n+1)/2 in which entrywise equality of symmetric
-        matrices becomes equality of vectors."""
-        return tuple(self.rows[i][j] for i in range(self.n) for j in range(i, self.n))
+        total = sum(sum(map(mul, ra, rb)) for ra, rb in zip(self.num, other.num))
+        return Fraction(total, self.den * other.den)
 
     def conjugate(self, u: Sequence[Sequence[int]]) -> "SymMatrix":
         """U^T A U for a square integer matrix U."""
-        n = self.n
-        au = [[sum(self.rows[i][k] * u[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        return SymMatrix(
-            [[sum(u[k][i] * au[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        )
+        ut = transpose(u)
+        au = mat_mul(self.num, u)
+        return SymMatrix._over(mat_mul(ut, au), self.den)
 
     def integral_multiple(self) -> "SymMatrix":
         """The smallest positive rational multiple with integer entries
         of content 1 (gcd of entries)."""
-        denoms = lcm(*(x.denominator for row in self.rows for x in row))
-        numers = [x.numerator * (denoms // x.denominator) for row in self.rows for x in row]
-        content = 0
-        for a in numers:
-            content = gcd(content, a)
+        content = gcd(*(x for row in self.num for x in row))
         if content == 0:
             raise ValueError("zero matrix has no integral normalization")
-        return self.scale(Fraction(denoms, content))
+        return SymMatrix._over([[x // content for x in row] for row in self.num], 1)
 
     # -- value semantics -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SymMatrix) and self.rows == other.rows
+        return isinstance(other, SymMatrix) and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"SymMatrix({[[str(x) for x in row] for row in self.rows]})"
@@ -184,28 +220,30 @@ def identity_matrix(n: int) -> list:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _eliminate(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int], Fraction]:
+def _eliminate(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int], tuple[int, int]]:
     """Gauss-Jordan elimination in integers; the module's one elimination loop.
 
     Each row is first scaled by a positive rational to integers of
     content 1, and each updated row ``p * row - c * pivot_row`` is
     divided by its content again, so entries stay small integers.
-    Returns ``(reduced, pivots, factor)``: ``reduced[i]`` is nonzero in
-    column ``pivots[i]``, zero in every other pivot column and before
+    Returns ``(reduced, pivots, (num, den))``: ``reduced[i]`` is nonzero
+    in column ``pivots[i]``, zero in every other pivot column and before
     ``pivots[i]``, so dividing it by that entry gives row i of the
     (unique) reduced row echelon form.  For square input of full rank,
-    det = factor * the product of the pivot entries.
+    det = num / den * the product of the pivot entries.
     """
     work = []
-    num = den = 1  # factor = num / den, kept as ints until the end
+    num = den = 1
     for row in rows:
-        entries = [x if isinstance(x, (int, Fraction)) else _frac(x) for x in row]
-        scale = lcm(*(x.denominator for x in entries))
-        ints = [x.numerator * (scale // x.denominator) for x in entries]
+        ints = list(row)
+        if not all(type(x) is int for x in ints):
+            entries = [x if isinstance(x, (int, Fraction)) else _frac(x) for x in ints]
+            scale = lcm(*(x.denominator for x in entries))
+            ints = [x.numerator * (scale // x.denominator) for x in entries]
+            den *= scale
         g = gcd(*ints) or 1
         work.append([x // g for x in ints] if g > 1 else ints)
         num *= g
-        den *= scale
     ncols = len(work[0]) if work else 0
     pivots: list[int] = []
     for col in range(ncols):
@@ -229,7 +267,7 @@ def _eliminate(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int], Fr
                 num *= g
                 den *= p
         pivots.append(col)
-    return work[: len(pivots)], pivots, Fraction(num, den)
+    return work[: len(pivots)], pivots, (num, den)
 
 
 def matrix_rank(rows: Iterable[Sequence]) -> int:
@@ -238,12 +276,12 @@ def matrix_rank(rows: Iterable[Sequence]) -> int:
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
-    reduced, pivots, factor = _eliminate(rows)
+    reduced, pivots, (num, den) = _eliminate(rows)
     if len(pivots) < len(rows):
         return Fraction(0)
     for row, col in zip(reduced, pivots):
-        factor *= row[col]
-    return factor
+        num *= row[col]
+    return Fraction(num, den)
 
 
 def invert(rows: Sequence[Sequence]) -> list:
@@ -274,8 +312,8 @@ def unimodular_inverse(u: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def integer_ldlt(a: SymMatrix) -> Optional[tuple[int, list[list[int]]]]:
-    """Fraction-free LDL^T: Bareiss elimination on scale * A, with
-    ``scale`` clearing A's denominators; every division is exact.
+    """Fraction-free LDL^T: Bareiss elimination on scale * A = A.num,
+    with ``scale`` = A.den; every division is exact.
 
     Returns (scale, rows) with rows[k] zero before column k, so that
     scale * x^T A x = sum_k t_k^2 / (D_{k-1} D_k) for D_k = rows[k][k],
@@ -285,8 +323,8 @@ def integer_ldlt(a: SymMatrix) -> Optional[tuple[int, list[list[int]]]]:
     positive definite.
     """
     n = a.n
-    scale = lcm(*(x.denominator for row in a.rows for x in row))
-    work = [[x.numerator * (scale // x.denominator) for x in row] for row in a.rows]
+    scale = a.den
+    work = [list(row) for row in a.num]
     rows = []
     prev = 1
     for k in range(n):
@@ -338,6 +376,13 @@ def solve_linear(a_rows: Sequence[Sequence], b: Sequence) -> LinearSolution:
     particular = [Fraction(0)] * ncols
     for row, col in zip(reduced, pivots):
         particular[col] = Fraction(row[ncols], row[col])
+    return LinearSolution(solution=tuple(particular), kernel=_null_space(reduced, pivots, ncols))
+
+
+def _null_space(reduced: list[list[int]], pivots: list[int], ncols: int) -> tuple:
+    """A basis of the solutions of the homogeneous system on the first
+    ``ncols`` columns of an :func:`_eliminate` result: one vector per
+    free column, 1 there, 0 on the other free columns."""
     kernel = []
     for f in range(ncols):
         if f in pivots:
@@ -347,7 +392,7 @@ def solve_linear(a_rows: Sequence[Sequence], b: Sequence) -> LinearSolution:
         for row, col in zip(reduced, pivots):
             vec[col] = Fraction(-row[f], row[col])
         kernel.append(tuple(vec))
-    return LinearSolution(solution=tuple(particular), kernel=tuple(kernel))
+    return tuple(kernel)
 
 
 # -- Smith normal form ---------------------------------------------------------
@@ -442,8 +487,12 @@ class ConeMembership:
     support: frozenset
 
 
-def _simplex_phase1(columns: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """Minimize the sum of artificial variables for A x = b, x >= 0.
+def _simplex_phase1(
+    columns: list[list[int]], col_scale: list[int], rhs: list[int], rhs_scale: int
+) -> Optional[list[Fraction]]:
+    """Minimize the sum of artificial variables for A x = b, x >= 0,
+    where column j of A is ``columns[j] / col_scale[j]`` and b is
+    ``rhs / rhs_scale``, all scales positive.
 
     Bland's smallest-index rule throughout (both entering and leaving),
     starting from the all-artificial basis, so the run — and therefore
@@ -451,10 +500,10 @@ def _simplex_phase1(columns: list[list[Fraction]], rhs: list[Fraction]) -> Optio
     Returns the structural solution x, or None when the optimum is
     positive (the system has no nonnegative solution).
 
-    The tableau is fraction-free (Edmonds, Bareiss): column j of A is
-    multiplied by the lcm s_j of its denominators and b by the lcm t of
-    its denominators, and the integer rows T stand for the tableau T / d
-    with d the last pivot (initially 1).  Pivoting on p = T[l][e] > 0
+    The tableau is fraction-free (Edmonds, Bareiss): it starts from the
+    integer columns s_j A_j and the integer right-hand side t b, and the
+    integer rows T stand for the tableau T / d with d the last pivot
+    (initially 1).  Pivoting on p = T[l][e] > 0
     replaces every other row r, the cost row included, by
     (p T[r] - T[r][e] T[l]) / d, an exact division, and sets d = p; the
     entries stay minors of the scaled system.  The scalings keep Bland's
@@ -466,17 +515,12 @@ def _simplex_phase1(columns: list[list[Fraction]], rhs: list[Fraction]) -> Optio
     """
     m = len(rhs)
     nstruct = len(columns)
-    col_scale = [lcm(*(x.denominator for x in col)) for col in columns]
-    int_columns = [
-        [x.numerator * (s // x.denominator) for x in col] for col, s in zip(columns, col_scale)
-    ]
-    rhs_scale = lcm(*(x.denominator for x in rhs))
     # rows with negative right-hand side are flipped so b >= 0
     tableau = []
     for r in range(m):
-        row = [col[r] for col in int_columns] + [0] * m
+        row = [col[r] for col in columns] + [0] * m
         row[nstruct + r] = 1
-        b = rhs[r].numerator * (rhs_scale // rhs[r].denominator)
+        b = rhs[r]
         if b < 0:
             row = [-x for x in row[:nstruct]] + row[nstruct:]
             b = -b
@@ -538,9 +582,13 @@ def cone_membership(rays: Sequence[SymMatrix], target: SymMatrix) -> Optional[Co
     n = rays[0].n
     if target.n != n or any(r.n != n for r in rays):
         raise ValueError("all matrices must share a dimension")
-    columns = [list(r.upper()) for r in rays]
-    rhs = list(target.upper())
-    x = _simplex_phase1(columns, rhs)
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    x = _simplex_phase1(
+        [[r.num[i][j] for i, j in upper] for r in rays],
+        [r.den for r in rays],
+        [target.num[i][j] for i, j in upper],
+        target.den,
+    )
     if x is None:
         return None
     return ConeMembership(

@@ -120,9 +120,9 @@ class MinData:
 def minimal_vectors(q: SymMatrix) -> MinData:
     """Exact mu(A) and the complete set M(A) up to sign."""
     # every e_i is primitive, so the smallest diagonal entry bounds mu
-    start = min(q.rows[i][i] for i in range(q.n))
+    start = min(q.num[i][i] for i in range(q.n))
     if start <= 0:
         raise ValueError("form is not positive definite")
-    below = vectors_below(q, start)
+    below = vectors_below(q, Fraction(start, q.den))
     mu = min(value for _, value in below)
     return MinData(mu=mu, vectors=tuple(v for v, value in below if value == mu))

@@ -26,10 +26,10 @@ from typing import Optional, Sequence
 from .linalg import (
     SymMatrix,
     _eliminate,
+    _null_space,
     det,
     integer_ldlt,
     is_positive_definite,
-    solve_linear,
 )
 from . import obs
 from .minvec import MinData, _vectors_below, minimal_vectors
@@ -67,17 +67,25 @@ def _value_row(m: Sequence[int], n: int) -> list[int]:
 def is_perfect(q: SymMatrix, min_data: Optional[MinData] = None) -> PerfectionResult:
     """Rank test of the minimal-vector value system, with kernel certificate.
 
+    One elimination of the augmented system [value rows | mu] decides
+    it: q is perfect when the value rows have full rank n(n+1)/2.  The
+    kernel, the directions left free, is built only when they do not.
+
     ``min_data``, when given, must be :func:`minimal_vectors` of q, whose
     enumeration already proved q positive definite; without it that
     enumeration runs here and raises ValueError unless q is.
     """
     md = min_data if min_data is not None else minimal_vectors(q)
-    rows = [_value_row(m, q.n) for m in md.vectors]
-    rhs = [md.mu] * len(rows)
-    sol = solve_linear(rows, rhs)
-    assert sol.solution is not None  # q itself always solves its own system
-    kernel = tuple(SymMatrix.from_upper(q.n, vec) for vec in sol.kernel)
-    return PerfectionResult(perfect=not kernel, kernel=kernel)
+    dim = q.n * (q.n + 1) // 2
+    p, d = md.mu.numerator, md.mu.denominator  # rows scaled by d: (d * row) . z = p
+    reduced, pivots, _ = _eliminate(
+        [d * x for x in _value_row(m, q.n)] + [p] for m in md.vectors
+    )
+    assert dim not in pivots  # q itself always solves its own system
+    if len(pivots) == dim:
+        return PerfectionResult(perfect=True, kernel=())
+    kernel = tuple(SymMatrix.from_upper(q.n, vec) for vec in _null_space(reduced, pivots, dim))
+    return PerfectionResult(perfect=False, kernel=kernel)
 
 
 # -- domain cones and their facets ---------------------------------------------
@@ -265,8 +273,7 @@ class PerfectFormRecord:
         """Cheap unimodular invariants used to pre-filter equivalence."""
         if self._invariant is not None:
             return self._invariant
-        # integral_form has integer entries, so the numerators are the entries
-        int_rows = [[x.numerator for x in row] for row in self.integral_form.rows]
+        int_rows = self.integral_form.num  # over den = 1
         vectors = self.min_data.vectors
         images = [tuple(sum(map(mul, row, v)) for row in int_rows) for v in vectors]
         products = sorted(
@@ -277,7 +284,7 @@ class PerfectFormRecord:
         self._invariant = (
             self.min_data.mu,
             len(self.min_data.vectors),
-            det(int_rows),
+            det(int_rows).numerator,
             tuple(products),
         )
         return self._invariant
@@ -316,7 +323,7 @@ def neighbor(record: PerfectFormRecord, facet: Facet) -> SymMatrix:
 
     lo = Fraction(0)
     step = Fraction(1)
-    for _ in range(200):
+    for probes in range(1, 201):
         cur = lo + step
         decomp = integer_ldlt(q + r.scale(cur))
         if decomp is None:
@@ -329,6 +336,7 @@ def neighbor(record: PerfectFormRecord, facet: Facet) -> SymMatrix:
         ]
         if fresh:
             rho = min((mu - q.evaluate(v)) / r_value(v) for v in fresh)
+            obs.add("neighbor", steps=1, ldlt_probes=probes)
             return q + r.scale(rho)
         lo = cur
         step *= 2
@@ -361,57 +369,65 @@ def are_equivalent(a: SymMatrix, b: SymMatrix) -> Optional[list[list[int]]]:
     decomp = integer_ldlt(a)
     if decomp is None or not is_positive_definite(b):
         raise ValueError("both forms must be positive definite")
-    if det(a.rows) != det(b.rows):
-        return None
     n = a.n
-    targets = [b.rows[j][j] for j in range(n)]
-    by_value: dict[Fraction, list[tuple[int, ...]]] = {}
-    for v, val in _vectors_below(decomp, max(targets)):
-        by_value.setdefault(val, []).extend([v, tuple(-x for x in v)])
-    scale = lcm(*(x.denominator for m in (a, b) for row in m.rows for x in row))
-    a_int, b_int = (
-        [[x.numerator * (scale // x.denominator) for x in row] for row in m.rows]
-        for m in (a, b)
-    )
-    images: dict[tuple[int, ...], tuple[int, ...]] = {}
-    candidates = []
-    for t in targets:
-        pool = sorted(by_value.get(t, []))
-        if not pool:
+    nodes = 0  # columns placed in the search
+    u = None
+    try:
+        # det A = det B, with det(num / den) = det(num) / den^n; the
+        # determinants of the integer matrices are integers
+        if det(a.num).numerator * b.den**n != det(b.num).numerator * a.den**n:
             return None
-        for v in pool:
-            if v not in images:
-                images[v] = tuple(sum(map(mul, row, v)) for row in a_int)
-        candidates.append([(v, images[v]) for v in pool])
+        targets = [b[j, j] for j in range(n)]
+        by_value: dict[Fraction, list[tuple[int, ...]]] = {}
+        for v, val in _vectors_below(decomp, max(targets)):
+            by_value.setdefault(val, []).extend([v, tuple(-x for x in v)])
+        scale = lcm(a.den, b.den)
+        a_int, b_int = (
+            [[x * (scale // m.den) for x in row] for row in m.num] for m in (a, b)
+        )
+        images: dict[tuple[int, ...], tuple[int, ...]] = {}
+        candidates = []
+        for t in targets:
+            pool = sorted(by_value.get(t, []))
+            if not pool:
+                return None
+            for v in pool:
+                if v not in images:
+                    images[v] = tuple(sum(map(mul, row, v)) for row in a_int)
+            candidates.append([(v, images[v]) for v in pool])
 
-    cols: list[tuple[int, ...]] = []
+        cols: list[tuple[int, ...]] = []
 
-    def place(j: int, pools: list[list[tuple[tuple[int, ...], tuple[int, ...]]]]) -> bool:
-        """Fill columns j..n-1; pools[k] holds the (u, A u) still open for column j + k."""
-        b_row = b_int[j]
-        for v, av in pools[0]:
-            narrowed = []
-            for jj, pool in enumerate(pools[1:], j + 1):
-                target = b_row[jj]
-                kept = [pair for pair in pool if sum(map(mul, av, pair[0])) == target]
-                if not kept:
-                    break
-                narrowed.append(kept)
-            else:
-                cols.append(v)
-                if j + 1 == n or place(j + 1, narrowed):
-                    return True
-                cols.pop()
-        return False
+        def place(j: int, pools: list[list[tuple[tuple[int, ...], tuple[int, ...]]]]) -> bool:
+            """Fill columns j..n-1; pools[k] holds the (u, A u) still open for column j + k."""
+            nonlocal nodes
+            b_row = b_int[j]
+            for v, av in pools[0]:
+                narrowed = []
+                for jj, pool in enumerate(pools[1:], j + 1):
+                    target = b_row[jj]
+                    kept = [pair for pair in pool if sum(map(mul, av, pair[0])) == target]
+                    if not kept:
+                        break
+                    narrowed.append(kept)
+                else:
+                    cols.append(v)
+                    nodes += 1
+                    if j + 1 == n or place(j + 1, narrowed):
+                        return True
+                    cols.pop()
+            return False
 
-    if not place(0, candidates):
-        return None
-    u = [[cols[j][i] for j in range(n)] for i in range(n)]
-    conjugate = [
-        [sum(map(mul, cols[i], images[cols[j]])) for j in range(n)] for i in range(n)
-    ]
-    assert conjugate == b_int and abs(det(u)) == 1
-    return u
+        if not place(0, candidates):
+            return None
+        u = [[cols[j][i] for j in range(n)] for i in range(n)]
+        conjugate = [
+            [sum(map(mul, cols[i], images[cols[j]])) for j in range(n)] for i in range(n)
+        ]
+        assert conjugate == b_int and abs(det(u)) == 1
+        return u
+    finally:
+        obs.add("isometry", calls=1, hits=int(u is not None), nodes=nodes)
 
 
 # -- enumeration and the on-disk catalog -------------------------------------------
@@ -577,10 +593,12 @@ def enumerate_perfect_forms(
                 if limit is not None and len(catalog) >= limit:
                     catalog.neighbors[index] = None
                     catalog.complete = False
+                    obs.add("enumerate", classes=len(catalog))
                     return catalog
                 found = catalog.add(contiguous)
                 pending.append(found)
             edges.append(found)
         catalog.neighbors[index] = edges
     catalog.complete = True
+    obs.add("enumerate", classes=len(catalog))
     return catalog

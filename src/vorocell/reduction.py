@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -86,11 +85,9 @@ def _positive_certificate(
     total = [[sum(v[i] * v[j] for v in vectors) for j in range(n)] for i in range(n)]
     for k in range(64):
         # y / den - total / 2^k, over the denominator 2^k * den
-        shifted = SymMatrix(
-            [
-                [Fraction((a << k) - den * t, den << k) for a, t in zip(row, trow)]
-                for row, trow in zip(y, total)
-            ]
+        shifted = SymMatrix._over(
+            [[(a << k) - den * t for a, t in zip(row, trow)] for row, trow in zip(y, total)],
+            den << k,
         )
         member = cone_membership(rays, shifted)
         if member is not None:
@@ -111,7 +108,8 @@ def _potential(record: PerfectFormRecord, coords: list[int]) -> Fraction:
     pairing coordinates ``coords``: den times the trace pairing of the
     record's form (normalized to mu = 1) with y / den.  den stays fixed
     along the walk, so the potentials compare as the pairings do."""
-    upper = (a.numerator for a in record.integral_form.upper())
+    q = record.integral_form.num  # over den = 1
+    upper = (q[i][j] for i in range(len(q)) for j in range(i, len(q)))
     return Fraction(sum(map(mul, upper, coords)), record.min_data.mu)
 
 
@@ -136,8 +134,8 @@ def reduce_with_trace(
     # unimodular U crossed so far; crossing one conjugates the integer
     # rows y by U and keeps den, and the witness is v^-1
     v = [[int(r == c) for c in range(n)] for r in range(n)]
-    den = lcm(*(a.denominator for row in x.rows for a in row))
-    y = [[a.numerator * (den // a.denominator) for a in row] for row in x.rows]
+    den = x.den
+    y = x.num
     trace: list[tuple[int, int]] = []
     coords = _pairing_coordinates(y)
     potential = _potential(catalog.records[j], coords)

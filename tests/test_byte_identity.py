@@ -28,6 +28,13 @@ ENUMERATE = {
     4: "33f128ce251ec249ebdd3051f6f3cf2b1b3ef05132d8990eba37c8e054c4478c",
 }
 
+# (stdout, emitted catalog) of `perfect enumerate --n 5 --out cat5.json`,
+# recorded while `SymMatrix` still held `Fraction` entries
+ENUMERATE_N5 = (
+    "f489d1f2c73933be9d18460f36f98d21e33c1318cf000cad261cb3facd8cbf5b",
+    "6abc29ac9cdbfe23628a70e620ad078b4f1ae2e0d54d000dd493e0e2352b27a3",
+)
+
 # reduced against the n = 4 catalog; "face" is (I + q(1,1,0,0)) moved by a
 # unimodular matrix, so it lands on a proper face of a D4 domain
 REDUCE = {
@@ -133,6 +140,12 @@ def test_enumerate_n3_bytes():
 
 def test_enumerate_n4_bytes(catalog4):
     assert sha256(catalog4[0]) == ENUMERATE[4]
+
+
+def test_enumerate_n5_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the summary names the catalog path as given
+    summary = stdout_of("perfect", "enumerate", "--n", 5, "--out", "cat5.json")
+    assert (sha256(summary), sha256((tmp_path / "cat5.json").read_text())) == ENUMERATE_N5
 
 
 @pytest.mark.parametrize("name", sorted(REDUCE))

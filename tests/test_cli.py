@@ -467,8 +467,52 @@ def test_verbose_reports_dd_counters():
     assert flagged.stdout == plain.stdout
     assert plain.stderr == ""
     (line,) = flagged.stderr.splitlines()
-    dd = json.loads(line)["dd"]
+    counters = json.loads(line)
+    dd = counters["dd"]
     assert dd["cones"] == 2
     assert dd["facets"] == 74  # 10 for A4, 64 for D4
     assert dd["peak_generators"] == 64
     assert dd["pairs"] >= dd["pairs_cut_popcount"] + dd["pairs_cut_adjacency"]
+    assert counters["enumerate"] == {"classes": 2}
+    # one contiguity step per facet, each settled by its first LDL^T probe
+    assert counters["neighbor"] == {"steps": 74, "ldlt_probes": 74}
+    # 73 of the 74 neighbors match a known class (the first D4 is new);
+    # each match places its 4 columns without backtracking
+    assert counters["isometry"] == {"calls": 73, "hits": 73, "nodes": 292}
+
+
+def test_cached_parser_matches_a_fresh_one(tmp_path, monkeypatch, capsys):
+    """Several commands in one process share the module's parser; each
+    call's stdout, stderr and exit code equal those of the same call on
+    a freshly built parser."""
+    from vorocell import cli
+
+    catalog = tmp_path / "cat3.json"
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"n": 3, "rows": [[2, 1, 0], [1, 2, 1], [0, 1, 2]]}))
+    surface = write_complex(tmp_path / "octahedron.json", OCTAHEDRON)
+    assert cli.main(["perfect", "enumerate", "--n", "3", "--out", str(catalog)]) == 0
+    calls = [
+        ["reduce", "--form", str(form), "--catalog", str(catalog)],
+        ["reduce", "--form", str(tmp_path / "missing.json"), "--catalog", str(catalog)],
+        ["perfect", "enumerate", "--n", "three"],
+        ["perfect", "enumerate", "--n", "3"],
+        ["homology", "--complex", surface],
+    ]
+
+    def outcome(argv):
+        capsys.readouterr()
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse's usage errors
+            code = e.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    shared = [outcome(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 2, 0, 0]

@@ -7,6 +7,7 @@ elimination is checked against an independent implementation.
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -117,6 +118,117 @@ def test_conjugate_is_congruence():
     ut = transpose(u)
     expect = mat_mul(mat_mul(ut, [list(r) for r in a.rows]), u)
     assert [list(r) for r in b.rows] == expect
+
+
+class FractionSymMatrix:
+    """The ``Fraction``-entry symmetric matrix that ``SymMatrix`` held
+    before it became one integer matrix over one denominator; the
+    reference for its arithmetic."""
+
+    def __init__(self, rows):
+        self.n = len(rows)
+        self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+    def __add__(self, other):
+        return FractionSymMatrix(
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
+        )
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        return FractionSymMatrix([[c * x for x in row] for row in self.rows])
+
+    def evaluate(self, v):
+        return sum(
+            (self.rows[i][j] * vi * vj for i, vi in enumerate(v) for j, vj in enumerate(v)),
+            Fraction(0),
+        )
+
+    def pair(self, other):
+        return sum(
+            (a * b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)),
+            Fraction(0),
+        )
+
+    def upper(self):
+        return tuple(self.rows[i][j] for i in range(self.n) for j in range(i, self.n))
+
+    def conjugate(self, u):
+        n = self.n
+        au = [[sum(self.rows[i][k] * u[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        return FractionSymMatrix(
+            [[sum(u[k][i] * au[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        )
+
+    def integral_multiple(self):
+        denoms = lcm(*(x.denominator for row in self.rows for x in row))
+        content = gcd(*(x.numerator * (denoms // x.denominator) for row in self.rows for x in row))
+        if content == 0:
+            raise ValueError("zero matrix")
+        return self.scale(Fraction(denoms, content))
+
+
+@st.composite
+def rational_symmetric(draw, n):
+    """Symmetric n x n rationals over a few shared denominators, with
+    many zero entries; sometimes the zero matrix."""
+    if draw(st.integers(0, 9)) == 0:
+        return [[Fraction(0)] * n for _ in range(n)]
+    shared = draw(st.sampled_from([1, 2, 3, 4, 6, 9, 10]))
+    entry = st.builds(
+        Fraction,
+        st.one_of(st.just(0), st.integers(-12, 12)),
+        st.sampled_from([1, shared, 2 * shared]),
+    )
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(entry)
+    return rows
+
+
+def assert_matches(m, ref):
+    """m equals the reference entry by entry, and is in canonical form:
+    equal to (and hashed like) the same entries read by the constructor."""
+    assert m.rows == ref.rows
+    assert m.upper() == ref.upper()
+    assert all(m[i, j] == ref.rows[i][j] for i in range(m.n) for j in range(m.n))
+    assert m.den > 0 and gcd(m.den, *(x for row in m.num for x in row)) == 1
+    built = SymMatrix(ref.rows)
+    assert m == built and hash(m) == hash(built)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    rational_symmetric(n),
+    rational_symmetric(n),
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)))
+@settings(max_examples=300, deadline=None)
+def test_symmatrix_matches_fraction_reference(case):
+    rows_a, rows_b, v, u, c = case
+    a, b = SymMatrix(rows_a), SymMatrix(rows_b)
+    ra, rb = FractionSymMatrix(rows_a), FractionSymMatrix(rows_b)
+    assert_matches(a, ra)
+    assert_matches(a + b, ra + rb)
+    assert_matches(a - b, ra - rb)
+    assert_matches(a.scale(c), ra.scale(c))
+    assert_matches(a.scale(-1), ra.scale(-1))
+    assert_matches(a.conjugate(u), ra.conjugate(u))
+    assert_matches(SymMatrix.from_upper(a.n, ra.upper()), ra)
+    assert a.evaluate(v) == ra.evaluate(v) and type(a.evaluate(v)) is Fraction
+    assert a.pair(b) == ra.pair(rb) and type(a.pair(b)) is Fraction
+    if any(x for row in rows_a for x in row):
+        assert_matches(a.integral_multiple(), ra.integral_multiple())
+    else:
+        with pytest.raises(ValueError):
+            a.integral_multiple()
+    assert (a == b) == (ra.rows == rb.rows)
+    assert a + b == b + a and hash(a + b) == hash(b + a)
+    assert a - a == SymMatrix.identity(a.n).scale(0)
 
 
 @given(rational_matrix())
@@ -328,6 +440,19 @@ def reference_simplex_phase1(columns, rhs):
     return x
 
 
+def simplex_on_fractions(columns, rhs):
+    """``linalg._simplex_phase1`` on ``Fraction`` columns and right-hand
+    side, each cleared of denominators by the lcm of its own."""
+
+    def cleared(xs):
+        s = lcm(*(x.denominator for x in xs))
+        return [x.numerator * (s // x.denominator) for x in xs], s
+
+    pairs = [cleared(col) for col in columns]
+    b, t = cleared(rhs)
+    return linalg._simplex_phase1([c for c, _ in pairs], [s for _, s in pairs], b, t)
+
+
 lp_entries = st.one_of(
     st.integers(-3, 3).map(Fraction),
     st.fractions(min_value=-4, max_value=4, max_denominator=5),
@@ -360,7 +485,7 @@ def lp_systems(draw):
 def test_fraction_free_simplex_matches_fraction_reference(system):
     columns, rhs = system
     expected = reference_simplex_phase1(columns, rhs)
-    assert linalg._simplex_phase1(columns, rhs) == expected
+    assert simplex_on_fractions(columns, rhs) == expected
     if expected is not None:
         assert all(v >= 0 for v in expected)
         for r, b in enumerate(rhs):
@@ -375,7 +500,7 @@ def test_fraction_free_simplex_breaks_ratio_ties_by_basis():
     rhs = [Fraction(1), Fraction(2), Fraction(1)]
     expected = [Fraction(1), Fraction(1, 2), Fraction(0), Fraction(3, 2)]
     assert reference_simplex_phase1(columns, rhs) == expected
-    assert linalg._simplex_phase1(columns, rhs) == expected
+    assert simplex_on_fractions(columns, rhs) == expected
 
 
 def test_serialization_round_trip():
