@@ -13,6 +13,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -282,6 +283,7 @@ def _cmd_homology(ns: argparse.Namespace) -> int:
 # -- argument parsing ------------------------------------------------------
 
 
+@functools.cache  # built once per process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vorocell",
@@ -345,10 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# built once per process: parse_args keeps no state between calls
-_PARSER = _build_parser()
-
-
 def _run(ns: argparse.Namespace) -> int:
     try:
         return ns.func(ns)
@@ -358,7 +356,7 @@ def _run(ns: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ns = _PARSER.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     if not ns.verbose:
         return _run(ns)
     with obs.collecting() as counters:

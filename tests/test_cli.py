@@ -510,9 +510,8 @@ def test_cached_parser_matches_a_fresh_one(tmp_path, monkeypatch, capsys):
         return code, out.out, out.err
 
     shared = [outcome(argv) for argv in calls]
-    fresh = []
-    for argv in calls:
-        monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
-        fresh.append(outcome(argv))
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [outcome(argv) for argv in calls]
     assert shared == fresh
     assert [code for code, _, _ in shared] == [0, 2, 2, 0, 0]
