@@ -1,5 +1,5 @@
 """Finite regular cell complexes and simplicial complexes: chain
-complexes, subdivision, duality, quotients, and integer homology.
+complexes, subdivision, and integer homology.
 
 A regular complex is stored purely combinatorially: every cell knows its
 dimension and its signed list of codimension-one faces, and the signed
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
+from . import obs
 from .linalg import smith_normal_form
 
 
@@ -79,7 +80,6 @@ class RegularComplex:
                 raise ValueError(
                     f"boundary of boundary of {cell.id!r} is nonzero at {bad[0]!r}"
                 )
-        self._closures: dict[str, frozenset[str]] = {}
 
     @property
     def max_dim(self) -> int:
@@ -99,21 +99,6 @@ class RegularComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * k for d, k in enumerate(self.f_vector()))
 
-    def closure(self, cell_id: str) -> frozenset[str]:
-        cached = self._closures.get(cell_id)
-        if cached is not None:
-            return cached
-        out = {cell_id}
-        stack = [cell_id]
-        while stack:
-            for fid, _ in self.cells[stack.pop()].faces:
-                if fid not in out:
-                    out.add(fid)
-                    stack.append(fid)
-        result = frozenset(out)
-        self._closures[cell_id] = result
-        return result
-
     def boundary_matrix(self, d: int) -> dict[tuple[int, int], int]:
         """Sparse boundary map from d-cells to (d-1)-cells.
 
@@ -126,24 +111,6 @@ class RegularComplex:
             for fid, sign in cell.faces:
                 out[(rows[fid], j)] = sign
         return out
-
-    def is_regular(self) -> bool:
-        """Whether all pairwise closure intersections have a unique
-        maximal cell — the condition that makes barycentric and dual
-        constructions behave like their geometric counterparts."""
-        ids = sorted(self.cells)
-        for a, b in combinations(ids, 2):
-            common = self.closure(a) & self.closure(b)
-            if not common:
-                continue
-            maximal = [
-                c
-                for c in common
-                if not any(c != d and c in self.closure(d) for d in common)
-            ]
-            if len(maximal) != 1:
-                return False
-        return True
 
     # -- serialization ----------------------------------------------------
 
@@ -176,15 +143,31 @@ class RegularComplex:
         cells = [
             Cell(
                 id=str(entry["id"]),
-                dim=int(entry["dim"]),
-                faces=tuple((str(f["id"]), int(f["sign"])) for f in entry["faces"]),
+                dim=_integer(entry["dim"], "dim must be an integer"),
+                faces=tuple(
+                    (str(f["id"]), _integer(f["sign"], "sign must be an integer"))
+                    for f in entry["faces"]
+                ),
             )
             for entry in entries
         ]
         cx = RegularComplex(cells)
-        if "dims" in doc and list(cx.f_vector()) != list(doc["dims"]):
-            raise ValueError("cell counts disagree with the dims header")
+        if "dims" in doc:
+            message = "dims must be a list of integers"
+            dims = doc["dims"]
+            if not isinstance(dims, list):
+                raise ValueError(message)
+            if list(cx.f_vector()) != [_integer(k, message) for k in dims]:
+                raise ValueError("cell counts disagree with the dims header")
         return cx
+
+
+def _integer(value, message: str) -> int:
+    """``int(value)``, failing with ``message``, which names the field."""
+    try:
+        return int(value)
+    except (ValueError, TypeError, OverflowError):
+        raise ValueError(message) from None
 
 
 def _simplex_id(simplex: Sequence[int]) -> str:
@@ -330,211 +313,6 @@ def barycentric_subdivision(cx: RegularComplex) -> SimplicialComplex:
     return SimplicialComplex(chains)
 
 
-def dual_cells(cx: RegularComplex, selected_ids: Iterable[str]) -> RegularComplex:
-    """The dual complex on a coface-closed selection of cells.
-
-    The dual of a selected cell keeps its id but has complementary
-    dimension; its faces are the duals of the selected cells covering
-    it, with the incidence transposed.  Requires the selection to be
-    closed upward (every coface of a selected cell selected), which is
-    exactly what makes the transposed incidence a chain complex.
-    """
-    selected = set(selected_ids)
-    unknown = selected - set(cx.cells)
-    if unknown:
-        raise ValueError(f"unknown cell id {sorted(unknown)[0]!r}")
-    covers: dict[str, list[tuple[str, int]]] = {s: [] for s in selected}
-    for cell in cx.cells.values():
-        for fid, sign in cell.faces:
-            if fid in selected:
-                if cell.id not in selected:
-                    raise ValueError(
-                        f"selection is not coface-closed: {cell.id!r} covers "
-                        f"{fid!r} but is not selected"
-                    )
-                covers[fid].append((cell.id, sign))
-    top = max(cx.cells[s].dim for s in selected)
-    cells = [
-        Cell(
-            id=s,
-            dim=top - cx.cells[s].dim,
-            faces=tuple(sorted(covers[s])),
-        )
-        for s in sorted(selected)
-    ]
-    return RegularComplex(cells)
-
-
-# -- group actions and quotients -------------------------------------------------
-
-
-def _parity(seq: Sequence[int]) -> int:
-    """Sign of the permutation sorting seq (distinct entries)."""
-    inv = sum(
-        1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j]
-    )
-    return -1 if inv % 2 else 1
-
-
-class GroupAction:
-    """A finite group of signed cell automorphisms.
-
-    Input maps are treated as generators; the closure under composition
-    is computed here.  Each element sends a cell id to an (image id,
-    orientation sign) pair.
-    """
-
-    MAX_ELEMENTS = 20_000
-
-    def __init__(self, generators: Sequence[Mapping[str, tuple[str, int]]]) -> None:
-        if not generators:
-            raise ValueError("need at least one generator")
-        ids = sorted(generators[0])
-        for g in generators:
-            if sorted(g) != ids:
-                raise ValueError("generators act on different cell sets")
-            images = sorted(v for v, _ in g.values())
-            if images != ids:
-                raise ValueError("generator is not a bijection on cells")
-            if any(s not in (-1, 1) for _, s in g.values()):
-                raise ValueError("orientation signs must be -1 or +1")
-        identity = {i: (i, 1) for i in ids}
-        elements = {self._key(identity): identity}
-        frontier = [identity]
-        gens = [dict(g) for g in generators]
-        while frontier:
-            base = frontier.pop()
-            for g in gens:
-                composed = {}
-                for cid, (mid, s) in base.items():
-                    mid2, s2 = g[mid]
-                    composed[cid] = (mid2, s * s2)
-                key = self._key(composed)
-                if key not in elements:
-                    if len(elements) >= self.MAX_ELEMENTS:
-                        raise ValueError("group closure exceeds the element cap")
-                    elements[key] = composed
-                    frontier.append(composed)
-        self.elements: tuple[dict[str, tuple[str, int]], ...] = tuple(
-            elements[k] for k in sorted(elements)
-        )
-
-    @staticmethod
-    def _key(mapping: Mapping[str, tuple[str, int]]) -> tuple:
-        return tuple(sorted((k, v[0], v[1]) for k, v in mapping.items()))
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    @staticmethod
-    def from_vertex_permutations(
-        simplicial: SimplicialComplex, perms: Sequence[Mapping[int, int]]
-    ) -> "GroupAction":
-        """Lift vertex permutations to signed maps on the cells of
-        ``simplicial.to_regular()``, with the sort-parity sign."""
-        all_faces = [s for d, group in sorted(simplicial.faces().items()) for s in group]
-        face_set = {f: _simplex_id(f) for f in all_faces}
-        vertices = {v for f in all_faces for v in f}
-        gens = []
-        for p in perms:
-            if not vertices <= set(p):
-                raise ValueError("vertex map does not cover all vertices")
-            mapping = {}
-            for f, cid in face_set.items():
-                image = tuple(p[v] for v in f)
-                target = tuple(sorted(image))
-                if target not in face_set:
-                    raise ValueError(
-                        f"vertex map does not preserve the complex at {f}"
-                    )
-                mapping[cid] = (face_set[target], _parity(image))
-            gens.append(mapping)
-        return GroupAction(gens)
-
-
-@dataclass(frozen=True)
-class QuotientResult:
-    complex: RegularComplex
-    regular: bool
-    orbit_of: dict[str, str]  # original cell id -> orbit representative id
-
-
-def quotient(cx: RegularComplex, action: GroupAction) -> QuotientResult:
-    """The quotient complex of a free, boundary-compatible action.
-
-    Validates that every element is a signed automorphism of the
-    complex, that no non-identity element fixes a cell (naming the
-    offender otherwise), and that each quotient incidence lands in
-    {-1, 0, +1}.  The result carries the regularity verdict of the
-    quotient, since free quotients of regular complexes need not stay
-    regular.
-    """
-    ids = sorted(cx.cells)
-    for g in action.elements:
-        if sorted(g) != ids:
-            raise ValueError("action is defined on a different cell set")
-        for cid, (mid, sign) in g.items():
-            src, dst = cx.cells[cid], cx.cells[mid]
-            if src.dim != dst.dim:
-                raise ValueError(f"map sends {cid!r} to a different dimension")
-            expected = {}
-            for fid, s in src.faces:
-                f_img, f_sign = g[fid]
-                expected[f_img] = expected.get(f_img, 0) + sign * s * f_sign
-            actual = {fid: s for fid, s in dst.faces}
-            if expected != actual:
-                raise ValueError(
-                    f"map is not a chain automorphism at cell {cid!r}"
-                )
-
-    identity_key = tuple(sorted((i, i, 1) for i in ids))
-    for g in action.elements:
-        if GroupAction._key(g) == identity_key:
-            continue
-        for cid, (mid, _) in g.items():
-            if mid == cid:
-                raise ValueError(
-                    f"action is not free: cell {cid!r} is fixed by a "
-                    f"non-identity element"
-                )
-
-    rep_of: dict[str, str] = {}
-    transport: dict[str, tuple[str, int]] = {}  # cell -> (rep, sign moving rep onto it)
-    for cid in ids:
-        if cid in rep_of:
-            continue
-        rep = min(g[cid][0] for g in action.elements)
-        # freeness makes h -> h(rep) a bijection onto the orbit, so each
-        # member receives exactly one transport sign
-        for h in action.elements:
-            member, sign = h[rep]
-            rep_of[member] = rep
-            transport[member] = (rep, sign)
-
-    new_cells = []
-    for cid in sorted(set(rep_of.values())):
-        cell = cx.cells[cid]
-        acc: dict[str, int] = {}
-        for fid, s in cell.faces:
-            rep, carry = transport[fid]
-            acc[rep] = acc.get(rep, 0) + s * carry
-        faces = []
-        for rep, coeff in sorted(acc.items()):
-            if coeff == 0:
-                continue
-            if coeff not in (-1, 1):
-                raise ValueError(
-                    f"quotient incidence of {rep!r} in the orbit of {cid!r} "
-                    f"is {coeff}, outside -1..1"
-                )
-            faces.append((rep, coeff))
-        new_cells.append(Cell(id=cid, dim=cell.dim, faces=tuple(faces)))
-    result = RegularComplex(new_cells)
-    return QuotientResult(
-        complex=result, regular=result.is_regular(), orbit_of=dict(rep_of)
-    )
-
-
 # -- homology ---------------------------------------------------------------------
 
 
@@ -633,10 +411,16 @@ def _sparse_reduce(
         del rows[pr]
         pivot_rows.add(pr)
     units = [1] * len(pivot_rows)
-    if not rows:
-        return units, pivot_rows
     live_rows = sorted(rows)
     live_cols = sorted({c for row in rows.values() for c in row})
+    obs.add(
+        "homology",
+        unit_pivots=len(pivot_rows),
+        residual_rows=len(live_rows),
+        residual_cols=len(live_cols),
+    )
+    if not rows:
+        return units, pivot_rows
     cmap = {c: i for i, c in enumerate(live_cols)}
     dense = [[0] * len(live_cols) for _ in live_rows]
     for i, r in enumerate(live_rows):

@@ -216,10 +216,6 @@ def transpose(a: Sequence[Sequence]) -> list:
     return [list(col) for col in zip(*a)]
 
 
-def identity_matrix(n: int) -> list:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
 def _eliminate(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int], tuple[int, int]]:
     """Gauss-Jordan elimination in integers; the module's one elimination loop.
 
@@ -282,17 +278,6 @@ def det(rows: Sequence[Sequence]) -> Fraction:
     for row, col in zip(reduced, pivots):
         num *= row[col]
     return Fraction(num, den)
-
-
-def invert(rows: Sequence[Sequence]) -> list:
-    """Exact inverse of a square matrix; raises on singular input."""
-    n = len(rows)
-    reduced, pivots, _ = _eliminate(
-        list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)
-    )
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(reduced)]
 
 
 def unimodular_inverse(u: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -1,4 +1,4 @@
-"""Cell complexes, subdivision, duals, quotients, homology.
+"""Cell complexes, subdivision and homology.
 
 The homology oracle builds chain boundary matrices straight from the
 textbook definition (alternating-sign faces of sorted simplices) and
@@ -9,7 +9,8 @@ full, without the clearing across degrees that ``homology`` does; it
 checks the integer boundary matrices a simplicial complex builds
 itself.  A third, ``rational_betti``, takes the ranks of the dense
 boundary matrices over the rationals; by universal coefficients its
-Betti numbers are the integer ones.
+Betti numbers are the integer ones.  The projective spaces built by
+``antipodal_quotient`` are the regular complexes that carry torsion.
 """
 
 import contextlib
@@ -25,14 +26,10 @@ from hypothesis import strategies as st
 from vorocell import cli
 from vorocell.cells import (
     Cell,
-    GroupAction,
     RegularComplex,
     SimplicialComplex,
     _sparse_reduce,
-    barycentric_subdivision,
-    dual_cells,
     homology,
-    quotient,
 )
 from vorocell.linalg import matrix_rank
 from vorocell.sl2 import QuotientTessellation
@@ -137,7 +134,6 @@ def test_interval_basics():
     assert cx.f_vector() == (2, 1)
     assert cx.euler_characteristic() == 1
     assert cx.boundary_matrix(1) == {(0, 0): -1, (1, 0): 1}
-    assert cx.closure("e") == frozenset({"a", "b", "e"})
 
 
 def test_rejects_duplicate_ids():
@@ -165,18 +161,6 @@ def test_rejects_nonzero_boundary_of_boundary():
     ]
     with pytest.raises(ValueError):
         RegularComplex(cells)
-
-
-def test_regularity_distinguishes_triangle_from_bigon():
-    triangle = SimplicialComplex([(0, 1, 2)]).to_regular()
-    assert triangle.is_regular()
-    bigon = RegularComplex([
-        Cell("a", 0, ()),
-        Cell("b", 0, ()),
-        Cell("e1", 1, (("a", -1), ("b", 1))),
-        Cell("e2", 1, (("a", -1), ("b", 1))),
-    ])
-    assert not bigon.is_regular()
 
 
 def test_regular_complex_json_round_trip():
@@ -268,7 +252,7 @@ def test_circle_and_disjoint_pieces():
     assert homology(two).betti == (2, 0)
 
 
-def test_rational_mode_drops_torsion(tmp_path):
+def test_homology_without_integer_omits_torsion(tmp_path):
     # without --integer the command prints the Betti numbers only
     path = tmp_path / "rp2.json"
     path.write_text(json.dumps(SimplicialComplex(RP2).to_json_dict()))
@@ -321,14 +305,36 @@ def test_clearing_matches_full_reduction_random(raw):
 
 
 def antipodal_quotient(dim):
-    """The cross-polytope boundary modulo the antipodal map: RP^dim."""
+    """RP^dim: the boundary of the (dim+1)-cross-polytope modulo the
+    antipodal map.
+
+    Vertex 2i+s lies on axis i, and the antipodal map sends it to
+    2i+(1-s).  That keeps the axis order, so the map carries each
+    sorted face onto its antipode with sign +1.  Each orbit {f, -f}
+    becomes one cell, named after the lesser member, and the face
+    dropping vertex i enters with sign (-1)^i.
+    """
+
+    def representative(face):
+        return min(face, tuple(v ^ 1 for v in face))
+
     sc = SimplicialComplex([
         tuple(2 * i + s for i, s in enumerate(signs))
         for signs in itertools.product((0, 1), repeat=dim + 1)
     ])
-    antipodal = {v: v ^ 1 for v in range(2 * dim + 2)}
-    action = GroupAction.from_vertex_permutations(sc, [antipodal])
-    return quotient(sc.to_regular(), action).complex
+    cells = []
+    for d, faces in sorted(sc.faces().items()):
+        for f in faces:
+            if representative(f) != f:
+                continue
+            incidence = {}
+            for i in range(len(f) if d > 0 else 0):
+                g = representative(f[:i] + f[i + 1 :])
+                incidence[g] = incidence.get(g, 0) + (-1) ** i
+            assert all(v in (-1, 1) for v in incidence.values())
+            boundary = tuple((simplex_id(g), v) for g, v in sorted(incidence.items()))
+            cells.append(Cell(simplex_id(f), d, boundary))
+    return RegularComplex(cells)
 
 
 @pytest.mark.parametrize(
@@ -337,6 +343,8 @@ def antipodal_quotient(dim):
 )
 def test_clearing_keeps_torsion_of_projective_spaces(dim, betti, torsion):
     cx = antipodal_quotient(dim)
+    # half the cross-polytope's faces in every dimension
+    assert cx.f_vector() == {2: (3, 6, 4), 3: (4, 12, 16, 8)}[dim]
     assert_clearing_agrees(cx)
     h = homology(cx)
     assert (h.betti, h.torsion) == (betti, torsion)
@@ -369,73 +377,3 @@ def test_double_subdivision_of_interval():
     sd2 = SimplicialComplex([(0, 1)]).subdivide().subdivide()
     assert sd2.f_vector() == (5, 4)
     assert homology(sd2).betti == (1, 0)
-
-
-# -- duals ----------------------------------------------------------------------
-
-
-def test_dual_of_subdivided_sphere():
-    reg = SimplicialComplex(OCTAHEDRON).to_regular()
-    sd = barycentric_subdivision(reg).to_regular()
-    dual = dual_cells(sd, [c for c in sd.cells])
-    assert dual.f_vector() == tuple(reversed(sd.f_vector()))
-    assert homology(dual).betti == (1, 0, 1)
-
-
-def test_dual_requires_coface_closed_selection():
-    reg = SimplicialComplex([(0, 1, 2)]).to_regular()
-    with pytest.raises(ValueError, match="coface-closed"):
-        dual_cells(reg, ["0"])
-
-
-# -- group actions and quotients -------------------------------------------------
-
-
-def hexagon_complex():
-    return SimplicialComplex([(i, (i + 1) % 6) for i in range(6)])
-
-
-def rotation_action(sc, shift):
-    perm = {v: (v + shift) % 6 for v in range(6)}
-    return GroupAction.from_vertex_permutations(sc, [perm])
-
-
-def test_quotient_of_hexagon_by_rotation_three():
-    sc = hexagon_complex()
-    result = quotient(sc.to_regular(), rotation_action(sc, 3))
-    assert result.complex.f_vector() == (3, 3)
-    assert result.regular
-    assert homology(result.complex).betti == (1, 1)
-
-
-def test_quotient_of_hexagon_by_rotation_two_is_bigon():
-    sc = hexagon_complex()
-    result = quotient(sc.to_regular(), rotation_action(sc, 2))
-    assert result.complex.f_vector() == (2, 2)
-    assert not result.regular
-    assert homology(result.complex).betti == (1, 1)
-
-
-def test_projective_plane_as_octahedron_quotient():
-    sc = SimplicialComplex(OCTAHEDRON)
-    antipodal = {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4}
-    action = GroupAction.from_vertex_permutations(sc, [antipodal])
-    assert len(action) == 2
-    result = quotient(sc.to_regular(), action)
-    assert result.complex.f_vector() == (3, 6, 4)
-    h = homology(result.complex)
-    assert h.betti == (1, 0, 0)
-    assert h.torsion == ((), (2,), ())
-
-
-def test_quotient_rejects_non_free_action():
-    sc = SimplicialComplex([(0, 1)])
-    flip = GroupAction.from_vertex_permutations(sc, [{0: 1, 1: 0}])
-    with pytest.raises(ValueError, match="not free"):
-        quotient(sc.to_regular(), flip)
-
-
-def test_vertex_permutation_must_cover_vertices():
-    sc = SimplicialComplex([(0, 1, 2)])
-    with pytest.raises(ValueError):
-        GroupAction.from_vertex_permutations(sc, [{0: 1, 1: 0}])

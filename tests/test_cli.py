@@ -37,6 +37,11 @@ OCTAHEDRON = [
     (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5),
 ]
 
+RP2 = [
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+    (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
+]
+
 
 # -- happy paths -----------------------------------------------------------------
 
@@ -314,8 +319,22 @@ def test_complex_list_fields_name_the_field(tmp_path, command, field, message):
          "faces must be a list of objects"),
         ({"format": 1, "maximal_faces": [[1, "a"]]},
          "maximal_faces must be a list of lists of integers"),
+        ({"format": 1, "dims": 5, "cells": [{"id": "a", "dim": 0, "faces": []}]},
+         "dims must be a list of integers"),
+        ({"format": 1, "cells": [{"id": "a", "dim": "x", "faces": []}]},
+         "dim must be an integer"),
+        ({"format": 1, "cells": [{"id": "a", "dim": float("inf"), "faces": []}]},
+         "dim must be an integer"),
+        ({"format": 1, "cells": [
+            {"id": "a", "dim": 0, "faces": []},
+            {"id": "e", "dim": 1, "faces": [{"id": "a", "sign": "q"}]},
+        ]}, "sign must be an integer"),
     ],
-    ids=["faces-not-a-list", "faces-of-numbers", "vertex-not-an-integer"],
+    ids=[
+        "faces-not-a-list", "faces-of-numbers", "vertex-not-an-integer",
+        "dims-not-a-list", "dim-not-an-integer", "dim-infinite",
+        "sign-not-an-integer",
+    ],
 )
 def test_complex_nested_fields_name_the_field(tmp_path, doc, message):
     path = tmp_path / "complex.json"
@@ -326,14 +345,17 @@ def test_complex_nested_fields_name_the_field(tmp_path, doc, message):
 
 
 def test_complex_loaders_still_convert_entries(tmp_path):
-    # string and float vertex labels and string signs loaded before the
-    # field checks, and still do
+    # string and float vertex labels, string signs, and numeric-string
+    # and float dimensions loaded before the field checks, and still do
     path = tmp_path / "edge.json"
     path.write_text(json.dumps({"format": 1, "maximal_faces": [["0", 1.0]]}))
     assert json.loads(run("homology", "--complex", str(path)).stdout)["betti"] == [1, 0]
     doc = SimplicialComplex([(0, 1)]).to_regular().to_json_dict()
     for face in doc["cells"][-1]["faces"]:
         face["sign"] = str(face["sign"])
+    doc["cells"][0]["dim"] = "0"
+    doc["cells"][-1]["dim"] = 1.0
+    doc["dims"] = [2.0, 1.0]
     path.write_text(json.dumps(doc))
     assert json.loads(run("homology", "--complex", str(path)).stdout)["betti"] == [1, 0]
 
@@ -479,6 +501,21 @@ def test_verbose_reports_dd_counters():
     # 73 of the 74 neighbors match a known class (the first D4 is new);
     # each match places its 4 columns without backtracking
     assert counters["isometry"] == {"calls": 73, "hits": 73, "nodes": 292}
+
+
+def test_verbose_reports_homology_counters(tmp_path):
+    path = write_complex(tmp_path / "rp2.json", RP2)
+    plain = run("homology", "--complex", path, "--integer")
+    flagged = run("-v", "homology", "--complex", path, "--integer")
+    assert flagged.returncode == 0
+    assert flagged.stdout == plain.stdout
+    (line,) = flagged.stderr.splitlines()
+    # 9 unit pivots in degree 2 and 5 in degree 1; the 3 x 1 residual
+    # of degree 2 is where the invariant factor 2 lives
+    assert json.loads(line) == {
+        "homology": {"unit_pivots": 14, "residual_rows": 3, "residual_cols": 1}
+    }
+    assert json.loads(plain.stdout)["torsion"] == [[], [2], []]
 
 
 def test_cached_parser_matches_a_fresh_one(tmp_path, monkeypatch, capsys):

@@ -1,8 +1,8 @@
 """Exact linear algebra kernel tests.
 
 Reference computations (rank, determinant, reduced row echelon form,
-inverse, Smith form) come from sympy so the hand-rolled integer
-elimination is checked against an independent implementation.
+Smith form) come from sympy so the hand-rolled integer elimination is
+checked against an independent implementation.
 """
 
 import random
@@ -19,8 +19,6 @@ from vorocell.linalg import (
     SymMatrix,
     cone_membership,
     det,
-    identity_matrix,
-    invert,
     integer_ldlt,
     is_positive_definite,
     mat_mul,
@@ -271,19 +269,6 @@ def test_solve_linear_matches_sympy_rref(a, data):
         assert all(sum(x * y for x, y in zip(row, k)) == 0 for k in sol.kernel)
 
 
-@given(st.integers(1, 4).flatmap(lambda n: rational_matrix(n, n)))
-def test_invert_matches_sympy(rows):
-    m = sympy_matrix(rows)
-    if m.det() == 0:
-        with pytest.raises(ValueError):
-            invert(rows)
-        return
-    inv = invert(rows)
-    expect = m.inv()
-    assert inv == [[to_fraction(expect[i, j]) for j in range(m.cols)] for i in range(m.rows)]
-    assert all(isinstance(x, Fraction) for row in inv for x in row)
-
-
 @given(int_matrix(4, 3))
 @settings(max_examples=60)
 def test_smith_factors_match_sympy(rows):
@@ -291,14 +276,6 @@ def test_smith_factors_match_sympy(rows):
     expect = sympy_smith_factors(rows)
     assert list(factors) == expect
     assert rank == len(expect)
-
-
-def test_invert_round_trip():
-    m = [[Fraction(2), Fraction(1)], [Fraction(7), Fraction(4)]]
-    inv = invert(m)
-    assert mat_mul(m, inv) == [[1, 0], [0, 1]]
-    with pytest.raises(ValueError):
-        invert([[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]])
 
 
 def test_solve_linear_unique_and_kernel():

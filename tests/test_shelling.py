@@ -35,7 +35,7 @@ from vorocell.shelling import (
 # -- literal oracle -----------------------------------------------------------
 
 
-def closure(face):
+def face_closure(face):
     """All subsets, including the empty face."""
     face = tuple(sorted(face))
     return {
@@ -50,13 +50,13 @@ def literal_shelling_check(ordering):
     for j, f in enumerate(ordering):
         fs = frozenset(f)
         if j:
-            inter = closure(fs) & prior
+            inter = face_closure(fs) & prior
             ridges = [fs - {v} for v in fs]
-            chosen = [r for r in ridges if closure(r) <= inter]
-            union = set().union(*(closure(r) for r in chosen)) if chosen else set()
+            chosen = [r for r in ridges if face_closure(r) <= inter]
+            union = set().union(*(face_closure(r) for r in chosen)) if chosen else set()
             if not chosen or inter != union:
                 return False
-        prior |= closure(fs)
+        prior |= face_closure(fs)
     return True
 
 
