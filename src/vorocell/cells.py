@@ -7,8 +7,9 @@ incidence structure must compose to zero (the chain condition).  A
 simplicial complex builds its boundary matrices straight from its sorted
 integer faces.  ``homology`` reads only ``f_vector()`` and
 ``boundary_matrix(d)`` of either kind and works over the integers via
-Smith normal form, with a sparse unit-pivot elimination pass so that
-boundary matrices with tens of thousands of cells stay tractable.
+Smith normal form, with a sparse unit-pivot elimination pass that takes
+the shortest row first, so that boundary matrices with tens of
+thousands of cells stay tractable.
 Degrees are reduced from the top down with clearing: the rows of the
 unit pivots of one boundary matrix are columns the next one down may
 drop, because each such column is an integer combination of the others
@@ -24,7 +25,7 @@ from itertools import combinations
 from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from . import obs
-from .linalg import smith_normal_form
+from .linalg import _integer, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -162,14 +163,6 @@ class RegularComplex:
         return cx
 
 
-def _integer(value, message: str) -> int:
-    """``int(value)``, failing with ``message``, which names the field."""
-    try:
-        return int(value)
-    except (ValueError, TypeError, OverflowError):
-        raise ValueError(message) from None
-
-
 def _simplex_id(simplex: Sequence[int]) -> str:
     """The cell id of a sorted simplex: its vertices joined by dots."""
     return ".".join(map(str, simplex))
@@ -276,11 +269,8 @@ class SimplicialComplex:
         faces = doc["maximal_faces"]
         if not isinstance(faces, list) or not all(isinstance(f, list) for f in faces):
             raise ValueError("maximal_faces must be a list of lists")
-        try:
-            faces = [list(map(int, f)) for f in faces]
-        except (ValueError, TypeError, OverflowError):
-            raise ValueError("maximal_faces must be a list of lists of integers") from None
-        return SimplicialComplex(faces)
+        message = "maximal_faces must be a list of lists of integers"
+        return SimplicialComplex([_integer(v, message) for v in f] for f in faces)
 
 
 def barycentric_subdivision(cx: RegularComplex) -> SimplicialComplex:
@@ -329,11 +319,12 @@ def _sparse_reduce(
     """Invariant factors (as many as the rank) and unit-pivot rows of a
     sparse integer matrix, with the columns in ``cleared`` left out.
 
-    Pivots on +-1 entries chosen by the Markowitz fill estimate, which
-    splits off unit invariant factors one at a time; whatever survives
-    without a unit entry goes through the dense Smith routine.  For
-    boundary matrices this residual is tiny (it is where torsion
-    lives).
+    Takes the shortest live row first and pivots on its +-1 entry in
+    the column with the fewest rows, which splits off unit invariant
+    factors one at a time and keeps fill low; a row with no +-1 entry
+    waits until an update gives it one.  Whatever survives without a
+    unit entry goes through the dense Smith routine.  For boundary
+    matrices this residual is tiny (it is where torsion lives).
 
     The rows of the +-1 pivots are what ``homology`` clears in the next
     degree down.  Leaving those columns out keeps the column lattice,
@@ -362,52 +353,47 @@ def _sparse_reduce(
         if v and c not in cleared:
             rows.setdefault(r, {})[c] = v
             cols.setdefault(c, set()).add(r)
-    # Candidate unit pivots live in a lazy heap keyed by the Markowitz
-    # fill estimate.  Stale entries (vanished, no longer +-1, or with an
-    # outdated cost) are re-checked on pop; any +-1 pivot is exact, so
-    # staleness can only affect fill, never correctness.
-    heap: list[tuple[int, int, int]] = []
-    for r, row in rows.items():
-        rlen = len(row)
-        for c, v in row.items():
-            if v in (-1, 1):
-                heap.append(((rlen - 1) * (len(cols[c]) - 1), r, c))
+    # A heap of (length, row).  Every row update pushes the row's new
+    # length, so an entry whose length is out of date has a current twin
+    # and is skipped; any +-1 pivot is exact, so the order can only
+    # affect fill, never correctness.
+    heap = [(len(row), r) for r, row in rows.items()]
     heapq.heapify(heap)
     pivot_rows: set[int] = set()
+    row_updates = 0
     while heap:
-        cost, pr, pc = heapq.heappop(heap)
+        length, pr = heapq.heappop(heap)
         prow = rows.get(pr)
-        if prow is None or prow.get(pc) not in (-1, 1):
+        if prow is None or len(prow) != length:
             continue
-        current = (len(prow) - 1) * (len(cols[pc]) - 1)
-        if current != cost:
-            heapq.heappush(heap, (current, pr, pc))
+        pc = min(
+            (c for c, v in prow.items() if v in (-1, 1)),
+            key=lambda c: (len(cols[c]), c),
+            default=None,
+        )
+        if pc is None:
             continue
         pivot = prow[pc]
+        row_updates += len(cols[pc]) - 1
         for r in list(cols[pc]):
             if r == pr:
                 continue
-            factor = rows[r][pc] * pivot  # pivot is +-1, so this is exact
             row = rows[r]
+            factor = row[pc] * pivot  # pivot is +-1, so this is exact
             for c, v in prow.items():
                 nv = row.get(c, 0) - factor * v
                 if nv:
                     row[c] = nv
-                    cols.setdefault(c, set()).add(r)
-                    if nv in (-1, 1):
-                        heapq.heappush(
-                            heap, ((len(row) - 1) * (len(cols[c]) - 1), r, c)
-                        )
+                    cols[c].add(r)
                 else:
-                    if c in row:
-                        del row[c]
-                        cols[c].discard(r)
-            if not row:
+                    del row[c]
+                    cols[c].discard(r)
+            if row:
+                heapq.heappush(heap, (len(row), r))
+            else:
                 del rows[r]
         for c in prow:
             cols[c].discard(pr)
-            if not cols[c]:
-                del cols[c]
         del rows[pr]
         pivot_rows.add(pr)
     units = [1] * len(pivot_rows)
@@ -418,6 +404,7 @@ def _sparse_reduce(
         unit_pivots=len(pivot_rows),
         residual_rows=len(live_rows),
         residual_cols=len(live_cols),
+        row_updates=row_updates,
     )
     if not rows:
         return units, pivot_rows

@@ -38,6 +38,17 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _integer(value, message: str) -> int:
+    """``int(value)``, failing with ``message``, which names the field,
+    also on a float that is not integral."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(message)
+    try:
+        return int(value)
+    except (ValueError, TypeError, OverflowError):
+        raise ValueError(message) from None
+
+
 class SymMatrix:
     """Immutable symmetric matrix with exact rational entries, stored as
     one integer matrix ``num`` over one positive denominator ``den``.

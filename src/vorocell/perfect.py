@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 from .linalg import (
     SymMatrix,
     _eliminate,
+    _integer,
     _null_space,
     det,
     integer_ldlt,
@@ -527,7 +528,7 @@ class Catalog:
         computes no facets."""
         if doc.get("format") != 1:
             raise ValueError("unsupported catalog format")
-        cat = Catalog(int(doc["n"]))
+        cat = Catalog(_integer(doc["n"], "n must be an integer"))
         count = len(doc["classes"])
         if count == 0:
             raise ValueError("catalog has no classes")

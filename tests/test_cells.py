@@ -31,7 +31,7 @@ from vorocell.cells import (
     _sparse_reduce,
     homology,
 )
-from vorocell.linalg import matrix_rank
+from vorocell.linalg import matrix_rank, smith_normal_form
 from vorocell.sl2 import QuotientTessellation
 
 
@@ -355,6 +355,31 @@ def test_clearing_matches_full_reduction_on_sl2_complexes(level):
     t = QuotientTessellation(level)
     assert_clearing_agrees(t.surface_complex())
     assert_clearing_agrees(t.dual_graph())
+
+
+# -- sparse elimination on plain matrices --------------------------------------
+
+
+def test_sparse_reduce_pivots_on_a_unit_made_by_an_update():
+    # row 0 has no +-1 entry until row 1's pivot on column 0 turns it
+    # from (2, 3) into (0, 1); it then pivots too
+    factors, pivot_rows = _sparse_reduce({(0, 0): 2, (0, 1): 3, (1, 0): 1, (1, 1): 1})
+    assert factors == [1, 1]
+    assert pivot_rows == {0, 1}
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)), st.integers(-3, 3), max_size=30
+    ),
+    st.frozensets(st.integers(0, 6)),
+)
+@settings(max_examples=200, deadline=None)
+def test_sparse_reduce_matches_dense_smith_form_random(entries, cleared):
+    kept = [c for c in range(7) if c not in cleared]
+    dense = [[entries.get((r, c), 0) for c in kept] for r in range(7)]
+    factors, _ = _sparse_reduce(entries, cleared)
+    assert factors == list(smith_normal_form(dense)[0])
 
 
 # -- barycentric subdivision ---------------------------------------------------

@@ -238,9 +238,10 @@ def test_reduce_rejects_indefinite_form(tmp_path):
          "form has dimension 1, catalog has 2"),
         ("catalog", lambda d: d.__setitem__("n", 3),
          "class 0: form has dimension 2, catalog has 3"),
+        ("catalog", lambda d: d.__setitem__("n", 2.5), "n must be an integer"),
     ],
     ids=["zero-denominator", "infinite-entry", "no-classes", "form-dimension",
-         "catalog-dimension"],
+         "catalog-dimension", "n-not-integral"],
 )
 def test_reduce_rejects_bad_documents(tmp_path, fault, edit, message):
     docs = {
@@ -310,6 +311,18 @@ def test_complex_list_fields_name_the_field(tmp_path, command, field, message):
     assert r.stderr == f"error: {path}: bad complex document: {message}\n"
 
 
+def _edge(dim=1, signs=(-1, 1), dims=(2, 1)):
+    """A regular edge a-b, with the given edge dimension, face signs and
+    dims header."""
+    return {"format": 1, "dims": list(dims), "cells": [
+        {"id": "a", "dim": 0, "faces": []},
+        {"id": "b", "dim": 0, "faces": []},
+        {"id": "e", "dim": dim, "faces": [
+            {"id": "a", "sign": signs[0]}, {"id": "b", "sign": signs[1]},
+        ]},
+    ]}
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -329,11 +342,17 @@ def test_complex_list_fields_name_the_field(tmp_path, command, field, message):
             {"id": "a", "dim": 0, "faces": []},
             {"id": "e", "dim": 1, "faces": [{"id": "a", "sign": "q"}]},
         ]}, "sign must be an integer"),
+        ({"format": 1, "maximal_faces": [[0, 1.5], [1.7, 2]]},
+         "maximal_faces must be a list of lists of integers"),
+        (_edge(dim=1.2), "dim must be an integer"),
+        (_edge(signs=(-1.5, 1.99)), "sign must be an integer"),
+        (_edge(dims=[2.0, 1.4]), "dims must be a list of integers"),
     ],
     ids=[
         "faces-not-a-list", "faces-of-numbers", "vertex-not-an-integer",
         "dims-not-a-list", "dim-not-an-integer", "dim-infinite",
-        "sign-not-an-integer",
+        "sign-not-an-integer", "vertex-not-integral", "dim-not-integral",
+        "sign-not-integral", "dims-not-integral",
     ],
 )
 def test_complex_nested_fields_name_the_field(tmp_path, doc, message):
@@ -513,7 +532,9 @@ def test_verbose_reports_homology_counters(tmp_path):
     # 9 unit pivots in degree 2 and 5 in degree 1; the 3 x 1 residual
     # of degree 2 is where the invariant factor 2 lives
     assert json.loads(line) == {
-        "homology": {"unit_pivots": 14, "residual_rows": 3, "residual_cols": 1}
+        "homology": {
+            "residual_cols": 1, "residual_rows": 3, "row_updates": 24, "unit_pivots": 14,
+        }
     }
     assert json.loads(plain.stdout)["torsion"] == [[], [2], []]
 
