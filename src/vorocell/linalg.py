@@ -41,6 +41,8 @@ def _frac(x) -> Fraction:
 def _integer(value, message: str) -> int:
     """``int(value)``, failing with ``message``, which names the field,
     also on a float that is not integral."""
+    if type(value) is int:
+        return value
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(message)
     try:

@@ -23,6 +23,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
+from . import obs
 from .linalg import (
     SymMatrix,
     cone_membership,
@@ -71,9 +72,9 @@ class ReductionResult:
 
 def _positive_certificate(
     vectors: Sequence[Sequence[int]], y: Sequence[Sequence[int]], den: int
-) -> tuple[Fraction, ...]:
+) -> tuple[tuple[Fraction, ...], int]:
     """Strictly positive weights over *all* rays q(v), v in vectors,
-    summing to the form y / den.
+    summing to the form y / den, and the number of LPs solved.
 
     Exists exactly when the target sits in the relative interior of the
     cone; found by pushing the target slightly toward the ray barycenter,
@@ -92,7 +93,7 @@ def _positive_certificate(
         member = cone_membership(rays, shifted)
         if member is not None:
             eps = Fraction(1, 1 << k)
-            return tuple(c + eps for c in member.coefficients)
+            return tuple(c + eps for c in member.coefficients), k + 1
     raise WalkDivergenceError("no strictly positive certificate on the face")
 
 
@@ -155,9 +156,10 @@ def reduce_with_trace(
             support_idx = tuple(sorted(support))
             if not support_idx:
                 raise WalkDivergenceError("empty face support for a nonzero form")
-            coeffs = _positive_certificate(
+            coeffs, lps = _positive_certificate(
                 [record.min_data.vectors[i] for i in support_idx], y, den
             )
+            obs.add("reduction", steps=step, lps=lps)
             return (
                 ReductionResult(
                     class_index=j,

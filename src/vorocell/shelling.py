@@ -18,6 +18,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from . import obs
 from .cells import SimplicialComplex
 
 DEFAULT_BUDGET = 10_000_000
@@ -244,7 +245,8 @@ def find_shelling(c: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Shellin
                     break
         if idx is None:
             if not frames:
-                return ShellingResult("not-shellable", None, nodes)
+                result = ShellingResult("not-shellable", None, nodes)
+                break
             idx, glue_log, _, cands, pos = frames.pop()
             state.unplace(idx, glue_log)
             if cands is None:
@@ -252,15 +254,19 @@ def find_shelling(c: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Shellin
                 pos = cands.index(idx)
             continue
         if nodes >= budget:
-            return ShellingResult("unknown", None, nodes)
+            result = ShellingResult("unknown", None, nodes)
+            break
         nodes += 1
         attach = state.attachment(idx)
         frames.append((idx, state.place(idx), attach, cands, pos))
         if len(frames) == len(facets):
             ordering = tuple(state.sorted_facets[i] for i in state.order)
             attachments = tuple(frame[2] for frame in frames)
-            return ShellingResult("shelled", Shelling(ordering, attachments), nodes)
+            result = ShellingResult("shelled", Shelling(ordering, attachments), nodes)
+            break
         cands = None
+    obs.add("shelling", nodes=nodes)
+    return result
 
 
 def verify_shelling(c: SimplicialComplex, ordering: Sequence[Sequence[int]]) -> bool:

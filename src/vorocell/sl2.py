@@ -4,9 +4,20 @@ The hyperbolic plane carries the ideal triangulation whose cells are
 the translates of the triangle (infinity, 0, 1) under the modular
 group.  Modulo the principal congruence subgroup of level N, cells
 correspond to cosets in PSL2(Z/N): triangles to cosets of the order-3
-rotation, edges to cosets of the order-2 flip, and cusps to cosets of
-the translation subgroup.  The quotient surface, its dual graph, and
-genus bookkeeping all come out of exact coset arithmetic.
+rotation R, edges to cosets of the order-2 flip S, and cusps to cosets
+of the translation subgroup generated by T.
+
+PSL2(Z/N) is held as the sorted list of its canonical sign-folded
+matrices, and each element as its index in that list.  The closure that
+lists the group also records right multiplication by S and by T as two
+permutations of the indices; R = (TS)^-1 = S T^-1 in PSL2, so g.R is the
+T-preimage of g.S and needs no product of its own.  A coset gH is then
+the orbit of g under the permutation of H's generator.  Scanning the
+indices in increasing order, the first one not yet in an orbit is the
+least member of a new orbit, so each orbit is named (and numbered) by
+its least member, as the least matrix of the coset.  Everything after
+the closure, the surface, its dual graph and the genus bookkeeping,
+only looks up list entries.
 """
 
 from __future__ import annotations
@@ -19,43 +30,59 @@ from .cells import Cell, HomologyResult, RegularComplex
 Elt = tuple[int, int, int, int]  # row-major 2x2 matrix mod N
 
 
-def _canon(m: Elt, n: int) -> Elt:
-    a = tuple(x % n for x in m)
-    b = tuple((-x) % n for x in m)
-    return min(a, b)  # type: ignore[return-value]
+def _canon(a: int, b: int, c: int, d: int, n: int) -> Elt:
+    """The lesser of the two sign lifts of (a b; c d) mod n."""
+    m = (a % n, b % n, c % n, d % n)
+    p = (-a % n, -b % n, -c % n, -d % n)
+    return m if m < p else p
 
 
-def _mul(x: Elt, y: Elt, n: int) -> Elt:
-    return (
-        (x[0] * y[0] + x[1] * y[2]) % n,
-        (x[0] * y[1] + x[1] * y[3]) % n,
-        (x[2] * y[0] + x[3] * y[2]) % n,
-        (x[2] * y[1] + x[3] * y[3]) % n,
-    )
-
-
-ROTATION: Elt = (0, 1, -1, 1)  # order 3: cycles the cusps infinity -> 0 -> 1
-FLIP: Elt = (0, -1, 1, 0)  # order 2: reverses the edge (0, infinity)
-SHIFT: Elt = (1, 1, 0, 1)  # order N: stabilizes the cusp at infinity
-
-
-def psl2_elements(n: int) -> list[Elt]:
-    """All of PSL2(Z/N), as canonical sign-folded matrices, by closure
-    under the two standard generators."""
+def _closure(n: int) -> tuple[list[Elt], list[int], list[int]]:
+    """PSL2(Z/N) by closure under S = (0 -1; 1 0) and T = (1 1; 0 1),
+    as the sorted canonical elements and the permutations g -> g.S and
+    g -> g.T of their indices.  (a b; c d).S = (b -a; d -c) and
+    (a b; c d).T = (a a+b; c c+d)."""
     if n < 3:
         raise ValueError("level must be at least 3")
-    gens = [_canon(FLIP, n), _canon(SHIFT, n)]
-    start = _canon((1, 0, 0, 1), n)
+    start = _canon(1, 0, 0, 1, n)
+    products: dict[Elt, tuple[Elt, Elt]] = {}
     seen = {start}
     frontier = [start]
     while frontier:
         g = frontier.pop()
-        for h in gens:
-            p = _canon(_mul(g, h, n), n)
+        a, b, c, d = g
+        pair = products[g] = (_canon(b, -a, d, -c, n), _canon(a, a + b, c, c + d, n))
+        for p in pair:
             if p not in seen:
                 seen.add(p)
                 frontier.append(p)
-    return sorted(seen)
+    elements = sorted(products)
+    index = {g: i for i, g in enumerate(elements)}
+    flip = [index[products[g][0]] for g in elements]
+    shift = [index[products[g][1]] for g in elements]
+    return elements, flip, shift
+
+
+def psl2_elements(n: int) -> list[Elt]:
+    """All of PSL2(Z/N), as sorted canonical sign-folded matrices."""
+    return _closure(n)[0]
+
+
+def _orbits(perm: list[int]) -> tuple[list[int], list[int]]:
+    """Each index's orbit number under ``perm``, and each orbit's least
+    member.  Indices are scanned in increasing order, so orbits are
+    numbered in the order of their least members."""
+    orbit = [-1] * len(perm)
+    least: list[int] = []
+    for i in range(len(perm)):
+        if orbit[i] < 0:
+            k = len(least)
+            least.append(i)
+            j = i
+            while orbit[j] < 0:
+                orbit[j] = k
+                j = perm[j]
+    return orbit, least
 
 
 class QuotientTessellation:
@@ -63,56 +90,34 @@ class QuotientTessellation:
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.elements = psl2_elements(n)
-        rot = _canon(ROTATION, n)
-        self._rot_powers = [
-            (1, 0, 0, 1),
-            ROTATION,
-            _mul(ROTATION, ROTATION, n),
-        ]
-        self._triangle_of = self._coset_map([(1, 0, 0, 1), rot, _mul(rot, rot, n)])
-        self._edge_of = self._coset_map([(1, 0, 0, 1), FLIP])
-        shift_powers = []
-        p: Elt = (1, 0, 0, 1)
-        for _ in range(n):
-            shift_powers.append(p)
-            p = _mul(p, SHIFT, n)
-        self._cusp_of = self._coset_map(shift_powers)
-        self.triangles = sorted(set(self._triangle_of.values()))
-        self.edges = sorted(set(self._edge_of.values()))
-        self.cusps = sorted(set(self._cusp_of.values()))
-
-    def _coset_map(self, subgroup: list[Elt]) -> dict[Elt, Elt]:
-        """Each element's coset g.H, named by its least member.  The
-        elements are sorted and H holds the identity, so the first
-        element not yet assigned is the least member of its coset."""
-        out: dict[Elt, Elt] = {}
-        for g in self.elements:
-            if g not in out:
-                for h in subgroup:
-                    out[_canon(_mul(g, h, self.n), self.n)] = g
-        return out
+        self.elements, self._flip, shift = _closure(n)
+        unshift = [0] * len(shift)
+        for i, j in enumerate(shift):
+            unshift[j] = i
+        self._rot = [unshift[j] for j in self._flip]
+        self._edge_of, self.edges = _orbits(self._flip)
+        self._cusp_of, self.cusps = _orbits(shift)
+        self.triangles = _orbits(self._rot)[1]
 
     def counts(self) -> tuple[int, int, int]:
         return (len(self.triangles), len(self.edges), len(self.cusps))
 
-    def triangle_edges(self, g: Elt) -> list[tuple[Elt, int]]:
-        """The three boundary edges of the triangle through g, each with
-        the sign comparing the traversal direction against the edge's
-        canonical direction (its lexicographically least lift)."""
+    def triangle_edges(self, g: int) -> list[tuple[int, int]]:
+        """The three boundary edges of the triangle through element g,
+        each as its edge number with the sign comparing the traversal
+        direction g, g.R, g.R^2 against the edge's canonical direction
+        (its least lift)."""
+        rot, edge_of, edges = self._rot, self._edge_of, self.edges
         out = []
-        for rp in self._rot_powers:
-            x = _canon(_mul(g, rp, self.n), self.n)
-            coset = self._edge_of[x]
-            sign = 1 if x == coset else -1
-            out.append((coset, sign))
+        for x in (g, rot[g], rot[rot[g]]):
+            e = edge_of[x]
+            out.append((e, 1 if edges[e] == x else -1))
         return out
 
-    def edge_cusps(self, h: Elt) -> tuple[Elt, Elt]:
-        """(tail, head) cusps of an edge in its canonical direction."""
-        tail = self._cusp_of[h]
-        head = self._cusp_of[_canon(_mul(h, FLIP, self.n), self.n)]
-        return (tail, head)
+    def edge_cusps(self, e: int) -> tuple[int, int]:
+        """(tail, head) cusp numbers of edge e in its canonical direction."""
+        h = self.edges[e]
+        return (self._cusp_of[h], self._cusp_of[self._flip[h]])
 
     def surface_complex(self) -> RegularComplex:
         """The quotient surface as an oriented 2-complex.
@@ -120,35 +125,28 @@ class QuotientTessellation:
         Each triangle's boundary is a directed 3-cycle of edges, so the
         chain condition holds by telescoping.
         """
-        cusp_id = {c: f"c{i}" for i, c in enumerate(self.cusps)}
-        edge_id = {e: f"e{i}" for i, e in enumerate(self.edges)}
-        tri_id = {t: f"t{i}" for i, t in enumerate(self.triangles)}
-        cells = [Cell(cusp_id[c], 0, ()) for c in self.cusps]
-        for e in self.edges:
-            tail, head = self.edge_cusps(e)
-            cells.append(Cell(edge_id[e], 1, ((cusp_id[head], 1), (cusp_id[tail], -1))))
-        for t in self.triangles:
-            faces = tuple(
-                (edge_id[e], sign) for e, sign in self.triangle_edges(t)
-            )
-            cells.append(Cell(tri_id[t], 2, faces))
+        cells = [Cell(f"c{i}", 0, ()) for i in range(len(self.cusps))]
+        for j in range(len(self.edges)):
+            tail, head = self.edge_cusps(j)
+            cells.append(Cell(f"e{j}", 1, ((f"c{head}", 1), (f"c{tail}", -1))))
+        for i, t in enumerate(self.triangles):
+            faces = tuple((f"e{e}", sign) for e, sign in self.triangle_edges(t))
+            cells.append(Cell(f"t{i}", 2, faces))
         return RegularComplex(cells)
 
     def dual_graph(self) -> RegularComplex:
         """Triangle-adjacency graph: one vertex per triangle, one edge
         per tessellation edge (joining the two triangles it bounds)."""
-        sides: dict[Elt, list[int]] = {e: [] for e in self.edges}
+        sides: list[list[int]] = [[] for _ in self.edges]
         for i, t in enumerate(self.triangles):
             for e, _sign in self.triangle_edges(t):
                 sides[e].append(i)
         cells = [Cell(f"t{i}", 0, ()) for i in range(len(self.triangles))]
-        for j, e in enumerate(self.edges):
-            pair = sorted(sides[e])
+        for j, pair in enumerate(sides):
             if len(pair) != 2:
                 raise AssertionError(f"edge bounds {len(pair)} triangles")
-            cells.append(
-                Cell(f"d{j}", 1, ((f"t{pair[1]}", 1), (f"t{pair[0]}", -1)))
-            )
+            lo, hi = sorted(pair)
+            cells.append(Cell(f"d{j}", 1, ((f"t{hi}", 1), (f"t{lo}", -1))))
         return RegularComplex(cells)
 
 

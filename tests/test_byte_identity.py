@@ -11,7 +11,10 @@ default `homology` took a rank-only exit over the rationals; the direct
 integer boundary matrices and the single path over the integers keep
 them.  The three `bench1_*` reduce hashes were recorded while the
 certificate LP and the reduction walk still ran in `Fraction`; the
-fraction-free tableau and the integer walk keep them.
+fraction-free tableau and the integer walk keep them.  The level-31
+`sl2` hashes were recorded while the quotient still multiplied 2x2
+matrices for every coset; indexing PSL2(Z/N) and its permutations
+keeps them.
 """
 
 import contextlib
@@ -89,6 +92,10 @@ SL2 = {
     (12, False): (
         "c0986ddeebe9a9916dc2569e14f660bc6f1f46a5fd69ba64279fb8c5d4fdf7da",
         "5000b95f51837cb3faa2bb53042af1dcfcbaedf67faaf60c48db3e2450eb5a95",
+    ),
+    (31, False): (
+        "148d855d9830d7f98c7ebf637aa60d8219ae0b72f239df292adfff886b942f1e",
+        "ee3918cc42f8cb27adece3ed1885567ae1675af1289df7b98d0d44ca542a92c1",
     ),
     (7, True): (
         "68b29de49a4ac717efcab3a7c88fed5807cfec0e17479db426f8de35f90864f0",

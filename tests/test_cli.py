@@ -539,6 +539,45 @@ def test_verbose_reports_homology_counters(tmp_path):
     assert json.loads(plain.stdout)["torsion"] == [[], [2], []]
 
 
+def test_verbose_reports_reduction_counters(tmp_path):
+    catalog = tmp_path / "cat4.json"
+    assert run("perfect", "enumerate", "--n", "4", "--out", str(catalog)).returncode == 0
+    form = tmp_path / "form.json"
+    # seed-1 benchmark form 19: four crossings, then eight LPs, halving
+    # eps from 1 to 1/128 before the pushed target lies in the face's cone
+    form.write_text(json.dumps({"n": 4, "rows": [
+        ["155/72", "-83/72", "-43/36", "1/9"],
+        ["-83/72", "811/360", "233/180", "-19/90"],
+        ["-43/36", "233/180", "107/45", "-109/90"],
+        ["1/9", "-19/90", "-109/90", "199/90"],
+    ]}))
+    plain = run("reduce", "--form", str(form), "--catalog", str(catalog))
+    flagged = run("-v", "reduce", "--form", str(form), "--catalog", str(catalog))
+    assert flagged.returncode == 0
+    assert flagged.stdout == plain.stdout
+    assert json.loads(plain.stdout)["steps"] == 4
+    (line,) = flagged.stderr.splitlines()
+    counters = json.loads(line)
+    assert counters["reduction"] == {"steps": 4, "lps": 8}
+    # each crossing builds its neighbor once and matches it to a class
+    assert counters["neighbor"] == {"steps": 4, "ldlt_probes": 4}
+
+
+@pytest.mark.parametrize("faces, nodes", [
+    (OCTAHEDRON, 8),  # shelled in facet order, no backtracking
+    ([(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4), (0, 1, 4)], 35),  # Moebius band
+])
+def test_verbose_reports_shelling_counters(tmp_path, faces, nodes):
+    path = write_complex(tmp_path / "complex.json", faces)
+    plain = run("shell", "--complex", path)
+    flagged = run("-v", "shell", "--complex", path)
+    assert flagged.returncode == plain.returncode
+    assert flagged.stdout == plain.stdout
+    (line,) = flagged.stderr.splitlines()
+    assert json.loads(line) == {"shelling": {"nodes": nodes}}
+    assert json.loads(plain.stdout)["nodes_used"] == nodes
+
+
 def test_cached_parser_matches_a_fresh_one(tmp_path, monkeypatch, capsys):
     """Several commands in one process share the module's parser; each
     call's stdout, stderr and exit code equal those of the same call on

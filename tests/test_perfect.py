@@ -340,10 +340,11 @@ def reference_equivalence(a: SymMatrix, b: SymMatrix):
         return None
     if not is_positive_definite(a) or not is_positive_definite(b):
         raise ValueError("both forms must be positive definite")
-    if det(a.rows) != det(b.rows):
+    a_rows, b_rows = a.rows, b.rows  # each access builds a fresh Fraction view
+    if det(a_rows) != det(b_rows):
         return None
     n = a.n
-    targets = [b.rows[j][j] for j in range(n)]
+    targets = [b_rows[j][j] for j in range(n)]
     by_value = {}
     for v, val in vectors_below(a, max(targets)):
         by_value.setdefault(val, []).extend([v, tuple(-x for x in v)])
@@ -357,9 +358,9 @@ def reference_equivalence(a: SymMatrix, b: SymMatrix):
 
     def place(j):
         for v in candidates[j]:
-            av = [sum(a.rows[i][k] * v[k] for k in range(n)) for i in range(n)]
+            av = [sum(a_rows[i][k] * v[k] for k in range(n)) for i in range(n)]
             if all(
-                sum(av[i] * u[i] for i in range(n)) == b.rows[j][jj]
+                sum(av[i] * u[i] for i in range(n)) == b_rows[j][jj]
                 for jj, u in enumerate(cols)
             ):
                 cols.append(v)

@@ -4,14 +4,16 @@ Oracle: the order of the projective matrix group is counted directly
 by scanning all 2x2 matrices mod N for determinant one and halving
 (for N >= 3 the center {I, -I} has order two).  Cell counts must then
 be the index of the corresponding stabilizer subgroups, and the genus
-must agree with Euler counting.
+must agree with Euler counting.  The complexes themselves are checked
+against a second construction by plain coset arithmetic: generic 2x2
+products mod N and explicit cosets gH.
 """
 
 import itertools
 
 import pytest
 
-from vorocell.cells import homology
+from vorocell.cells import Cell, RegularComplex, homology
 from vorocell.sl2 import (
     QuotientTessellation,
     genus_report,
@@ -120,3 +122,71 @@ def test_surface_complex_deterministic():
     a = QuotientTessellation(6).surface_complex().to_json_dict()
     b = QuotientTessellation(6).surface_complex().to_json_dict()
     assert a == b
+
+
+# -- complexes from explicit cosets ------------------------------------------------
+
+IDENTITY = (1, 0, 0, 1)
+ROTATION = (0, 1, -1, 1)  # cycles the cusps infinity -> 0 -> 1
+FLIP = (0, -1, 1, 0)  # reverses the edge (0, infinity)
+
+
+def matmul(x, y, n):
+    (a, b, c, d), (e, f, g, h) = x, y
+    return ((a * e + b * g) % n, (a * f + b * h) % n, (c * e + d * g) % n, (c * f + d * h) % n)
+
+
+def fold(m, n):
+    """The lesser of the two sign lifts of m in PSL2(Z/N)."""
+    return min(tuple(x % n for x in m), tuple(-x % n for x in m))
+
+
+def brute_elements(n):
+    return sorted({
+        fold(m, n)
+        for m in itertools.product(range(n), repeat=4)
+        if (m[0] * m[3] - m[1] * m[2]) % n == 1
+    })
+
+
+def coset_names(elements, subgroup, n):
+    """Each element's coset gH, named by the least member of the set."""
+    return {g: min(fold(matmul(g, h, n), n) for h in subgroup) for g in elements}
+
+
+def coset_complexes(n):
+    """(surface, dual graph) of level n, cells numbered in the order of
+    their cosets' least members."""
+    elements = brute_elements(n)
+    rotations = [IDENTITY, ROTATION, matmul(ROTATION, ROTATION, n)]
+    edge_of = coset_names(elements, [IDENTITY, FLIP], n)
+    cusp_of = coset_names(elements, [(1, k, 0, 1) for k in range(n)], n)
+    triangles = sorted(set(coset_names(elements, rotations, n).values()))
+    edges = sorted(set(edge_of.values()))
+    cusp_id = {c: f"c{i}" for i, c in enumerate(sorted(set(cusp_of.values())))}
+    edge_id = {e: f"e{j}" for j, e in enumerate(edges)}
+    surface = [Cell(c, 0, ()) for c in cusp_id.values()]
+    for e in edges:
+        tail, head = cusp_of[e], cusp_of[fold(matmul(e, FLIP, n), n)]
+        surface.append(Cell(edge_id[e], 1, ((cusp_id[head], 1), (cusp_id[tail], -1))))
+    sides = {e: [] for e in edges}
+    for k, t in enumerate(triangles):
+        faces = []
+        for r in rotations:
+            x = fold(matmul(t, r, n), n)
+            faces.append((edge_id[edge_of[x]], 1 if x == edge_of[x] else -1))
+            sides[edge_of[x]].append(k)
+        surface.append(Cell(f"t{k}", 2, tuple(faces)))
+    dual = [Cell(f"t{k}", 0, ()) for k in range(len(triangles))]
+    for j, e in enumerate(edges):
+        lo, hi = sorted(sides[e])
+        dual.append(Cell(f"d{j}", 1, ((f"t{hi}", 1), (f"t{lo}", -1))))
+    return RegularComplex(surface), RegularComplex(dual)
+
+
+def test_complexes_match_explicit_cosets():
+    for n in range(3, 17):
+        surface, dual = coset_complexes(n)
+        t = QuotientTessellation(n)
+        assert t.surface_complex().to_json_dict() == surface.to_json_dict(), n
+        assert t.dual_graph().to_json_dict() == dual.to_json_dict(), n
