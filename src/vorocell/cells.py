@@ -1,15 +1,16 @@
 """Finite regular cell complexes and simplicial complexes: chain
 complexes, subdivision, and integer homology.
 
-A regular complex is stored purely combinatorially: every cell knows its
-dimension and its signed list of codimension-one faces, and the signed
-incidence structure must compose to zero (the chain condition).  A
-simplicial complex builds its boundary matrices straight from its sorted
-integer faces.  ``homology`` reads only ``f_vector()`` and
-``boundary_matrix(d)`` of either kind and works over the integers via
-Smith normal form, with a sparse unit-pivot elimination pass that takes
-the shortest row first, so that boundary matrices with tens of
-thousands of cells stay tractable.
+A regular complex is stored as integer cells: per dimension, the sorted
+cell ids and each cell's signed faces as indices one dimension down.
+Builders make it correct by construction; a loaded document is checked
+once, for consistent faces and the chain condition (the boundary of a
+boundary vanishes).  A simplicial complex builds its boundary matrices
+straight from its sorted integer faces.  ``homology`` reads only
+``f_vector()`` and ``boundary_matrix(d)`` of either kind and works over
+the integers via Smith normal form, with a sparse unit-pivot
+elimination pass that takes the shortest row first, so that boundary
+matrices with tens of thousands of cells stay tractable.
 Degrees are reduced from the top down with clearing: the rows of the
 unit pivots of one boundary matrix are columns the next one down may
 drop, because each such column is an integer combination of the others
@@ -21,84 +22,81 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations
-from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
+from itertools import accumulate, combinations
+from typing import AbstractSet, Iterable, Mapping, Optional
 
 from . import obs
 from .linalg import _integer, smith_normal_form
 
 
-@dataclass(frozen=True)
-class Cell:
-    id: str
-    dim: int
-    faces: tuple[tuple[str, int], ...]  # (face id, incidence sign)
-
-
 class RegularComplex:
-    """A validated cell complex with signed boundary data.
+    """A finite regular cell complex as integer cells.
 
-    Construction checks that face references are consistent (existing
-    ids, dimension exactly one lower, signs in {-1, +1}, no repeats,
-    nonempty boundary in positive dimension) and that the boundary of a
-    boundary vanishes.
+    ``ids[d]`` lists the ids of the d-cells in sorted order, and
+    ``faces[d][j]`` is the boundary of cell ``ids[d][j]``: its ``(index
+    in dimension d-1, sign)`` pairs, in the order the cell lists them.
+    The constructor trusts its arguments.  ``from_json_dict`` holds a
+    document to ``check``, and the tests hold every builder to it.
     """
 
-    def __init__(self, cells: Iterable[Cell]) -> None:
-        self.cells: dict[str, Cell] = {}
-        for cell in cells:
-            if cell.id in self.cells:
-                raise ValueError(f"duplicate cell id {cell.id!r}")
-            self.cells[cell.id] = cell
-        for cell in self.cells.values():
-            if cell.dim < 0:
-                raise ValueError(f"cell {cell.id!r} has negative dimension")
-            if cell.dim == 0 and cell.faces:
-                raise ValueError(f"vertex {cell.id!r} must not list faces")
-            if cell.dim > 0 and not cell.faces:
-                raise ValueError(f"cell {cell.id!r} of dimension {cell.dim} has no faces")
-            seen = set()
-            for fid, sign in cell.faces:
-                if fid not in self.cells:
-                    raise ValueError(f"cell {cell.id!r} references unknown face {fid!r}")
-                if self.cells[fid].dim != cell.dim - 1:
+    def __init__(
+        self, ids: list[list[str]], faces: list[list[tuple[tuple[int, int], ...]]]
+    ) -> None:
+        self.ids = ids
+        self.faces = faces
+
+    def check(self) -> None:
+        """Raise ValueError unless the cells form a regular complex: ids
+        unique and sorted in each dimension, no empty dimension, no faces
+        on a vertex, a nonempty boundary on every other cell, faces that
+        exist one dimension down, signs in {-1, +1}, no repeated face,
+        and a boundary of a boundary that vanishes."""
+        ids, faces = self.ids, self.faces
+        if list(map(len, ids)) != list(map(len, faces)):
+            raise ValueError("ids and faces differ in shape")
+        seen: set[str] = set()
+        for d, group in enumerate(ids):
+            if not group:
+                raise ValueError(f"no cells of dimension {d}")
+            for cid in group:
+                if cid in seen:
+                    raise ValueError(f"duplicate cell id {cid!r}")
+                seen.add(cid)
+            if any(a >= b for a, b in zip(group, group[1:])):
+                raise ValueError(f"cell ids of dimension {d} are not sorted")
+        for d, cells in enumerate(faces):
+            below = ids[d - 1] if d else []
+            for cid, cell in zip(ids[d], cells):
+                if d == 0 and cell:
+                    raise ValueError(f"vertex {cid!r} must not list faces")
+                if d > 0 and not cell:
+                    raise ValueError(f"cell {cid!r} of dimension {d} has no faces")
+                listed: set[int] = set()
+                for k, sign in cell:
+                    if not 0 <= k < len(below):
+                        raise ValueError(f"cell {cid!r} references unknown face {k}")
+                    if sign not in (-1, 1):
+                        raise ValueError(
+                            f"face sign of {below[k]!r} in {cid!r} must be -1 or +1"
+                        )
+                    if k in listed:
+                        raise ValueError(f"face {below[k]!r} repeated in cell {cid!r}")
+                    listed.add(k)
+                if d < 2:
+                    continue
+                acc: dict[int, int] = {}  # the boundary of the boundary
+                for k, sign in cell:
+                    for m, s in faces[d - 1][k]:
+                        acc[m] = acc.get(m, 0) + sign * s
+                bad = [m for m, v in acc.items() if v]
+                if bad:
                     raise ValueError(
-                        f"face {fid!r} of {cell.id!r} has dimension "
-                        f"{self.cells[fid].dim}, expected {cell.dim - 1}"
+                        f"boundary of boundary of {cid!r} is nonzero at "
+                        f"{ids[d - 2][bad[0]]!r}"
                     )
-                if sign not in (-1, 1):
-                    raise ValueError(f"face sign of {fid!r} in {cell.id!r} must be -1 or +1")
-                if fid in seen:
-                    raise ValueError(f"face {fid!r} repeated in cell {cell.id!r}")
-                seen.add(fid)
-        for cell in self.cells.values():
-            acc: dict[str, int] = {}
-            for fid, sign in cell.faces:
-                for ffid, fsign in self.cells[fid].faces:
-                    acc[ffid] = acc.get(ffid, 0) + sign * fsign
-            bad = [k for k, v in acc.items() if v != 0]
-            if bad:
-                raise ValueError(
-                    f"boundary of boundary of {cell.id!r} is nonzero at {bad[0]!r}"
-                )
-
-    @property
-    def max_dim(self) -> int:
-        return max((c.dim for c in self.cells.values()), default=-1)
-
-    def cells_of_dim(self, d: int) -> list[Cell]:
-        return sorted(
-            (c for c in self.cells.values() if c.dim == d), key=lambda c: c.id
-        )
 
     def f_vector(self) -> tuple[int, ...]:
-        counts = [0] * (self.max_dim + 1)
-        for c in self.cells.values():
-            counts[c.dim] += 1
-        return tuple(counts)
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * k for d, k in enumerate(self.f_vector()))
+        return tuple(map(len, self.ids))
 
     def boundary_matrix(self, d: int) -> dict[tuple[int, int], int]:
         """Sparse boundary map from d-cells to (d-1)-cells.
@@ -106,53 +104,85 @@ class RegularComplex:
         Entry (i, j) is the incidence of the i-th (d-1)-cell in the
         boundary of the j-th d-cell, both in sorted-id order.
         """
-        rows = {c.id: i for i, c in enumerate(self.cells_of_dim(d - 1))}
-        out: dict[tuple[int, int], int] = {}
-        for j, cell in enumerate(self.cells_of_dim(d)):
-            for fid, sign in cell.faces:
-                out[(rows[fid], j)] = sign
-        return out
+        if not 0 < d < len(self.faces):
+            return {}
+        return {(k, j): s for j, cell in enumerate(self.faces[d]) for k, s in cell}
 
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        ordered = sorted(self.cells.values(), key=lambda c: (c.dim, c.id))
+        ids = self.ids
         return {
             "format": 1,
             "dims": list(self.f_vector()),
             "cells": [
                 {
-                    "id": c.id,
-                    "dim": c.dim,
-                    "faces": [{"id": fid, "sign": s} for fid, s in c.faces],
+                    "id": cid,
+                    "dim": d,
+                    "faces": [{"id": ids[d - 1][k], "sign": s} for k, s in cell],
                 }
-                for c in ordered
+                for d, cells in enumerate(self.faces)
+                for cid, cell in zip(ids[d], cells)
             ],
         }
 
     @staticmethod
     def from_json_dict(doc: dict) -> "RegularComplex":
+        """The complex a document describes, numbered in sorted-id order
+        and validated by ``check``.  Numbering needs dimensions from 0 up
+        with no gap and faces that exist one dimension down, so those
+        faults are reported here."""
         if doc.get("format") != 1:
             raise ValueError("unsupported complex format")
         entries = doc["cells"]
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ValueError("cells must be a list of objects")
+        cells: list[tuple[str, int, list]] = []
+        dim_of: dict[str, int] = {}
         for entry in entries:
-            faces = entry["faces"]
-            if not isinstance(faces, list) or not all(isinstance(f, dict) for f in faces):
+            cid = str(entry["id"])
+            dim = _integer(entry["dim"], "dim must be an integer")
+            listed = entry["faces"]
+            if not isinstance(listed, list):
                 raise ValueError("faces must be a list of objects")
-        cells = [
-            Cell(
-                id=str(entry["id"]),
-                dim=_integer(entry["dim"], "dim must be an integer"),
-                faces=tuple(
-                    (str(f["id"]), _integer(f["sign"], "sign must be an integer"))
-                    for f in entry["faces"]
-                ),
-            )
-            for entry in entries
-        ]
-        cx = RegularComplex(cells)
+            if dim < 0:
+                raise ValueError(f"cell {cid!r} has negative dimension")
+            dim_of[cid] = dim  # a duplicate id is check()'s to report
+            cells.append((cid, dim, listed))
+        cells.sort(key=lambda c: (c[1], c[0]))
+        ids: list[list[str]] = []
+        faces: list[list[tuple[tuple[int, int], ...]]] = []
+        index: dict[str, int] = {}  # id -> its index within its dimension
+        for cid, dim, listed in cells:
+            resolved = []
+            for f in listed:
+                if not isinstance(f, dict):
+                    raise ValueError("faces must be a list of objects")
+                if dim == 0:
+                    raise ValueError(f"vertex {cid!r} must not list faces")
+                fid = str(f["id"])
+                sign = _integer(f["sign"], "sign must be an integer")
+                fdim = dim_of.get(fid)
+                if fdim is None:
+                    raise ValueError(f"cell {cid!r} references unknown face {fid!r}")
+                if fdim != dim - 1:
+                    raise ValueError(
+                        f"face {fid!r} of {cid!r} has dimension {fdim}, expected {dim - 1}"
+                    )
+                resolved.append((index[fid], sign))
+            # the cells come by dimension, and a cell that lists faces has
+            # one a dimension down, so a gap means this cell lists none;
+            # saying so here keeps a huge dim from sizing the lists below
+            if dim > len(ids):
+                raise ValueError(f"cell {cid!r} of dimension {dim} has no faces")
+            if dim == len(ids):
+                ids.append([])
+                faces.append([])
+            index[cid] = len(ids[dim])
+            ids[dim].append(cid)
+            faces[dim].append(tuple(resolved))
+        cx = RegularComplex(ids, faces)
+        cx.check()
         if "dims" in doc:
             message = "dims must be a list of integers"
             dims = doc["dims"]
@@ -161,11 +191,6 @@ class RegularComplex:
             if list(cx.f_vector()) != [_integer(k, message) for k in dims]:
                 raise ValueError("cell counts disagree with the dims header")
         return cx
-
-
-def _simplex_id(simplex: Sequence[int]) -> str:
-    """The cell id of a sorted simplex: its vertices joined by dots."""
-    return ".".join(map(str, simplex))
 
 
 def _facets_of(simplex: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
@@ -226,9 +251,6 @@ class SimplicialComplex:
         faces = self.faces()
         return tuple(len(faces.get(d, [])) for d in range(self.dim + 1))
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * k for d, k in enumerate(self.f_vector()))
-
     def boundary_matrix(self, d: int) -> dict[tuple[int, int], int]:
         """Sparse boundary map from d-faces to (d-1)-faces, d >= 1, both
         indexed in the sorted order of ``faces()``; signs as in
@@ -242,16 +264,21 @@ class SimplicialComplex:
         return out
 
     def to_regular(self) -> RegularComplex:
-        """The same complex as string-named signed cells, with the
-        orientation of ``_facets_of``."""
-        cells = []
+        """The same complex as signed cells, each named by its vertices
+        joined by dots, with the orientation of ``_facets_of``."""
+        ids: list[list[str]] = []
+        faces: list[list[tuple[tuple[int, int], ...]]] = []
+        index: dict[tuple[int, ...], int] = {}  # simplex -> index one dimension down
         for d, simplices in sorted(self.faces().items()):
-            for s in simplices:
-                faces = tuple(
-                    (_simplex_id(f), sign) for f, sign in _facets_of(s)
-                ) if d > 0 else ()
-                cells.append(Cell(id=_simplex_id(s), dim=d, faces=faces))
-        return RegularComplex(cells)
+            # "1.10" sorts before "1.2", so the ids are not in simplex order
+            named = sorted((".".join(map(str, s)), s) for s in simplices)
+            ids.append([name for name, _ in named])
+            faces.append([
+                tuple((index[f], sign) for f, sign in _facets_of(s)) if d else ()
+                for _, s in named
+            ])
+            index = {s: k for k, (_, s) in enumerate(named)}
+        return RegularComplex(ids, faces)
 
     def subdivide(self) -> "SimplicialComplex":
         return barycentric_subdivision(self.to_regular())
@@ -279,27 +306,22 @@ def barycentric_subdivision(cx: RegularComplex) -> SimplicialComplex:
 
     Vertices are numbered by the (dim, id) sort of the original cells,
     so the result is deterministic."""
-    order = sorted(cx.cells.values(), key=lambda c: (c.dim, c.id))
-    index = {c.id: i for i, c in enumerate(order)}
-    has_coface = set()
-    for c in cx.cells.values():
-        for fid, _ in c.faces:
-            has_coface.add(fid)
-    tops = [c.id for c in cx.cells.values() if c.id not in has_coface]
+    offset = list(accumulate(map(len, cx.ids), initial=0))
+    covered = {(d - 1, k) for d, cells in enumerate(cx.faces) for c in cells for k, _ in c}
     chains: list[tuple[int, ...]] = []
 
-    def descend(cell_id: str, acc: list[int]) -> None:
-        acc.append(index[cell_id])
-        cell = cx.cells[cell_id]
-        if cell.dim == 0:
-            chains.append(tuple(sorted(acc)))
-        else:
-            for fid, _ in cell.faces:
-                descend(fid, acc)
+    def descend(d: int, j: int, acc: list[int]) -> None:
+        acc.append(offset[d] + j)
+        if d == 0:  # vertex numbers fall with the dimension along the chain
+            chains.append(tuple(reversed(acc)))
+        for k, _ in cx.faces[d][j]:
+            descend(d - 1, k, acc)
         acc.pop()
 
-    for t in sorted(tops):
-        descend(t, [])
+    for d, group in enumerate(cx.ids):
+        for j in range(len(group)):
+            if (d, j) not in covered:
+                descend(d, j, [])
     return SimplicialComplex(chains)
 
 

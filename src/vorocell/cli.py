@@ -17,6 +17,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -50,7 +51,58 @@ def _fault(e: Exception) -> str:
 
 
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte.  With an
+    indent the stdlib leaves its C encoder for a pure-Python one built of
+    nested generators; this writer appends to one list instead."""
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(x: object, newline: str, out: list[str]) -> None:
+    """Append ``x`` as indented JSON, ``newline`` being the line break
+    and indent of its own line.  Dict keys must be strings; scalars other
+    than strings and ints (bool, None, float) go to ``json.dumps``.  The
+    str and int members of a container, most of any document, are
+    written in place rather than by a call each."""
+    if isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in x.items():
+            key = f"{sep}{encode_basestring_ascii(k)}: "
+            if type(v) is str:
+                out.append(key + encode_basestring_ascii(v))
+            elif type(v) is int:
+                out.append(key + int.__repr__(v))
+            else:
+                out.append(key)
+                _write(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for v in x:
+            if type(v) is int:
+                out.append(sep + int.__repr__(v))
+            else:
+                out.append(sep)
+                _write(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(x, str):
+        out.append(encode_basestring_ascii(x))
+    elif isinstance(x, int) and not isinstance(x, bool):
+        out.append(int.__repr__(x))
+    else:
+        out.append(json.dumps(x))
 
 
 def _load_json(path: Path) -> dict:

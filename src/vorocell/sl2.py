@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import Cell, HomologyResult, RegularComplex
+from .cells import HomologyResult, RegularComplex
 
 Elt = tuple[int, int, int, int]  # row-major 2x2 matrix mod N
 
@@ -63,11 +63,6 @@ def _closure(n: int) -> tuple[list[Elt], list[int], list[int]]:
     return elements, flip, shift
 
 
-def psl2_elements(n: int) -> list[Elt]:
-    """All of PSL2(Z/N), as sorted canonical sign-folded matrices."""
-    return _closure(n)[0]
-
-
 def _orbits(perm: list[int]) -> tuple[list[int], list[int]]:
     """Each index's orbit number under ``perm``, and each orbit's least
     member.  Indices are scanned in increasing order, so orbits are
@@ -97,57 +92,62 @@ class QuotientTessellation:
         self._rot = [unshift[j] for j in self._flip]
         self._edge_of, self.edges = _orbits(self._flip)
         self._cusp_of, self.cusps = _orbits(shift)
-        self.triangles = _orbits(self._rot)[1]
+        self._triangle_of, self.triangles = _orbits(self._rot)
 
     def counts(self) -> tuple[int, int, int]:
         return (len(self.triangles), len(self.edges), len(self.cusps))
 
-    def triangle_edges(self, g: int) -> list[tuple[int, int]]:
-        """The three boundary edges of the triangle through element g,
-        each as its edge number with the sign comparing the traversal
-        direction g, g.R, g.R^2 against the edge's canonical direction
-        (its least lift)."""
-        rot, edge_of, edges = self._rot, self._edge_of, self.edges
-        out = []
-        for x in (g, rot[g], rot[rot[g]]):
-            e = edge_of[x]
-            out.append((e, 1 if edges[e] == x else -1))
-        return out
-
-    def edge_cusps(self, e: int) -> tuple[int, int]:
-        """(tail, head) cusp numbers of edge e in its canonical direction."""
-        h = self.edges[e]
-        return (self._cusp_of[h], self._cusp_of[self._flip[h]])
-
     def surface_complex(self) -> RegularComplex:
-        """The quotient surface as an oriented 2-complex.
+        """The quotient surface as an oriented 2-complex of cusps c<i>,
+        edges e<j> and triangles t<k>.  Edge j runs from the cusp of its
+        least lift h to the cusp of h.S.  The triangle through g has the
+        edges of g, g.R and g.R^2, each signed by whether that element is
+        the edge's least lift.
 
         Each triangle's boundary is a directed 3-cycle of edges, so the
         chain condition holds by telescoping.
         """
-        cells = [Cell(f"c{i}", 0, ()) for i in range(len(self.cusps))]
-        for j in range(len(self.edges)):
-            tail, head = self.edge_cusps(j)
-            cells.append(Cell(f"e{j}", 1, ((f"c{head}", 1), (f"c{tail}", -1))))
-        for i, t in enumerate(self.triangles):
-            faces = tuple((f"e{e}", sign) for e, sign in self.triangle_edges(t))
-            cells.append(Cell(f"t{i}", 2, faces))
-        return RegularComplex(cells)
+        cusp_ids, _, cusp_at = _sorted_names("c", len(self.cusps))
+        edge_ids, edge_order, edge_at = _sorted_names("e", len(self.edges))
+        tri_ids, tri_order, _ = _sorted_names("t", len(self.triangles))
+        cusp_of, flip, rot = self._cusp_of, self._flip, self._rot
+        edge_of, least = self._edge_of, self.edges
+        edges = [
+            ((cusp_at[cusp_of[flip[h]]], 1), (cusp_at[cusp_of[h]], -1))
+            for h in (least[j] for j in edge_order)
+        ]
+        triangles = [
+            tuple(
+                (edge_at[edge_of[x]], 1 if least[edge_of[x]] == x else -1)
+                for x in (g, rot[g], rot[rot[g]])
+            )
+            for g in (self.triangles[i] for i in tri_order)
+        ]
+        return RegularComplex(
+            [cusp_ids, edge_ids, tri_ids], [[()] * len(cusp_ids), edges, triangles]
+        )
 
     def dual_graph(self) -> RegularComplex:
-        """Triangle-adjacency graph: one vertex per triangle, one edge
-        per tessellation edge (joining the two triangles it bounds)."""
-        sides: list[list[int]] = [[] for _ in self.edges]
-        for i, t in enumerate(self.triangles):
-            for e, _sign in self.triangle_edges(t):
-                sides[e].append(i)
-        cells = [Cell(f"t{i}", 0, ()) for i in range(len(self.triangles))]
-        for j, pair in enumerate(sides):
-            if len(pair) != 2:
-                raise AssertionError(f"edge bounds {len(pair)} triangles")
-            lo, hi = sorted(pair)
-            cells.append(Cell(f"d{j}", 1, ((f"t{hi}", 1), (f"t{lo}", -1))))
-        return RegularComplex(cells)
+        """Triangle-adjacency graph: one vertex t<k> per triangle, one edge
+        d<j> per tessellation edge, joining the triangles of its two lifts
+        h and h.S."""
+        tri_ids, _, tri_at = _sorted_names("t", len(self.triangles))
+        edge_ids, edge_order, _ = _sorted_names("d", len(self.edges))
+        tri_of, flip = self._triangle_of, self._flip
+        edges = []
+        for j in edge_order:
+            h = self.edges[j]
+            lo, hi = sorted((tri_of[h], tri_of[flip[h]]))
+            edges.append(((tri_at[hi], 1), (tri_at[lo], -1)))
+        return RegularComplex([tri_ids, edge_ids], [[()] * len(tri_ids), edges])
+
+
+def _sorted_names(prefix: str, count: int) -> tuple[list[str], list[int], dict[int, int]]:
+    """Cells numbered 0..count-1 and named prefix + number, in sorted-id
+    order (so c10 comes before c2): their ids, their numbers in that
+    order, and each number's index in it."""
+    order = sorted(range(count), key=str)
+    return [f"{prefix}{i}" for i in order], order, {i: k for k, i in enumerate(order)}
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ certificate LP and the reduction walk still ran in `Fraction`; the
 fraction-free tableau and the integer walk keep them.  The level-31
 `sl2` hashes were recorded while the quotient still multiplied 2x2
 matrices for every coset; indexing PSL2(Z/N) and its permutations
-keeps them.
+keeps them.  The level-31 dual graph and the `homology` of both level-31
+complexes were recorded while a regular complex was still a dict of
+string-named cells; the integer cells in sorted-id order keep them.
 """
 
 import contextlib
@@ -101,6 +103,10 @@ SL2 = {
         "68b29de49a4ac717efcab3a7c88fed5807cfec0e17479db426f8de35f90864f0",
         "6e4f434a56387946aebbcfeb99d5e8712e19b44bf82832ac12160bf661978268",
     ),
+    (31, True): (
+        "148d855d9830d7f98c7ebf637aa60d8219ae0b72f239df292adfff886b942f1e",
+        "36436cb4bc69fcf46ecd159f02758084c1a1eacbbeb0556906787110d6b59682",
+    ),
 }
 
 # stdout of `homology --complex PATH` and of `... --integer`
@@ -113,6 +119,21 @@ HOMOLOGY = {
         "d1565aa07faee7c62c9b00da29189bef46ba0bea575c6ddd5e5ee0f569aa18eb",
         "3b8eca41cb9cb594a915710838b44517ed9e54854f419ce3b61e0e1c27f59f55",
     ),
+    "surface31": (
+        "6648de5e3e903c9768499d949732e3642c466891cb3ea708b4667f5e65fbd528",
+        "ca63a9b0e33daf3b40dadb71ea8cfa48e5571c2400dd5611cb4b46c92cf4cc95",
+    ),
+    "dual31": (
+        "1f285e76d01074e12268c12118df8f5211774e502a63af63fcf74e014940d875",
+        "031af6f8a7559c3882f9ec614379e800c353f6506db5332364cd025255d177a8",
+    ),
+}
+
+# the `sl2` call that emits each complex of HOMOLOGY but rp2
+EMITTED = {
+    "surface7": ["--level", 7],
+    "surface31": ["--level", 31],
+    "dual31": ["--level", 31, "--dual"],
 }
 
 # the six-vertex real projective plane, as a `maximal_faces` document
@@ -176,7 +197,7 @@ def test_homology_bytes(name, tmp_path):
     if name == "rp2":
         path.write_text(json.dumps({"format": 1, "maximal_faces": RP2}))
     else:
-        stdout_of("sl2", "--level", 7, "--emit", path)
+        stdout_of("sl2", "--emit", path, *EMITTED[name])
     plain = stdout_of("homology", "--complex", path)
     integer = stdout_of("homology", "--complex", path, "--integer")
     assert (sha256(plain), sha256(integer)) == HOMOLOGY[name]

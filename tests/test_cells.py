@@ -17,6 +17,7 @@ import contextlib
 import io
 import itertools
 import json
+import re
 
 import pytest
 import sympy
@@ -25,7 +26,6 @@ from hypothesis import strategies as st
 
 from vorocell import cli
 from vorocell.cells import (
-    Cell,
     RegularComplex,
     SimplicialComplex,
     _sparse_reduce,
@@ -81,8 +81,8 @@ def reference_homology(cx):
     """Betti numbers and torsion with each degree reduced on its own."""
     if isinstance(cx, SimplicialComplex):
         cx = cx.to_regular()
-    top = cx.max_dim
     counts = cx.f_vector()
+    top = len(counts) - 1
     factors = [[] for _ in range(top + 2)]
     for d in range(1, top + 1):
         factors[d], _ = _sparse_reduce(cx.boundary_matrix(d))
@@ -121,46 +121,70 @@ OCTAHEDRON = [
 # -- regular complex validation ----------------------------------------------
 
 
+def regular(*cells):
+    """A regular complex document from (id, dim, [(face id, sign), ...])."""
+    return {"format": 1, "cells": [
+        {"id": cid, "dim": dim, "faces": [{"id": f, "sign": s} for f, s in faces]}
+        for cid, dim, faces in cells
+    ]}
+
+
 def interval():
-    return RegularComplex([
-        Cell("a", 0, ()),
-        Cell("b", 0, ()),
-        Cell("e", 1, (("a", -1), ("b", 1))),
-    ])
+    return RegularComplex.from_json_dict(regular(
+        ("a", 0, []), ("b", 0, []), ("e", 1, [("a", -1), ("b", 1)]),
+    ))
 
 
 def test_interval_basics():
     cx = interval()
     assert cx.f_vector() == (2, 1)
-    assert cx.euler_characteristic() == 1
     assert cx.boundary_matrix(1) == {(0, 0): -1, (1, 0): 1}
 
 
 def test_rejects_duplicate_ids():
-    with pytest.raises(ValueError):
-        RegularComplex([Cell("a", 0, ()), Cell("a", 0, ())])
+    with pytest.raises(ValueError, match="duplicate cell id 'a'"):
+        RegularComplex.from_json_dict(regular(("a", 0, []), ("a", 0, [])))
 
 
 def test_rejects_wrong_face_dimension():
-    with pytest.raises(ValueError):
-        RegularComplex([
-            Cell("a", 0, ()),
-            Cell("f", 2, (("a", 1),)),
-        ])
+    with pytest.raises(ValueError, match="face 'a' of 'f' has dimension 0, expected 1"):
+        RegularComplex.from_json_dict(regular(("a", 0, []), ("f", 2, [("a", 1)])))
 
 
 def test_rejects_nonzero_boundary_of_boundary():
     # square with one corner's sign flipped
-    cells = [
-        Cell("p", 0, ()), Cell("q", 0, ()), Cell("r", 0, ()), Cell("s", 0, ()),
-        Cell("pq", 1, (("p", -1), ("q", 1))),
-        Cell("qr", 1, (("q", -1), ("r", 1))),
-        Cell("rs", 1, (("r", -1), ("s", 1))),
-        Cell("sp", 1, (("s", -1), ("p", 1))),
-        Cell("F", 2, (("pq", 1), ("qr", 1), ("rs", 1), ("sp", -1))),
-    ]
-    with pytest.raises(ValueError):
-        RegularComplex(cells)
+    doc = regular(
+        ("p", 0, []), ("q", 0, []), ("r", 0, []), ("s", 0, []),
+        ("pq", 1, [("p", -1), ("q", 1)]),
+        ("qr", 1, [("q", -1), ("r", 1)]),
+        ("rs", 1, [("r", -1), ("s", 1)]),
+        ("sp", 1, [("s", -1), ("p", 1)]),
+        ("F", 2, [("pq", 1), ("qr", 1), ("rs", 1), ("sp", -1)]),
+    )
+    with pytest.raises(ValueError, match="boundary of boundary of 'F' is nonzero"):
+        RegularComplex.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "ids, faces, message",
+    [
+        ([["a", "b"]], [[()]], "differ in shape"),
+        ([["a"], ["a"]], [[()], [((0, 1),)]], "duplicate cell id 'a'"),
+        ([["b", "a"]], [[(), ()]], "dimension 0 are not sorted"),
+        ([["a"], []], [[()], []], "no cells of dimension 1"),
+        ([["a"]], [[((0, 1),)]], "vertex 'a' must not list faces"),
+        ([["a"], ["e"]], [[()], [()]], "'e' of dimension 1 has no faces"),
+        ([["a"], ["e"]], [[()], [((1, 1),)]], "'e' references unknown face 1"),
+        ([["a"], ["e"]], [[()], [((-1, 1),)]], "'e' references unknown face -1"),
+        ([["a"], ["e"]], [[()], [((0, 2),)]], "sign of 'a' in 'e' must be -1 or +1"),
+        ([["a"], ["e"]], [[()], [((0, 1), (0, -1))]], "face 'a' repeated in cell 'e'"),
+    ],
+)
+def test_check_rejects_bad_integer_cells(ids, faces, message):
+    # the faults a builder could make, some of which a document cannot
+    # express: the loader numbers its cells itself
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RegularComplex(ids, faces).check()
 
 
 def test_regular_complex_json_round_trip():
@@ -184,13 +208,32 @@ def test_maximality_filter():
 def test_faces_and_f_vector():
     sc = SimplicialComplex([(0, 1, 2), (2, 3)])
     assert sc.f_vector() == (4, 4, 1)
-    assert sc.euler_characteristic() == 1
     assert sc.faces()[1] == [(0, 1), (0, 2), (1, 2), (2, 3)]
 
 
 def test_to_regular_builds_valid_chain_complex():
     reg = SimplicialComplex(RP2).to_regular()
     assert reg.f_vector() == (6, 15, 10)
+
+
+def boundary_simplex(k):
+    return SimplicialComplex(itertools.combinations(range(k + 2), k + 1))
+
+
+@pytest.mark.parametrize(
+    "base",
+    [OCTAHEDRON, RP2] + [list(boundary_simplex(k).maximal_faces) for k in range(1, 7)],
+    ids=["octahedron", "rp2"] + [f"boundary-simplex-{k}" for k in range(1, 7)],
+)
+def test_to_regular_and_subdivision_pass_check(base):
+    # the criterion-6 bases, the octahedron and RP2, each subdivided once;
+    # the subdivision of a regular complex is read back as regular cells
+    sc = SimplicialComplex(base)
+    reg = sc.to_regular()
+    reg.check()
+    sd = sc.subdivide()
+    sd.to_regular().check()
+    assert sd.f_vector()[0] == sum(reg.f_vector())
 
 
 def simplex_id(simplex):
@@ -216,8 +259,7 @@ def test_simplicial_boundary_matches_to_regular(raw):
             (simplex_id(faces[d - 1][i]), simplex_id(faces[d][j])): v
             for (i, j), v in sc.boundary_matrix(d).items()
         }
-        rows = [c.id for c in reg.cells_of_dim(d - 1)]
-        cols = [c.id for c in reg.cells_of_dim(d)]
+        rows, cols = reg.ids[d - 1], reg.ids[d]
         expected = {
             (rows[i], cols[j]): v for (i, j), v in reg.boundary_matrix(d).items()
         }
@@ -332,9 +374,9 @@ def antipodal_quotient(dim):
                 g = representative(f[:i] + f[i + 1 :])
                 incidence[g] = incidence.get(g, 0) + (-1) ** i
             assert all(v in (-1, 1) for v in incidence.values())
-            boundary = tuple((simplex_id(g), v) for g, v in sorted(incidence.items()))
-            cells.append(Cell(simplex_id(f), d, boundary))
-    return RegularComplex(cells)
+            boundary = [(simplex_id(g), v) for g, v in sorted(incidence.items())]
+            cells.append((simplex_id(f), d, boundary))
+    return RegularComplex.from_json_dict(regular(*cells))
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vorocell.cells import RegularComplex, SimplicialComplex
 
@@ -347,12 +349,40 @@ def _edge(dim=1, signs=(-1, 1), dims=(2, 1)):
         (_edge(dim=1.2), "dim must be an integer"),
         (_edge(signs=(-1.5, 1.99)), "sign must be an integer"),
         (_edge(dims=[2.0, 1.4]), "dims must be a list of integers"),
+        ({"format": 1, "cells": [
+            {"id": "a", "dim": 0, "faces": []},
+            {"id": "e", "dim": 1, "faces": [{"id": "z", "sign": 1}]},
+        ]}, "cell 'e' references unknown face 'z'"),
+        (_edge(signs=(-1, 2)), "face sign of 'b' in 'e' must be -1 or +1"),
+        ({"format": 1, "cells": [
+            {"id": "a", "dim": 0, "faces": []},
+            {"id": "e", "dim": 1, "faces": [
+                {"id": "a", "sign": -1}, {"id": "a", "sign": 1},
+            ]},
+        ]}, "face 'a' repeated in cell 'e'"),
+        ({"format": 1, "cells": [
+            {"id": "a", "dim": 0, "faces": []},
+            {"id": "b", "dim": 0, "faces": [{"id": "a", "sign": 1}]},
+        ]}, "vertex 'b' must not list faces"),
+        ({"format": 1, "cells": [
+            {"id": "a", "dim": 0, "faces": []},
+            {"id": "e", "dim": 1, "faces": []},
+        ]}, "cell 'e' of dimension 1 has no faces"),
+        (_edge(dim=-1), "cell 'e' has negative dimension"),
+        (_edge(dim=1_000_000_000),
+         "face 'a' of 'e' has dimension 0, expected 999999999"),
+        ({"format": 1, "cells": [
+            {"id": "a", "dim": 0, "faces": []},
+            {"id": "x", "dim": 1_000_000_000, "faces": []},
+        ]}, "cell 'x' of dimension 1000000000 has no faces"),
     ],
     ids=[
         "faces-not-a-list", "faces-of-numbers", "vertex-not-an-integer",
         "dims-not-a-list", "dim-not-an-integer", "dim-infinite",
         "sign-not-an-integer", "vertex-not-integral", "dim-not-integral",
-        "sign-not-integral", "dims-not-integral",
+        "sign-not-integral", "dims-not-integral", "unknown-face", "sign-two",
+        "repeated-face", "vertex-with-faces", "edge-without-faces",
+        "dim-negative", "dim-huge", "dim-huge-without-faces",
     ],
 )
 def test_complex_nested_fields_name_the_field(tmp_path, doc, message):
@@ -539,6 +569,22 @@ def test_verbose_reports_homology_counters(tmp_path):
     assert json.loads(plain.stdout)["torsion"] == [[], [2], []]
 
 
+def test_verbose_homology_counters_on_the_level_31_surface(tmp_path):
+    # the elimination's path, and so these counts, follow the row order
+    # of the loaded cells
+    path = tmp_path / "surface31.json"
+    assert run("sl2", "--level", "31", "--emit", str(path)).returncode == 0
+    flagged = run("-v", "homology", "--complex", str(path), "--integer")
+    assert flagged.returncode == 0
+    (line,) = flagged.stderr.splitlines()
+    assert json.loads(line) == {
+        "homology": {
+            "residual_cols": 0, "residual_rows": 0, "row_updates": 15327,
+            "unit_pivots": 5438,
+        }
+    }
+
+
 def test_verbose_reports_reduction_counters(tmp_path):
     catalog = tmp_path / "cat4.json"
     assert run("perfect", "enumerate", "--n", "4", "--out", str(catalog)).returncode == 0
@@ -612,3 +658,35 @@ def test_cached_parser_matches_a_fresh_one(tmp_path, monkeypatch, capsys):
     fresh = [outcome(argv) for argv in calls]
     assert shared == fresh
     assert [code for code, _, _ in shared] == [0, 2, 2, 0, 0]
+
+
+# -- the JSON writer -----------------------------------------------------------------
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200) | st.integers(max_value=-(2**64)),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),  # control characters, non-ASCII and astral code points included
+)
+
+JSON_DOCUMENTS = st.dictionaries(
+    st.text(),
+    st.recursive(
+        JSON_SCALARS,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=25,
+    ),
+    max_size=5,
+)
+
+
+@given(JSON_DOCUMENTS)
+@settings(max_examples=300, deadline=None)
+def test_dump_matches_the_stdlib_indented_encoder(doc):
+    from vorocell import cli
+
+    assert cli._dump(doc) == json.dumps(doc, indent=2) + "\n"

@@ -13,12 +13,11 @@ import itertools
 
 import pytest
 
-from vorocell.cells import Cell, RegularComplex, homology
+from vorocell.cells import RegularComplex, homology
 from vorocell.sl2 import (
     QuotientTessellation,
     genus_report,
     h1_rank,
-    psl2_elements,
     vcd_vanishing_check,
 )
 
@@ -36,7 +35,7 @@ def brute_group_order(n: int) -> int:
 
 def test_group_order_matches_brute_force():
     for n in range(3, 10):
-        assert len(psl2_elements(n)) == brute_group_order(n)
+        assert len(QuotientTessellation(n).elements) == brute_group_order(n)
 
 
 def test_small_level_cell_counts():
@@ -165,10 +164,10 @@ def coset_complexes(n):
     edges = sorted(set(edge_of.values()))
     cusp_id = {c: f"c{i}" for i, c in enumerate(sorted(set(cusp_of.values())))}
     edge_id = {e: f"e{j}" for j, e in enumerate(edges)}
-    surface = [Cell(c, 0, ()) for c in cusp_id.values()]
+    surface = [cell(c, 0) for c in cusp_id.values()]
     for e in edges:
         tail, head = cusp_of[e], cusp_of[fold(matmul(e, FLIP, n), n)]
-        surface.append(Cell(edge_id[e], 1, ((cusp_id[head], 1), (cusp_id[tail], -1))))
+        surface.append(cell(edge_id[e], 1, (cusp_id[head], 1), (cusp_id[tail], -1)))
     sides = {e: [] for e in edges}
     for k, t in enumerate(triangles):
         faces = []
@@ -176,12 +175,20 @@ def coset_complexes(n):
             x = fold(matmul(t, r, n), n)
             faces.append((edge_id[edge_of[x]], 1 if x == edge_of[x] else -1))
             sides[edge_of[x]].append(k)
-        surface.append(Cell(f"t{k}", 2, tuple(faces)))
-    dual = [Cell(f"t{k}", 0, ()) for k in range(len(triangles))]
+        surface.append(cell(f"t{k}", 2, *faces))
+    dual = [cell(f"t{k}", 0) for k in range(len(triangles))]
     for j, e in enumerate(edges):
         lo, hi = sorted(sides[e])
-        dual.append(Cell(f"d{j}", 1, ((f"t{hi}", 1), (f"t{lo}", -1))))
-    return RegularComplex(surface), RegularComplex(dual)
+        dual.append(cell(f"d{j}", 1, (f"t{hi}", 1), (f"t{lo}", -1)))
+    return (
+        RegularComplex.from_json_dict({"format": 1, "cells": surface}),
+        RegularComplex.from_json_dict({"format": 1, "cells": dual}),
+    )
+
+
+def cell(cid, dim, *faces):
+    """One cell of a complex document, with its (face id, sign) pairs."""
+    return {"id": cid, "dim": dim, "faces": [{"id": f, "sign": s} for f, s in faces]}
 
 
 def test_complexes_match_explicit_cosets():
@@ -190,3 +197,11 @@ def test_complexes_match_explicit_cosets():
         t = QuotientTessellation(n)
         assert t.surface_complex().to_json_dict() == surface.to_json_dict(), n
         assert t.dual_graph().to_json_dict() == dual.to_json_dict(), n
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_built_complexes_pass_check(n):
+    # the builders skip validation, so hold their output to it here
+    t = QuotientTessellation(n)
+    t.surface_complex().check()
+    t.dual_graph().check()
