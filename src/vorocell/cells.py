@@ -76,24 +76,17 @@ class RegularComplex:
                     if not 0 <= k < len(below):
                         raise ValueError(f"cell {cid!r} references unknown face {k}")
                     if sign not in (-1, 1):
-                        raise ValueError(
-                            f"face sign of {below[k]!r} in {cid!r} must be -1 or +1"
-                        )
+                        raise ValueError(f"face sign of {below[k]!r} in {cid!r} must be -1 or +1")
                     if k in listed:
                         raise ValueError(f"face {below[k]!r} repeated in cell {cid!r}")
                     listed.add(k)
-                if d < 2:
-                    continue
                 acc: dict[int, int] = {}  # the boundary of the boundary
                 for k, sign in cell:
                     for m, s in faces[d - 1][k]:
                         acc[m] = acc.get(m, 0) + sign * s
-                bad = [m for m, v in acc.items() if v]
+                bad = [ids[d - 2][m] for m, v in acc.items() if v]
                 if bad:
-                    raise ValueError(
-                        f"boundary of boundary of {cid!r} is nonzero at "
-                        f"{ids[d - 2][bad[0]]!r}"
-                    )
+                    raise ValueError(f"boundary of boundary of {cid!r} is nonzero at {bad[0]!r}")
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(map(len, self.ids))
@@ -112,56 +105,44 @@ class RegularComplex:
 
     def to_json_dict(self) -> dict:
         ids = self.ids
-        return {
-            "format": 1,
-            "dims": list(self.f_vector()),
-            "cells": [
-                {
-                    "id": cid,
-                    "dim": d,
-                    "faces": [{"id": ids[d - 1][k], "sign": s} for k, s in cell],
-                }
-                for d, cells in enumerate(self.faces)
-                for cid, cell in zip(ids[d], cells)
-            ],
-        }
+        cells = [
+            {"id": cid, "dim": d, "faces": [{"id": ids[d - 1][k], "sign": s} for k, s in cell]}
+            for d, group in enumerate(self.faces)
+            for cid, cell in zip(ids[d], group)
+        ]
+        return {"format": 1, "dims": list(self.f_vector()), "cells": cells}
 
     @staticmethod
     def from_json_dict(doc: dict) -> "RegularComplex":
         """The complex a document describes, numbered in sorted-id order
-        and validated by ``check``.  Numbering needs dimensions from 0 up
-        with no gap and faces that exist one dimension down, so those
+        and validated by ``check``.  Numbering needs faces that exist one
+        dimension down and dimensions from 0 up with no gap, so those
         faults are reported here."""
         if doc.get("format") != 1:
             raise ValueError("unsupported complex format")
         entries = doc["cells"]
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ValueError("cells must be a list of objects")
-        cells: list[tuple[str, int, list]] = []
-        dim_of: dict[str, int] = {}
+        cells: list[tuple[int, str, list]] = []
+        dim_of: dict[str, int] = {}  # a duplicate id is check()'s to report
         for entry in entries:
-            cid = str(entry["id"])
-            dim = _integer(entry["dim"], "dim must be an integer")
-            listed = entry["faces"]
-            if not isinstance(listed, list):
+            cid, listed = str(entry["id"]), entry["faces"]
+            if not isinstance(listed, list) or not all(isinstance(f, dict) for f in listed):
                 raise ValueError("faces must be a list of objects")
+            dim = dim_of[cid] = _integer(entry["dim"], "dim must be an integer")
             if dim < 0:
                 raise ValueError(f"cell {cid!r} has negative dimension")
-            dim_of[cid] = dim  # a duplicate id is check()'s to report
-            cells.append((cid, dim, listed))
-        cells.sort(key=lambda c: (c[1], c[0]))
+            if dim == 0 and listed:
+                raise ValueError(f"vertex {cid!r} must not list faces")
+            cells.append((dim, cid, listed))
+        cells.sort(key=lambda c: c[:2])
         ids: list[list[str]] = []
         faces: list[list[tuple[tuple[int, int], ...]]] = []
         index: dict[str, int] = {}  # id -> its index within its dimension
-        for cid, dim, listed in cells:
+        for dim, cid, listed in cells:
             resolved = []
             for f in listed:
-                if not isinstance(f, dict):
-                    raise ValueError("faces must be a list of objects")
-                if dim == 0:
-                    raise ValueError(f"vertex {cid!r} must not list faces")
-                fid = str(f["id"])
-                sign = _integer(f["sign"], "sign must be an integer")
+                fid, sign = str(f["id"]), _integer(f["sign"], "sign must be an integer")
                 fdim = dim_of.get(fid)
                 if fdim is None:
                     raise ValueError(f"cell {cid!r} references unknown face {fid!r}")
@@ -170,10 +151,7 @@ class RegularComplex:
                         f"face {fid!r} of {cid!r} has dimension {fdim}, expected {dim - 1}"
                     )
                 resolved.append((index[fid], sign))
-            # the cells come by dimension, and a cell that lists faces has
-            # one a dimension down, so a gap means this cell lists none;
-            # saying so here keeps a huge dim from sizing the lists below
-            if dim > len(ids):
+            if dim > len(ids):  # a gap, so no faces; a huge dim sizes no list
                 raise ValueError(f"cell {cid!r} of dimension {dim} has no faces")
             if dim == len(ids):
                 ids.append([])
@@ -185,10 +163,9 @@ class RegularComplex:
         cx.check()
         if "dims" in doc:
             message = "dims must be a list of integers"
-            dims = doc["dims"]
-            if not isinstance(dims, list):
+            if not isinstance(doc["dims"], list):
                 raise ValueError(message)
-            if list(cx.f_vector()) != [_integer(k, message) for k in dims]:
+            if list(cx.f_vector()) != [_integer(k, message) for k in doc["dims"]]:
                 raise ValueError("cell counts disagree with the dims header")
         return cx
 
