@@ -91,6 +91,9 @@ class RegularComplex:
     def f_vector(self) -> tuple[int, ...]:
         return tuple(map(len, self.ids))
 
+    def euler_characteristic(self) -> int:
+        return sum((-1) ** d * k for d, k in enumerate(self.f_vector()))
+
     def boundary_matrix(self, d: int) -> dict[tuple[int, int], int]:
         """Sparse boundary map from d-cells to (d-1)-cells.
 
@@ -123,26 +126,28 @@ class RegularComplex:
         entries = doc["cells"]
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ValueError("cells must be a list of objects")
-        cells: list[tuple[int, str, list]] = []
-        dim_of: dict[str, int] = {}  # a duplicate id is check()'s to report
         for entry in entries:
-            cid, listed = str(entry["id"]), entry["faces"]
+            listed = entry["faces"]
             if not isinstance(listed, list) or not all(isinstance(f, dict) for f in listed):
                 raise ValueError("faces must be a list of objects")
-            dim = dim_of[cid] = _integer(entry["dim"], "dim must be an integer")
+        cells = [  # every field is parsed, in document order, before any is checked
+            (str(e["id"]), _integer(e["dim"], "dim must be an integer"), [
+                (str(f["id"]), _integer(f["sign"], "sign must be an integer")) for f in e["faces"]
+            ])
+            for e in entries
+        ]
+        dim_of = {cid: dim for cid, dim, _ in cells}  # a duplicate id is check()'s to report
+        cells.sort(key=lambda c: (c[1], c[0]))
+        ids: list[list[str]] = []
+        faces: list[list[tuple[tuple[int, int], ...]]] = []
+        index: dict[str, int] = {}  # id -> its index within its dimension
+        for cid, dim, listed in cells:
             if dim < 0:
                 raise ValueError(f"cell {cid!r} has negative dimension")
             if dim == 0 and listed:
                 raise ValueError(f"vertex {cid!r} must not list faces")
-            cells.append((dim, cid, listed))
-        cells.sort(key=lambda c: c[:2])
-        ids: list[list[str]] = []
-        faces: list[list[tuple[tuple[int, int], ...]]] = []
-        index: dict[str, int] = {}  # id -> its index within its dimension
-        for dim, cid, listed in cells:
             resolved = []
-            for f in listed:
-                fid, sign = str(f["id"]), _integer(f["sign"], "sign must be an integer")
+            for fid, sign in listed:
                 fdim = dim_of.get(fid)
                 if fdim is None:
                     raise ValueError(f"cell {cid!r} references unknown face {fid!r}")
@@ -227,6 +232,9 @@ class SimplicialComplex:
     def f_vector(self) -> tuple[int, ...]:
         faces = self.faces()
         return tuple(len(faces.get(d, [])) for d in range(self.dim + 1))
+
+    def euler_characteristic(self) -> int:
+        return sum((-1) ** d * k for d, k in enumerate(self.f_vector()))
 
     def boundary_matrix(self, d: int) -> dict[tuple[int, int], int]:
         """Sparse boundary map from d-faces to (d-1)-faces, d >= 1, both

@@ -138,6 +138,7 @@ def interval():
 def test_interval_basics():
     cx = interval()
     assert cx.f_vector() == (2, 1)
+    assert cx.euler_characteristic() == 1
     assert cx.boundary_matrix(1) == {(0, 0): -1, (1, 0): 1}
 
 
@@ -208,6 +209,7 @@ def test_maximality_filter():
 def test_faces_and_f_vector():
     sc = SimplicialComplex([(0, 1, 2), (2, 3)])
     assert sc.f_vector() == (4, 4, 1)
+    assert sc.euler_characteristic() == 1
     assert sc.faces()[1] == [(0, 1), (0, 2), (1, 2), (2, 3)]
 
 

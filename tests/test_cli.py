@@ -375,6 +375,11 @@ def _edge(dim=1, signs=(-1, 1), dims=(2, 1)):
             {"id": "a", "dim": 0, "faces": []},
             {"id": "x", "dim": 1_000_000_000, "faces": []},
         ]}, "cell 'x' of dimension 1000000000 has no faces"),
+        ({"format": 1, "cells": [
+            {"id": "b", "dim": 0, "faces": [{"id": "a", "sign": 1}]},
+            {"id": "a", "dim": 0, "faces": []},
+            {"id": "e", "dim": 1, "faces": [{"id": "a", "sign": "q"}]},
+        ]}, "sign must be an integer"),
     ],
     ids=[
         "faces-not-a-list", "faces-of-numbers", "vertex-not-an-integer",
@@ -383,6 +388,7 @@ def _edge(dim=1, signs=(-1, 1), dims=(2, 1)):
         "sign-not-integral", "dims-not-integral", "unknown-face", "sign-two",
         "repeated-face", "vertex-with-faces", "edge-without-faces",
         "dim-negative", "dim-huge", "dim-huge-without-faces",
+        "fields-parsed-before-structure",
     ],
 )
 def test_complex_nested_fields_name_the_field(tmp_path, doc, message):
