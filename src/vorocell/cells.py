@@ -1,20 +1,21 @@
 """Finite regular cell complexes and simplicial complexes: chain
 complexes, subdivision, and integer homology.
 
-A regular complex is stored as integer cells: per dimension, the sorted
-cell ids and each cell's signed faces as indices one dimension down.
-Builders make it correct by construction; a loaded document is checked
-once, for consistent faces and the chain condition (the boundary of a
-boundary vanishes).  A simplicial complex builds its boundary matrices
-straight from its sorted integer faces.  ``homology`` reads only
-``f_vector()`` and ``boundary_matrix(d)`` of either kind and works over
-the integers via Smith normal form, with a sparse unit-pivot
-elimination pass that takes the shortest row first, so that boundary
-matrices with tens of thousands of cells stay tractable.
-Degrees are reduced from the top down with clearing: the rows of the
-unit pivots of one boundary matrix are columns the next one down may
-drop, because each such column is an integer combination of the others
-(the argument is in ``_sparse_reduce``), so rank and torsion are
+Both kinds give their boundaries in one integer form, ``cells(d)``:
+each d-cell's signed faces as ``(index in dimension d-1, sign)`` pairs.
+A regular complex stores them per dimension beside its sorted cell ids;
+builders make it correct by construction, and a loaded document is
+checked once, for consistent faces and the chain condition (the
+boundary of a boundary vanishes).  A simplicial complex builds them on
+each call from its sorted integer faces, numbered in ``faces()`` order.
+``homology`` and ``barycentric_subdivision`` read only ``f_vector()``
+and ``cells(d)``.  Homology works over the integers via Smith normal
+form, with a sparse unit-pivot elimination pass that takes the shortest
+row first, so that boundaries with tens of thousands of cells stay
+tractable.  Degrees are reduced from the top down with clearing: the
+rows of the unit pivots of one boundary are columns the next one down
+may drop, because each such column is an integer combination of the
+others (the argument is in ``_sparse_reduce``), so rank and torsion are
 unchanged.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-from typing import AbstractSet, Iterable, Mapping, Optional
+from typing import AbstractSet, Iterable, Optional, Sequence
 
 from . import obs
 from .linalg import _integer, smith_normal_form
@@ -94,15 +95,9 @@ class RegularComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * k for d, k in enumerate(self.f_vector()))
 
-    def boundary_matrix(self, d: int) -> dict[tuple[int, int], int]:
-        """Sparse boundary map from d-cells to (d-1)-cells.
-
-        Entry (i, j) is the incidence of the i-th (d-1)-cell in the
-        boundary of the j-th d-cell, both in sorted-id order.
-        """
-        if not 0 < d < len(self.faces):
-            return {}
-        return {(k, j): s for j, cell in enumerate(self.faces[d]) for k, s in cell}
+    def cells(self, d: int) -> list[tuple[tuple[int, int], ...]]:
+        """The signed faces of the d-cells, ``faces[d]``."""
+        return self.faces[d]
 
     # -- serialization ----------------------------------------------------
 
@@ -175,13 +170,6 @@ class RegularComplex:
         return cx
 
 
-def _facets_of(simplex: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """The codimension-one faces of a sorted simplex with their signs in
-    the sorted-vertex orientation: the face dropping the i-th vertex
-    enters with sign (-1)^i."""
-    return [(simplex[:i] + simplex[i + 1 :], (-1) ** i) for i in range(len(simplex))]
-
-
 class SimplicialComplex:
     """An abstract simplicial complex given by its maximal faces."""
 
@@ -213,16 +201,11 @@ class SimplicialComplex:
         """All faces grouped by dimension, each sorted lexicographically."""
         if self._faces is None:
             # maximal faces are sorted, so their combinations are too
-            seen: set[tuple[int, ...]] = set()
-            for f in self.maximal_faces:
-                for k in range(1, len(f) + 1):
-                    seen.update(combinations(f, k))
-            grouped: dict[int, list[tuple[int, ...]]] = {}
-            for t in seen:
-                grouped.setdefault(len(t) - 1, []).append(t)
-            for d in grouped:
-                grouped[d].sort()
-            self._faces = grouped
+            maximal = self.maximal_faces
+            self._faces = {
+                k - 1: sorted(set().union(*(combinations(f, k) for f in maximal)))
+                for k in range(1, self.dim + 2)
+            }
         return self._faces
 
     @property
@@ -230,43 +213,43 @@ class SimplicialComplex:
         return max(len(f) for f in self.maximal_faces) - 1
 
     def f_vector(self) -> tuple[int, ...]:
-        faces = self.faces()
-        return tuple(len(faces.get(d, [])) for d in range(self.dim + 1))
+        return tuple(map(len, self.faces().values()))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * k for d, k in enumerate(self.f_vector()))
 
-    def boundary_matrix(self, d: int) -> dict[tuple[int, int], int]:
-        """Sparse boundary map from d-faces to (d-1)-faces, d >= 1, both
-        indexed in the sorted order of ``faces()``; signs as in
-        ``_facets_of``."""
+    def cells(self, d: int) -> list[tuple[tuple[int, int], ...]]:
+        """The d-simplices' signed faces, both dimensions in ``faces()``
+        order, in the sorted-vertex orientation: the face dropping the
+        i-th vertex enters with sign (-1)^i.  Built on each call."""
         faces = self.faces()
-        rows = {f: i for i, f in enumerate(faces.get(d - 1, ()))}
-        out: dict[tuple[int, int], int] = {}
-        for j, s in enumerate(faces.get(d, ())):
-            for f, sign in _facets_of(s):
-                out[(rows[f], j)] = sign
-        return out
+        if d == 0:
+            return [()] * len(faces[0])
+        index = {f: i for i, f in enumerate(faces[d - 1])}
+        signs = [(-1) ** i for i in range(d + 1)]
+        return [
+            tuple([(index[s[:i] + s[i + 1 :]], signs[i]) for i in range(d + 1)])
+            for s in faces[d]
+        ]
 
     def to_regular(self) -> RegularComplex:
         """The same complex as signed cells, each named by its vertices
-        joined by dots, with the orientation of ``_facets_of``."""
+        joined by dots: ``cells(d)`` renumbered into sorted-id order."""
         ids: list[list[str]] = []
         faces: list[list[tuple[tuple[int, int], ...]]] = []
-        index: dict[tuple[int, ...], int] = {}  # simplex -> index one dimension down
+        rank: list[int] = []  # faces() index -> sorted-id index, one dimension down
         for d, simplices in sorted(self.faces().items()):
             # "1.10" sorts before "1.2", so the ids are not in simplex order
-            named = sorted((".".join(map(str, s)), s) for s in simplices)
-            ids.append([name for name, _ in named])
-            faces.append([
-                tuple((index[f], sign) for f, sign in _facets_of(s)) if d else ()
-                for _, s in named
-            ])
-            index = {s: k for k, (_, s) in enumerate(named)}
+            names = [".".join(map(str, s)) for s in simplices]
+            order = sorted(range(len(names)), key=names.__getitem__)
+            cells = self.cells(d)
+            ids.append([names[j] for j in order])
+            faces.append([tuple((rank[k], sign) for k, sign in cells[j]) for j in order])
+            rank = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
         return RegularComplex(ids, faces)
 
     def subdivide(self) -> "SimplicialComplex":
-        return barycentric_subdivision(self.to_regular())
+        return barycentric_subdivision(self)
 
     def to_json_dict(self) -> dict:
         return {
@@ -285,26 +268,30 @@ class SimplicialComplex:
         return SimplicialComplex([_integer(v, message) for v in f] for f in faces)
 
 
-def barycentric_subdivision(cx: RegularComplex) -> SimplicialComplex:
+def barycentric_subdivision(cx: "RegularComplex | SimplicialComplex") -> SimplicialComplex:
     """The order complex of the face poset: one vertex per cell, one
     maximal simplex per maximal chain of proper face relations.
 
-    Vertices are numbered by the (dim, id) sort of the original cells,
-    so the result is deterministic."""
-    offset = list(accumulate(map(len, cx.ids), initial=0))
-    covered = {(d - 1, k) for d, cells in enumerate(cx.faces) for c in cells for k, _ in c}
+    Reads only ``f_vector()`` and ``cells(d)``.  Vertices are numbered
+    by dimension and then by the cell's index in ``cells(d)``: sorted-id
+    order for a regular complex, ``faces()`` order for a simplicial one.
+    The result is deterministic."""
+    counts = cx.f_vector()
+    offset = list(accumulate(counts, initial=0))
+    faces = [cx.cells(d) for d in range(len(counts))]
+    covered = {(d - 1, k) for d, cells in enumerate(faces) for c in cells for k, _ in c}
     chains: list[tuple[int, ...]] = []
 
     def descend(d: int, j: int, acc: list[int]) -> None:
         acc.append(offset[d] + j)
         if d == 0:  # vertex numbers fall with the dimension along the chain
             chains.append(tuple(reversed(acc)))
-        for k, _ in cx.faces[d][j]:
+        for k, _ in faces[d][j]:
             descend(d - 1, k, acc)
         acc.pop()
 
-    for d, group in enumerate(cx.ids):
-        for j in range(len(group)):
+    for d, count in enumerate(counts):
+        for j in range(count):
             if (d, j) not in covered:
                 descend(d, j, [])
     return SimplicialComplex(chains)
@@ -320,11 +307,13 @@ class HomologyResult:
 
 
 def _sparse_reduce(
-    entries: Mapping[tuple[int, int], int],
+    columns: Sequence[Iterable[tuple[int, int]]],
     cleared: AbstractSet[int] = frozenset(),
 ) -> tuple[list[int], set[int]]:
     """Invariant factors (as many as the rank) and unit-pivot rows of a
-    sparse integer matrix, with the columns in ``cleared`` left out.
+    sparse integer matrix given by its columns, each a sequence of
+    ``(row, value)`` pairs, with the columns in ``cleared`` left out.
+    ``cells(d)`` of a complex is its d-th boundary in this form.
 
     Takes the shortest live row first and pivots on its +-1 entry in
     the column with the fewest rows, which splits off unit invariant
@@ -356,10 +345,12 @@ def _sparse_reduce(
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
-    for (r, c), v in entries.items():
-        if v and c not in cleared:
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, set()).add(r)
+    for c, column in enumerate(columns):
+        if c not in cleared:
+            for r, v in column:
+                if v:
+                    rows.setdefault(r, {})[c] = v
+                    cols.setdefault(c, set()).add(r)
     # A heap of (length, row).  Every row update pushes the row's new
     # length, so an entry whose length is out of date has a current twin
     # and is skipped; any +-1 pivot is exact, so the order can only
@@ -427,18 +418,18 @@ def _sparse_reduce(
 def homology(cx: "RegularComplex | SimplicialComplex") -> HomologyResult:
     """Integer homology of the complex: in each degree the Betti number
     and the torsion invariant factors, read off ``cx.f_vector()`` and
-    ``cx.boundary_matrix(d)``.  The Betti numbers are those over the
-    rationals too (universal coefficients).
+    ``cx.cells(d)``.  The Betti numbers are those over the rationals too
+    (universal coefficients).
 
-    Degrees are reduced from the top down, and each boundary matrix
-    leaves out the columns cleared by the unit pivots of the one above
-    (see ``_sparse_reduce`` for why this is exact over Z)."""
+    Degrees are reduced from the top down, and each boundary leaves out
+    the columns cleared by the unit pivots of the one above (see
+    ``_sparse_reduce`` for why this is exact over Z)."""
     counts = cx.f_vector()
     top = len(counts) - 1
     factors: list[list[int]] = [[] for _ in range(top + 2)]
     cleared: set[int] = set()
     for d in range(top, 0, -1):
-        factors[d], cleared = _sparse_reduce(cx.boundary_matrix(d), cleared)
+        factors[d], cleared = _sparse_reduce(cx.cells(d), cleared)
     betti = tuple(
         counts[d] - len(factors[d]) - len(factors[d + 1]) for d in range(top + 1)
     )

@@ -229,30 +229,26 @@ def transpose(a: Sequence[Sequence]) -> list:
     return [list(col) for col in zip(*a)]
 
 
-def _eliminate(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int], tuple[int, int]]:
+def _eliminate(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int]]:
     """Gauss-Jordan elimination in integers; the module's one elimination loop.
 
     Each row is first scaled by a positive rational to integers of
     content 1, and each updated row ``p * row - c * pivot_row`` is
     divided by its content again, so entries stay small integers.
-    Returns ``(reduced, pivots, (num, den))``: ``reduced[i]`` is nonzero
-    in column ``pivots[i]``, zero in every other pivot column and before
+    Returns ``(reduced, pivots)``: ``reduced[i]`` is nonzero in column
+    ``pivots[i]``, zero in every other pivot column and before
     ``pivots[i]``, so dividing it by that entry gives row i of the
-    (unique) reduced row echelon form.  For square input of full rank,
-    det = num / den * the product of the pivot entries.
+    (unique) reduced row echelon form.
     """
     work = []
-    num = den = 1
     for row in rows:
         ints = list(row)
         if not all(type(x) is int for x in ints):
             entries = [x if isinstance(x, (int, Fraction)) else _frac(x) for x in ints]
             scale = lcm(*(x.denominator for x in entries))
             ints = [x.numerator * (scale // x.denominator) for x in entries]
-            den *= scale
         g = gcd(*ints) or 1
         work.append([x // g for x in ints] if g > 1 else ints)
-        num *= g
     ncols = len(work[0]) if work else 0
     pivots: list[int] = []
     for col in range(ncols):
@@ -264,7 +260,6 @@ def _eliminate(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int], tu
             continue
         if pivot != rank:
             work[rank], work[pivot] = work[pivot], work[rank]
-            num = -num
         prow = work[rank]
         p = prow[col]
         for r, row in enumerate(work):
@@ -273,10 +268,8 @@ def _eliminate(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int], tu
                 new = [p * x - c * y for x, y in zip(row, prow)]
                 g = gcd(*new) or 1
                 work[r] = [x // g for x in new] if g > 1 else new
-                num *= g
-                den *= p
         pivots.append(col)
-    return work[: len(pivots)], pivots, (num, den)
+    return work[: len(pivots)], pivots
 
 
 def matrix_rank(rows: Iterable[Sequence]) -> int:
@@ -285,12 +278,27 @@ def matrix_rank(rows: Iterable[Sequence]) -> int:
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
-    reduced, pivots, (num, den) = _eliminate(rows)
-    if len(pivots) < len(rows):
-        return Fraction(0)
-    for row, col in zip(reduced, pivots):
-        num *= row[col]
-    return Fraction(num, den)
+    """Fraction-free (Bareiss) elimination of the rows, each scaled to
+    integers once; every division is exact, and the last pivot is the
+    determinant of the scaled rows."""
+    work, den = [], 1
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))  # an int's is 1
+        work.append([x.numerator * (scale // x.denominator) for x in row])
+        den *= scale
+    sign = prev = 1
+    for k in range(len(work)):
+        pivot = next((r for r in range(k, len(work)) if work[r][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            work[k], work[pivot], sign = work[pivot], work[k], -sign
+        prow = work[k]
+        for r in range(k + 1, len(work)):
+            c = work[r][k]
+            work[r] = [(prow[k] * x - c * y) // prev for x, y in zip(work[r], prow)]
+        prev = prow[k]
+    return Fraction(sign * prev, den)
 
 
 def unimodular_inverse(u: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -301,7 +309,7 @@ def unimodular_inverse(u: Sequence[Sequence[int]]) -> list[list[int]]:
     pivot than +-1 means U is singular or not unimodular.
     """
     n = len(u)
-    reduced, pivots, _ = _eliminate(
+    reduced, pivots = _eliminate(
         list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(u)
     )
     if pivots != list(range(n)) or any(abs(row[i]) != 1 for i, row in enumerate(reduced)):
@@ -368,7 +376,7 @@ def solve_linear(a_rows: Sequence[Sequence], b: Sequence) -> LinearSolution:
     if len(rows) != len(b):
         raise ValueError("matrix/vector size mismatch")
     ncols = len(a_rows[0]) if a_rows else 0
-    reduced, pivots, _ = _eliminate(rows)
+    reduced, pivots = _eliminate(rows)
     if ncols in pivots:
         return LinearSolution(solution=None, kernel=())
     particular = [Fraction(0)] * ncols

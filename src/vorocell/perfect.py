@@ -79,7 +79,7 @@ def is_perfect(q: SymMatrix, min_data: Optional[MinData] = None) -> PerfectionRe
     md = min_data if min_data is not None else minimal_vectors(q)
     dim = q.n * (q.n + 1) // 2
     p, d = md.mu.numerator, md.mu.denominator  # rows scaled by d: (d * row) . z = p
-    reduced, pivots, _ = _eliminate(
+    reduced, pivots = _eliminate(
         [d * x for x in _value_row(m, q.n)] + [p] for m in md.vectors
     )
     assert dim not in pivots  # q itself always solves its own system
@@ -168,7 +168,7 @@ def facets_of_cone(halfspaces: Sequence[Sequence[int]]) -> list[Facet]:
         raise ValueError("need at least one ray")
     dim = len(halfspaces[0])
     count = len(halfspaces)
-    reduced, pivots, _ = _eliminate(
+    reduced, pivots = _eliminate(
         list(col) + [int(r == j) for j in range(dim)]
         for r, col in enumerate(zip(*halfspaces))
     )

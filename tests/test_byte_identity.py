@@ -9,7 +9,7 @@ bytes.  The `sl2` and `homology` hashes were recorded when a simplicial
 complex still went through its string-id regular complex and the
 default `homology` took a rank-only exit over the rationals; the direct
 integer boundary matrices and the single path over the integers keep
-them.  The three `bench1_*` reduce hashes were recorded while the
+them, and so do the `cells(d)` columns that replaced those matrices.  The three `bench1_*` reduce hashes were recorded while the
 certificate LP and the reduction walk still ran in `Fraction`; the
 fraction-free tableau and the integer walk keep them.  The level-31
 `sl2` hashes were recorded while the quotient still multiplied 2x2

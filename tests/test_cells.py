@@ -4,16 +4,19 @@ The homology oracle builds chain boundary matrices straight from the
 textbook definition (alternating-sign faces of sorted simplices) and
 reduces them with sympy — nothing from the module's reduction code is
 reused.  A second reference, ``reference_homology``, goes through the
-string-id cells of ``to_regular`` and reduces every boundary matrix in
-full, without the clearing across degrees that ``homology`` does; it
-checks the integer boundary matrices a simplicial complex builds
-itself.  A third, ``rational_betti``, takes the ranks of the dense
-boundary matrices over the rationals; by universal coefficients its
-Betti numbers are the integer ones.  The projective spaces built by
-``antipodal_quotient`` are the regular complexes that carry torsion.
+string-id cells of ``to_regular`` and reduces every boundary in full,
+without the clearing across degrees that ``homology`` does.  A third,
+``rational_betti``, takes the ranks of the dense boundary matrices over
+the rationals; by universal coefficients its Betti numbers are the
+integer ones.  The integer cells a simplicial complex builds itself are
+compared with the textbook boundary in
+``test_simplicial_cells_match_textbook_boundary``.  The projective
+spaces built by ``antipodal_quotient`` are the regular complexes that
+carry torsion.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -85,7 +88,7 @@ def reference_homology(cx):
     top = len(counts) - 1
     factors = [[] for _ in range(top + 2)]
     for d in range(1, top + 1):
-        factors[d], _ = _sparse_reduce(cx.boundary_matrix(d))
+        factors[d], _ = _sparse_reduce(cx.cells(d))
     betti = tuple(
         counts[d] - len(factors[d]) - len(factors[d + 1]) for d in range(top + 1)
     )
@@ -101,8 +104,9 @@ def rational_betti(cx):
     ranks = [0] * (top + 2)
     for d in range(1, top + 1):
         dense = [[0] * counts[d] for _ in range(counts[d - 1])]
-        for (i, j), v in cx.boundary_matrix(d).items():
-            dense[i][j] = v
+        for j, cell in enumerate(cx.cells(d)):
+            for i, v in cell:
+                dense[i][j] = v
         ranks[d] = matrix_rank(dense)
     return tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(top + 1))
 
@@ -139,7 +143,7 @@ def test_interval_basics():
     cx = interval()
     assert cx.f_vector() == (2, 1)
     assert cx.euler_characteristic() == 1
-    assert cx.boundary_matrix(1) == {(0, 0): -1, (1, 0): 1}
+    assert cx.cells(1) == [((0, -1), (1, 1))]
 
 
 def test_rejects_duplicate_ids():
@@ -222,12 +226,31 @@ def boundary_simplex(k):
     return SimplicialComplex(itertools.combinations(range(k + 2), k + 1))
 
 
+# sha256 of json.dumps(subdivide().to_json_dict()) per base; every base
+# has labels below 10, so faces() order and string-id order agree and
+# the vertex numbering is the (dim, id) one of earlier releases
+SUBDIVISION_SHA256 = {
+    "octahedron": "0f64e4a6d8dfe6bb46dff4cf0ad33140a011d415a3d389df4041a4d4b69f3d49",
+    "rp2": "b76c4e8c05b008d765df127c7d9ac91cecb3f20ae5ade0c67280dce336b7db50",
+    "boundary-simplex-1": "0e2eedc7c134f55de30151dbd282f00c6806e6e936a2f159af53debd8e8f123a",
+    "boundary-simplex-2": "cd2bd58f18dd7f6a578cd3bc36cf097e55c23f07a99e55668aa14405fe2e9df0",
+    "boundary-simplex-3": "909317546ce9f42b4aa92ab6e47ca377a27238cf621e860059540c663f6123c2",
+    "boundary-simplex-4": "1cefdcd853991867960fc3ee1c1013e29089a026270d23bd3d8aa877a9f345a9",
+    "boundary-simplex-5": "6ed0a29f2a60883b1d4211e539398db3e378cae746d29cc939fcae0f55cc8c18",
+    "boundary-simplex-6": "80677ba43addedc628d120f58e302130d49ed257464546891052f5add193e85a",
+}
+
+
 @pytest.mark.parametrize(
-    "base",
-    [OCTAHEDRON, RP2] + [list(boundary_simplex(k).maximal_faces) for k in range(1, 7)],
+    "base, digest",
+    [(OCTAHEDRON, SUBDIVISION_SHA256["octahedron"]), (RP2, SUBDIVISION_SHA256["rp2"])]
+    + [
+        (list(boundary_simplex(k).maximal_faces), SUBDIVISION_SHA256[f"boundary-simplex-{k}"])
+        for k in range(1, 7)
+    ],
     ids=["octahedron", "rp2"] + [f"boundary-simplex-{k}" for k in range(1, 7)],
 )
-def test_to_regular_and_subdivision_pass_check(base):
+def test_to_regular_and_subdivision_pass_check(base, digest):
     # the criterion-6 bases, the octahedron and RP2, each subdivided once;
     # the subdivision of a regular complex is read back as regular cells
     sc = SimplicialComplex(base)
@@ -236,6 +259,7 @@ def test_to_regular_and_subdivision_pass_check(base):
     sd = sc.subdivide()
     sd.to_regular().check()
     assert sd.f_vector()[0] == sum(reg.f_vector())
+    assert hashlib.sha256(json.dumps(sd.to_json_dict()).encode()).hexdigest() == digest
 
 
 def simplex_id(simplex):
@@ -252,20 +276,63 @@ def simplex_id(simplex):
 @settings(max_examples=60, deadline=None)
 def test_simplicial_boundary_matches_to_regular(raw):
     # the integer faces sort as tuples and the cells by id, where "1.10"
-    # comes before "1.2"; both matrices are compared on simplex ids
+    # comes before "1.2"; both boundaries are compared on simplex ids
     sc = SimplicialComplex([tuple(sorted(f)) for f in raw])
     reg = sc.to_regular()
     faces = sc.faces()
     for d in range(1, sc.dim + 1):
         got = {
             (simplex_id(faces[d - 1][i]), simplex_id(faces[d][j])): v
-            for (i, j), v in sc.boundary_matrix(d).items()
+            for j, cell in enumerate(sc.cells(d))
+            for i, v in cell
         }
         rows, cols = reg.ids[d - 1], reg.ids[d]
         expected = {
-            (rows[i], cols[j]): v for (i, j), v in reg.boundary_matrix(d).items()
+            (rows[i], cols[j]): v for j, cell in enumerate(reg.cells(d)) for i, v in cell
         }
         assert got == expected
+
+
+def textbook_boundary(faces, d):
+    """The d-th boundary from the definition: the face dropping vertex
+    k of a sorted simplex enters with sign (-1)^k, rows and columns
+    indexed in sorted-tuple order; a dict (row, column) -> entry."""
+    rows = {f: i for i, f in enumerate(sorted(f for f in faces if len(f) == d))}
+    cols = sorted(f for f in faces if len(f) == d + 1)
+    return {
+        (rows[s[:k] + s[k + 1 :]], j): (-1) ** k
+        for j, s in enumerate(cols)
+        for k in range(len(s))
+    }
+
+
+@given(
+    st.lists(
+        st.frozensets(st.integers(0, 11), min_size=1, max_size=4),
+        min_size=1,
+        max_size=10,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_simplicial_cells_match_textbook_boundary(raw):
+    sc = SimplicialComplex([tuple(sorted(f)) for f in raw])
+    faces = set()
+    for f in sc.maximal_faces:
+        for k in range(1, len(f) + 1):
+            faces.update(itertools.combinations(f, k))
+    assert sc.cells(0) == [()] * sum(len(f) == 1 for f in faces)
+    for d in range(1, sc.dim + 1):
+        got = {(i, j): v for j, cell in enumerate(sc.cells(d)) for i, v in cell}
+        assert got == textbook_boundary(faces, d)
+        assert all(len(cell) == d + 1 for cell in sc.cells(d))
+    for d in range(2, sc.dim + 1):  # the boundary of a boundary vanishes
+        below = sc.cells(d - 1)
+        for cell in sc.cells(d):
+            acc = {}
+            for k, sign in cell:
+                for m, s in below[k]:
+                    acc[m] = acc.get(m, 0) + sign * s
+            assert not any(acc.values())
 
 
 def test_simplicial_json_round_trip():
@@ -407,7 +474,7 @@ def test_clearing_matches_full_reduction_on_sl2_complexes(level):
 def test_sparse_reduce_pivots_on_a_unit_made_by_an_update():
     # row 0 has no +-1 entry until row 1's pivot on column 0 turns it
     # from (2, 3) into (0, 1); it then pivots too
-    factors, pivot_rows = _sparse_reduce({(0, 0): 2, (0, 1): 3, (1, 0): 1, (1, 1): 1})
+    factors, pivot_rows = _sparse_reduce([((0, 2), (1, 1)), ((0, 3), (1, 1))])
     assert factors == [1, 1]
     assert pivot_rows == {0, 1}
 
@@ -422,7 +489,10 @@ def test_sparse_reduce_pivots_on_a_unit_made_by_an_update():
 def test_sparse_reduce_matches_dense_smith_form_random(entries, cleared):
     kept = [c for c in range(7) if c not in cleared]
     dense = [[entries.get((r, c), 0) for c in kept] for r in range(7)]
-    factors, _ = _sparse_reduce(entries, cleared)
+    columns = [[] for _ in range(7)]
+    for (r, c), v in entries.items():
+        columns[c].append((r, v))
+    factors, _ = _sparse_reduce(columns, cleared)
     assert factors == list(smith_normal_form(dense)[0])
 
 

@@ -575,6 +575,26 @@ def test_verbose_reports_homology_counters(tmp_path):
     assert json.loads(plain.stdout)["torsion"] == [[], [2], []]
 
 
+def test_verbose_homology_counters_on_subdivided_rp2(tmp_path):
+    # labels run to 30, so the numbering of faces() (tuple order) and of
+    # to_regular (string-id order, "1.10" before "1.2") differ here: that
+    # order gives 7 residual rows and 179 row updates instead
+    subdivided = SimplicialComplex(RP2).subdivide()
+    assert max(subdivided.faces()[0]) == (30,)
+    path = write_complex(tmp_path / "rp2-sd.json", subdivided.maximal_faces)
+    plain = run("homology", "--complex", path, "--integer")
+    flagged = run("-v", "homology", "--complex", path, "--integer")
+    assert flagged.returncode == 0
+    assert flagged.stdout == plain.stdout
+    (line,) = flagged.stderr.splitlines()
+    assert json.loads(line) == {
+        "homology": {
+            "residual_cols": 1, "residual_rows": 10, "row_updates": 209, "unit_pivots": 89,
+        }
+    }
+    assert json.loads(plain.stdout)["torsion"] == [[], [2], []]
+
+
 def test_verbose_homology_counters_on_the_level_31_surface(tmp_path):
     # the elimination's path, and so these counts, follow the row order
     # of the loaded cells

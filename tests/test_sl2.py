@@ -100,8 +100,9 @@ def test_dual_graph_is_cubic():
         assert 2 * edges == 3 * verts
         degree = {}
         for d in range(1, 2):
-            for (i, j), _ in g.boundary_matrix(1).items():
-                degree[i] = degree.get(i, 0) + 1
+            for cell in g.cells(1):
+                for i, _ in cell:
+                    degree[i] = degree.get(i, 0) + 1
         assert set(degree.values()) == {3}
 
 
