@@ -3,9 +3,12 @@
 Everything in this module is exact, with no floating point: the kernels
 (elimination, LDL^T, Smith form and the simplex tableau of the cone
 membership LP) and the arithmetic of symmetric matrices run in
-``int``, and rational results are ``fractions.Fraction``.  The matrices
-that show up downstream live in spaces of dimension n(n+1)/2 for
-n <= 8, so simple dense algorithms are fine and determinism matters
+``int``, and rational results are ``fractions.Fraction``.  Each job
+has one kernel: Gauss-Jordan elimination of integer rows gives pivots
+and kernels, and the fraction-free LDL^T of a form decides positive
+definiteness and gives its determinant as the last pivot.  The
+matrices that show up downstream live in spaces of dimension n(n+1)/2
+for n <= 8, so simple dense algorithms are fine and determinism matters
 more than speed.
 
 Conventions:
@@ -229,24 +232,23 @@ def transpose(a: Sequence[Sequence]) -> list:
     return [list(col) for col in zip(*a)]
 
 
-def _eliminate(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan elimination in integers; the module's one elimination loop.
+def _eliminate(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination of integer rows; the module's one
+    elimination loop, behind the perfection kernel, the start of double
+    description and :func:`unimodular_inverse`.
 
-    Each row is first scaled by a positive rational to integers of
-    content 1, and each updated row ``p * row - c * pivot_row`` is
-    divided by its content again, so entries stay small integers.
-    Returns ``(reduced, pivots)``: ``reduced[i]`` is nonzero in column
-    ``pivots[i]``, zero in every other pivot column and before
-    ``pivots[i]``, so dividing it by that entry gives row i of the
-    (unique) reduced row echelon form.
+    Each row is first divided by its content, and each updated row
+    ``p * row - c * pivot_row`` is divided by its content again, so
+    entries stay small integers.  Returns ``(reduced, pivots)``:
+    ``reduced[i]`` is nonzero in column ``pivots[i]``, zero in every
+    other pivot column and before ``pivots[i]``, so dividing it by that
+    entry gives row i of the (unique) reduced row echelon form.  No
+    determinant is taken here: the determinant of a form is the last
+    pivot of :func:`integer_ldlt`.
     """
     work = []
     for row in rows:
         ints = list(row)
-        if not all(type(x) is int for x in ints):
-            entries = [x if isinstance(x, (int, Fraction)) else _frac(x) for x in ints]
-            scale = lcm(*(x.denominator for x in entries))
-            ints = [x.numerator * (scale // x.denominator) for x in entries]
         g = gcd(*ints) or 1
         work.append([x // g for x in ints] if g > 1 else ints)
     ncols = len(work[0]) if work else 0
@@ -270,35 +272,6 @@ def _eliminate(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int]]:
                 work[r] = [x // g for x in new] if g > 1 else new
         pivots.append(col)
     return work[: len(pivots)], pivots
-
-
-def matrix_rank(rows: Iterable[Sequence]) -> int:
-    """Rank over the rationals."""
-    return len(_eliminate(rows)[1])
-
-
-def det(rows: Sequence[Sequence]) -> Fraction:
-    """Fraction-free (Bareiss) elimination of the rows, each scaled to
-    integers once; every division is exact, and the last pivot is the
-    determinant of the scaled rows."""
-    work, den = [], 1
-    for row in rows:
-        scale = lcm(*(x.denominator for x in row))  # an int's is 1
-        work.append([x.numerator * (scale // x.denominator) for x in row])
-        den *= scale
-    sign = prev = 1
-    for k in range(len(work)):
-        pivot = next((r for r in range(k, len(work)) if work[r][k]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            work[k], work[pivot], sign = work[pivot], work[k], -sign
-        prow = work[k]
-        for r in range(k + 1, len(work)):
-            c = work[r][k]
-            work[r] = [(prow[k] * x - c * y) // prev for x, y in zip(work[r], prow)]
-        prev = prow[k]
-    return Fraction(sign * prev, den)
 
 
 def unimodular_inverse(u: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -326,7 +299,8 @@ def integer_ldlt(a: SymMatrix) -> Optional[tuple[int, list[list[int]]]]:
     D_{-1} = 1 and t_k = sum_{j>=k} rows[k][j] x_j.  D_k is scale^(k+1)
     times a leading principal minor, so by Sylvester's criterion the
     result is None, at the first D_k <= 0, exactly when A is not
-    positive definite.
+    positive definite.  The last pivot D_{n-1} is det(A.num), which is
+    the package's determinant of a form: det A = D_{n-1} / scale^n.
     """
     n = a.n
     scale = a.den
@@ -351,38 +325,6 @@ def integer_ldlt(a: SymMatrix) -> Optional[tuple[int, list[list[int]]]]:
 
 def is_positive_definite(a: SymMatrix) -> bool:
     return integer_ldlt(a) is not None
-
-
-@dataclass(frozen=True)
-class LinearSolution:
-    """Solution set of a linear system A x = b.
-
-    ``solution`` is one particular solution (None when infeasible) and
-    ``kernel`` a basis of the homogeneous solutions; the system has a
-    unique solution exactly when ``solution`` is set and ``kernel`` is
-    empty.
-    """
-
-    solution: Optional[tuple]
-    kernel: tuple
-
-    @property
-    def unique(self) -> bool:
-        return self.solution is not None and not self.kernel
-
-
-def solve_linear(a_rows: Sequence[Sequence], b: Sequence) -> LinearSolution:
-    rows = [list(row) + [bi] for row, bi in zip(a_rows, b)]
-    if len(rows) != len(b):
-        raise ValueError("matrix/vector size mismatch")
-    ncols = len(a_rows[0]) if a_rows else 0
-    reduced, pivots = _eliminate(rows)
-    if ncols in pivots:
-        return LinearSolution(solution=None, kernel=())
-    particular = [Fraction(0)] * ncols
-    for row, col in zip(reduced, pivots):
-        particular[col] = Fraction(row[ncols], row[col])
-    return LinearSolution(solution=tuple(particular), kernel=_null_space(reduced, pivots, ncols))
 
 
 def _null_space(reduced: list[list[int]], pivots: list[int], ncols: int) -> tuple:

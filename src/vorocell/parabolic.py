@@ -91,10 +91,6 @@ class ParabolicData:
     dim_split_center: int
     dim_semisimple: int
 
-    @property
-    def dim_total(self) -> int:
-        return self.dim_unipotent + self.dim_split_center + self.dim_semisimple
-
 
 def langlands_dims(p: Partition) -> ParabolicData:
     """Dimensions of the unipotent radical, split-center, and

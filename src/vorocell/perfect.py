@@ -28,9 +28,7 @@ from .linalg import (
     _eliminate,
     _integer,
     _null_space,
-    det,
     integer_ldlt,
-    is_positive_definite,
 )
 from . import obs
 from .minvec import MinData, _vectors_below, minimal_vectors
@@ -285,7 +283,7 @@ class PerfectFormRecord:
         self._invariant = (
             self.min_data.mu,
             len(self.min_data.vectors),
-            det(int_rows).numerator,
+            integer_ldlt(self.integral_form)[1][-1][-1],  # det(int_rows)
             tuple(products),
         )
         return self._invariant
@@ -368,15 +366,16 @@ def are_equivalent(a: SymMatrix, b: SymMatrix) -> Optional[list[list[int]]]:
     if a.n != b.n:
         return None
     decomp = integer_ldlt(a)
-    if decomp is None or not is_positive_definite(b):
+    decomp_b = integer_ldlt(b)
+    if decomp is None or decomp_b is None:
         raise ValueError("both forms must be positive definite")
     n = a.n
     nodes = 0  # columns placed in the search
     u = None
     try:
-        # det A = det B, with det(num / den) = det(num) / den^n; the
-        # determinants of the integer matrices are integers
-        if det(a.num).numerator * b.den**n != det(b.num).numerator * a.den**n:
+        # det A = det B, with det(num / den) = det(num) / den^n and
+        # det(num) the last LDL^T pivot
+        if decomp[1][-1][-1] * b.den**n != decomp_b[1][-1][-1] * a.den**n:
             return None
         targets = [b[j, j] for j in range(n)]
         by_value: dict[Fraction, list[tuple[int, ...]]] = {}
@@ -425,7 +424,9 @@ def are_equivalent(a: SymMatrix, b: SymMatrix) -> Optional[list[list[int]]]:
         conjugate = [
             [sum(map(mul, cols[i], images[cols[j]])) for j in range(n)] for i in range(n)
         ]
-        assert conjugate == b_int and abs(det(u)) == 1
+        # U^T A U = B with det A = det B != 0 (compared above) gives
+        # det(U)^2 = 1, so U is unimodular
+        assert conjugate == b_int
         return u
     finally:
         obs.add("isometry", calls=1, hits=int(u is not None), nodes=nodes)

@@ -38,8 +38,6 @@ def _ridge_degrees(facets: Sequence[frozenset[int]]) -> dict[frozenset[int], int
         for v in f:
             r = f - {v}
             out[r] = out.get(r, 0) + 1
-        if not f:
-            raise ValueError("empty facet")
     if len(next(iter(facets))) == 1:
         # facets are single vertices; their unique ridge is the empty face
         out[frozenset()] = len(facets)

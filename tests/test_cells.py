@@ -34,7 +34,7 @@ from vorocell.cells import (
     _sparse_reduce,
     homology,
 )
-from vorocell.linalg import matrix_rank, smith_normal_form
+from vorocell.linalg import smith_normal_form
 from vorocell.sl2 import QuotientTessellation
 
 
@@ -107,7 +107,7 @@ def rational_betti(cx):
         for j, cell in enumerate(cx.cells(d)):
             for i, v in cell:
                 dense[i][j] = v
-        ranks[d] = matrix_rank(dense)
+        ranks[d] = sympy.Matrix(dense).rank()
     return tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(top + 1))
 
 

@@ -1,13 +1,14 @@
 """Exact linear algebra kernel tests.
 
-Reference computations (rank, determinant, reduced row echelon form,
-Smith form) come from sympy so the hand-rolled integer elimination is
-checked against an independent implementation.
+Reference computations (determinant, reduced row echelon form, null
+space, Smith form) come from sympy so the hand-rolled integer
+elimination is checked against an independent implementation.
 """
 
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 import sympy
@@ -18,13 +19,10 @@ from vorocell import linalg
 from vorocell.linalg import (
     SymMatrix,
     cone_membership,
-    det,
     integer_ldlt,
     is_positive_definite,
     mat_mul,
-    matrix_rank,
     smith_normal_form,
-    solve_linear,
     transpose,
 )
 
@@ -40,10 +38,6 @@ def sympy_matrix(rows):
 
 def to_fraction(x):
     return Fraction(int(x.p), int(x.q))
-
-
-def sympy_rank(rows):
-    return sympy_matrix(rows).rank()
 
 
 def sympy_det(rows):
@@ -64,11 +58,6 @@ def sympy_smith_factors(rows):
 small_entries = st.integers(min_value=-6, max_value=6)
 
 
-small_rationals = st.one_of(
-    small_entries, st.fractions(min_value=-6, max_value=6, max_denominator=6)
-)
-
-
 def int_matrix(rows, cols):
     return st.lists(
         st.lists(small_entries, min_size=cols, max_size=cols),
@@ -78,14 +67,14 @@ def int_matrix(rows, cols):
 
 
 @st.composite
-def rational_matrix(draw, rows=None, cols=None):
-    """Integer and rational entries; sometimes the last row is a
-    combination of the first two, so rank deficiency is common."""
-    rows = rows if rows is not None else draw(st.integers(1, 5))
-    cols = cols if cols is not None else draw(st.integers(1, 5))
-    m = [[draw(small_rationals) for _ in range(cols)] for _ in range(rows)]
+def integer_rows(draw):
+    """Small integer entries; sometimes the last row is a combination of
+    the first two, so rank deficiency is common."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 6))
+    m = [[draw(small_entries) for _ in range(cols)] for _ in range(rows)]
     if rows > 2 and draw(st.booleans()):
-        c = draw(small_rationals)
+        c = draw(small_entries)
         m[-1] = [x + c * y for x, y in zip(m[0], m[1])]
     return m
 
@@ -229,44 +218,24 @@ def test_symmatrix_matches_fraction_reference(case):
     assert a - a == SymMatrix.identity(a.n).scale(0)
 
 
-@given(rational_matrix())
-def test_matrix_rank_matches_sympy(rows):
-    assert matrix_rank(rows) == sympy_rank(rows)
-
-
-@given(st.integers(1, 4).flatmap(lambda n: rational_matrix(n, n)))
-def test_det_matches_sympy(rows):
-    d = det(rows)
-    assert isinstance(d, Fraction)
-    assert d == sympy_det(rows)
-
-
-@given(rational_matrix(), st.data())
+@given(integer_rows())
 @settings(max_examples=150)
-def test_solve_linear_matches_sympy_rref(a, data):
-    b = data.draw(st.lists(small_rationals, min_size=len(a), max_size=len(a)))
-    ncols = len(a[0])
-    reduced, pivots = sympy_matrix([row + [bi] for row, bi in zip(a, b)]).rref()
-    sol = solve_linear(a, b)
-    if ncols in pivots:
-        assert sol.solution is None and sol.kernel == ()
-        return
-    # the particular solution and kernel basis read off the unique RREF
-    particular = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        particular[col] = to_fraction(reduced[r, ncols])
-    kernel = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(int(c == f)) for c in range(ncols)]
-        for r, col in enumerate(pivots):
-            vec[col] = -to_fraction(reduced[r, f])
-        kernel.append(tuple(vec))
-    assert sol.solution == tuple(particular)
-    assert sol.kernel == tuple(kernel)
-    assert all(isinstance(x, Fraction) for v in (sol.solution, *sol.kernel) for x in v)
-    for row, bi in zip(a, b):
-        assert sum(x * y for x, y in zip(row, sol.solution)) == bi
-        assert all(sum(x * y for x, y in zip(row, k)) == 0 for k in sol.kernel)
+def test_eliminate_and_null_space_match_sympy(rows):
+    # the kernel behind the perfection test and the start of double description
+    ncols = len(rows[0])
+    reduced, pivots = linalg._eliminate(rows)
+    expect, expect_pivots = sympy_matrix(rows).rref()
+    assert all(type(x) is int for row in reduced for x in row)
+    assert tuple(pivots) == expect_pivots
+    assert [[Fraction(x, row[col]) for x in row] for row, col in zip(reduced, pivots)] == [
+        [to_fraction(expect[r, c]) for c in range(ncols)] for r in range(len(pivots))
+    ]
+    kernel = linalg._null_space(reduced, pivots, ncols)
+    expect_kernel = [[to_fraction(x) for x in vec] for vec in sympy_matrix(rows).nullspace()]
+    assert len(kernel) == len(expect_kernel) == ncols - len(pivots)
+    assert all(sum(map(mul, row, vec)) == 0 for row in rows for vec in kernel)
+    if kernel:  # same span: stacking the two bases adds no rank
+        assert sympy_matrix(list(kernel) + expect_kernel).rank() == len(kernel)
 
 
 @given(int_matrix(4, 3))
@@ -276,18 +245,6 @@ def test_smith_factors_match_sympy(rows):
     expect = sympy_smith_factors(rows)
     assert list(factors) == expect
     assert rank == len(expect)
-
-
-def test_solve_linear_unique_and_kernel():
-    sol = solve_linear([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]],
-                       [Fraction(2), Fraction(0)])
-    assert sol is not None and sol.unique
-    assert sol.solution == (1, 1)
-    under = solve_linear([[Fraction(1), Fraction(1)]], [Fraction(2)])
-    assert under is not None and not under.unique
-    assert len(under.kernel) == 1
-    none = solve_linear([[Fraction(0), Fraction(0)]], [Fraction(1)])
-    assert none.solution is None
 
 
 def test_positive_definite_detection():
@@ -302,27 +259,52 @@ def test_pd_agrees_with_leading_minors(rows):
     # Sylvester's criterion as the oracle
     sym = [[Fraction(rows[i][j] + rows[j][i]) for j in range(3)] for i in range(3)]
     a = SymMatrix(sym)
-    minors = [det([row[: k + 1] for row in sym[: k + 1]]) for k in range(3)]
+    minors = [sympy_det([row[: k + 1] for row in sym[: k + 1]]) for k in range(3)]
     assert is_positive_definite(a) == all(m > 0 for m in minors)
+
+
+def drawn_positive_forms(rng, count):
+    """Strictly diagonally dominant, so positive definite, rational forms
+    with n <= 6 and den > 1."""
+    forms = []
+    while len(forms) < count:
+        n = rng.randint(1, 6)
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        for i in range(n):
+            rows[i][i] = sum(map(abs, rows[i])) + Fraction(rng.randint(1, 9), rng.randint(1, 6))
+        a = SymMatrix(rows)
+        if a.den > 1:
+            forms.append(a)
+    return forms
 
 
 def test_integer_ldlt_identity():
     # scale * x^T A x = sum_k t_k^2 / (D_{k-1} D_k), t_k = sum_{j>=k} rows[k][j] x_j
     rng = random.Random("integer_ldlt")
-    for rows in (
-        [[4, 2], [2, 3]],
-        [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
-        [[Fraction(7, 3), Fraction(1, 2), 0], [Fraction(1, 2), Fraction(5, 4), Fraction(-2, 5)],
-         [0, Fraction(-2, 5), 3]],
-    ):
-        a = SymMatrix(rows)
+    fixed = [
+        SymMatrix(rows)
+        for rows in (
+            [[4, 2], [2, 3]],
+            [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+            [[Fraction(7, 3), Fraction(1, 2), 0],
+             [Fraction(1, 2), Fraction(5, 4), Fraction(-2, 5)],
+             [0, Fraction(-2, 5), 3]],
+        )
+    ]
+    for a in fixed + drawn_positive_forms(rng, 40):
         scale, table = integer_ldlt(a)
         n = a.n
         assert all(type(e) is int for row in table for e in row)
         assert all(table[k][j] == 0 for k in range(n) for j in range(k))
         assert [table[k][k] for k in range(n)] == [
-            scale ** (k + 1) * det([row[: k + 1] for row in a.rows[: k + 1]]) for k in range(n)
+            scale ** (k + 1) * sympy_det([row[: k + 1] for row in a.rows[: k + 1]])
+            for k in range(n)
         ]
+        # the determinant comparison of are_equivalent and invariant_key rest on this
+        assert table[-1][-1] == sympy.Matrix(a.num).det()
         for _ in range(50):
             x = [rng.randint(-6, 6) for _ in range(n)]
             total = Fraction(0)

@@ -24,7 +24,6 @@ import vorocell.perfect
 
 from vorocell.linalg import (
     SymMatrix,
-    det,
     is_positive_definite,
     mat_mul,
     transpose,
@@ -310,7 +309,7 @@ def test_equivalence_produces_checked_certificate():
     u = are_equivalent(a, b)
     assert u is not None
     assert a.conjugate(u).rows == b.rows
-    assert abs(det([[Fraction(x) for x in row] for row in u])) == 1
+    assert abs(sympy.Matrix(u).det()) == 1
 
 
 def test_inequivalent_forms_rejected():
@@ -323,7 +322,7 @@ def test_inequivalent_with_equal_coarse_invariants():
     # same minimum, same count of minimal vectors, same determinant
     a = SymMatrix([[1, 0, 0], [0, 4, 0], [0, 0, 9]])
     b = SymMatrix([[1, 0, 0], [0, 6, 0], [0, 0, 6]])
-    assert det(a.rows) == det(b.rows)
+    assert sympy.Matrix(a.rows).det() == sympy.Matrix(b.rows).det()
     assert minimal_vectors(a).mu == minimal_vectors(b).mu
     assert len(minimal_vectors(a).vectors) == len(minimal_vectors(b).vectors)
     assert are_equivalent(a, b) is None
@@ -341,7 +340,7 @@ def reference_equivalence(a: SymMatrix, b: SymMatrix):
     if not is_positive_definite(a) or not is_positive_definite(b):
         raise ValueError("both forms must be positive definite")
     a_rows, b_rows = a.rows, b.rows  # each access builds a fresh Fraction view
-    if det(a_rows) != det(b_rows):
+    if sympy.Matrix(a_rows).det() != sympy.Matrix(b_rows).det():
         return None
     n = a.n
     targets = [b_rows[j][j] for j in range(n)]
