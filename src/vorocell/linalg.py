@@ -5,8 +5,9 @@ Everything in this module is exact, with no floating point: the kernels
 membership LP) and the arithmetic of symmetric matrices run in
 ``int``, and rational results are ``fractions.Fraction``.  Each job
 has one kernel: Gauss-Jordan elimination of integer rows gives pivots
-and kernels, and the fraction-free LDL^T of a form decides positive
-definiteness and gives its determinant as the last pivot.  The
+and kernels, and the fraction-free LDL^T of a form, computed once per
+matrix and kept on it, decides positive definiteness, drives the
+minimal-vector sweep and gives the determinant as its last pivot.  The
 matrices that show up downstream live in spaces of dimension n(n+1)/2
 for n <= 8, so simple dense algorithms are fine and determinism matters
 more than speed.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -63,9 +64,10 @@ class SymMatrix:
     are equal exactly when their ``num`` and ``den`` are.  ``den`` is
     then the lcm of the entries' denominators.  ``rows``, :meth:`upper`
     and indexing are read-only ``Fraction`` views of the same entries.
+    ``_ldlt`` holds :func:`integer_ldlt` once it has run on the matrix.
     """
 
-    __slots__ = ("n", "num", "den")
+    __slots__ = ("n", "num", "den", "_ldlt")
 
     def __init__(self, rows: Sequence[Sequence]) -> None:
         n = len(rows)
@@ -211,6 +213,8 @@ class SymMatrix:
         rows = doc["rows"]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ValueError("rows must be a list of lists")
+        if any(type(x) is float and isfinite(x) and not x.is_integer() for r in rows for x in r):
+            raise ValueError("rows must hold integers or rational strings, not fractional floats")
         m = SymMatrix([[Fraction(s) for s in row] for row in rows])
         if m.n != doc["n"]:
             raise ValueError("declared dimension does not match rows")
@@ -290,11 +294,12 @@ def unimodular_inverse(u: Sequence[Sequence[int]]) -> list[list[int]]:
     return [[x * row[i] for x in row[n:]] for i, row in enumerate(reduced)]
 
 
-def integer_ldlt(a: SymMatrix) -> Optional[tuple[int, list[list[int]]]]:
+def integer_ldlt(a: SymMatrix) -> Optional[tuple[tuple[int, ...], ...]]:
     """Fraction-free LDL^T: Bareiss elimination on scale * A = A.num,
-    with ``scale`` = A.den; every division is exact.
+    with scale = A.den; every division is exact.  Computed once per
+    matrix object and kept on it (``num`` and ``den`` never change).
 
-    Returns (scale, rows) with rows[k] zero before column k, so that
+    Returns rows with rows[k] zero before column k, so that
     scale * x^T A x = sum_k t_k^2 / (D_{k-1} D_k) for D_k = rows[k][k],
     D_{-1} = 1 and t_k = sum_{j>=k} rows[k][j] x_j.  D_k is scale^(k+1)
     times a leading principal minor, so by Sylvester's criterion the
@@ -302,8 +307,9 @@ def integer_ldlt(a: SymMatrix) -> Optional[tuple[int, list[list[int]]]]:
     positive definite.  The last pivot D_{n-1} is det(A.num), which is
     the package's determinant of a form: det A = D_{n-1} / scale^n.
     """
+    if hasattr(a, "_ldlt"):
+        return a._ldlt
     n = a.n
-    scale = a.den
     work = [list(row) for row in a.num]
     rows = []
     prev = 1
@@ -311,8 +317,9 @@ def integer_ldlt(a: SymMatrix) -> Optional[tuple[int, list[list[int]]]]:
         pivot_row = work[k]
         pivot = pivot_row[k]
         if pivot <= 0:
+            a._ldlt = None
             return None
-        rows.append([0] * k + pivot_row[k:])
+        rows.append((0,) * k + tuple(pivot_row[k:]))
         # stage k + 1 on the upper triangle; work[i][k] == work[k][i] by symmetry
         for i in range(k + 1, n):
             c = pivot_row[i]
@@ -320,7 +327,8 @@ def integer_ldlt(a: SymMatrix) -> Optional[tuple[int, list[list[int]]]]:
             for j in range(i, n):
                 row[j] = (pivot * row[j] - c * pivot_row[j]) // prev
         prev = pivot
-    return scale, rows
+    a._ldlt = tuple(rows)
+    return a._ldlt
 
 
 def is_positive_definite(a: SymMatrix) -> bool:

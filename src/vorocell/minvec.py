@@ -5,12 +5,14 @@ primitive integer vectors, and M(A) the finite set of vectors attaining
 it.  Enumeration is a Fincke--Pohst style recursive sweep driven by the
 fraction-free LDL^T of :func:`~vorocell.linalg.integer_ldlt`: writing
 
-    scale * M * x^T A x = sum_k w_k t_k^2,   w_k = M / (D_{k-1} D_k),
+    M * x^T A.num x = sum_k w_k t_k^2,   w_k = M / (D_{k-1} D_k),
 
-with t_k as there and M the lcm of the D_{k-1} D_k, is an integer.
-Coordinates are chosen from the last to the first, and at each level the
-admissible integer interval is computed in integers with ``math.isqrt`` —
-no floating point, no rounding.
+with t_k as there and M the lcm of the D_{k-1} D_k, the sweep runs in
+the integer units of A.num, A.den times values under A: its bound and
+its values are integers, and only the minimum of :class:`MinData` is a
+``Fraction``.  Coordinates are chosen from the last to the first, and
+at each level the admissible integer interval is computed in integers
+with ``math.isqrt`` — no floating point, no rounding.
 
 Vectors are stored up to sign with the representative whose first
 nonzero coordinate is positive (the rank-one matrix vv^T downstream is
@@ -41,38 +43,28 @@ def is_primitive(v: tuple[int, ...]) -> bool:
     return g == 1
 
 
-def vectors_below(q: SymMatrix, bound) -> list[tuple[tuple[int, ...], Fraction]]:
-    """All primitive vectors (up to sign) with value <= bound, with values.
+def vectors_below(q: SymMatrix, bound: int) -> list[tuple[tuple[int, ...], int]]:
+    """All primitive vectors v (up to sign) with v^T q.num v <= bound,
+    with those values: ``bound`` and the values are q.den times values
+    under q.  A bound below 1 finds nothing.
 
     Sorted lexicographically by vector; the returned representatives have
     their first nonzero coordinate positive.
     """
-    bound = Fraction(bound)
-    if bound.numerator <= 0:
-        raise ValueError("bound must be positive")
-    decomp = integer_ldlt(q)
-    if decomp is None:
+    rows = integer_ldlt(q)
+    if rows is None:
         raise ValueError("form is not positive definite")
-    return _vectors_below(decomp, bound)
-
-
-def _vectors_below(
-    decomp: tuple[int, list[list[int]]], bound: Fraction
-) -> list[tuple[tuple[int, ...], Fraction]]:
-    """:func:`vectors_below` for a positive bound on a form already
-    factored by :func:`~vorocell.linalg.integer_ldlt`, for callers that
-    factored it to test positive definiteness."""
-    scale, rows = decomp
+    if bound < 1:
+        return []
     n = len(rows)
     pivots = [rows[k][k] for k in range(n)]
     denoms = [p * (pivots[k - 1] if k else 1) for k, p in enumerate(pivots)]
     m = lcm(*denoms)
     weights = [m // d for d in denoms]
-    # scale * m * x^T q x = sum_k weights[k] * t_k^2 is an integer, so
-    # flooring the bound loses nothing
-    limit = bound.numerator * scale * m // bound.denominator
+    # m * x^T q.num x = sum_k weights[k] * t_k^2
+    limit = bound * m
     x = [0] * n
-    found: list[tuple[tuple[int, ...], Fraction]] = []
+    found: list[tuple[tuple[int, ...], int]] = []
 
     def sweep(k: int, remaining: int, zero_above: bool) -> None:
         # t_k = d * x_k + s, from the already-fixed coordinates x_{k+1}..x_{n-1}
@@ -94,7 +86,7 @@ def _vectors_below(
             if k == 0:
                 v = tuple(x)
                 if (not zero_above or xk) and is_primitive(v):
-                    found.append((canonical_sign(v), Fraction(limit - left, scale * m)))
+                    found.append((canonical_sign(v), (limit - left) // m))
             else:
                 sweep(k - 1, left, zero_above and xk == 0)
         x[k] = 0
@@ -123,6 +115,6 @@ def minimal_vectors(q: SymMatrix) -> MinData:
     start = min(q.num[i][i] for i in range(q.n))
     if start <= 0:
         raise ValueError("form is not positive definite")
-    below = vectors_below(q, Fraction(start, q.den))
-    mu = min(value for _, value in below)
-    return MinData(mu=mu, vectors=tuple(v for v, value in below if value == mu))
+    below = vectors_below(q, start)
+    low = min(value for _, value in below)
+    return MinData(mu=Fraction(low, q.den), vectors=tuple(v for v, value in below if value == low))

@@ -19,7 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
@@ -31,7 +31,7 @@ from .linalg import (
     integer_ldlt,
 )
 from . import obs
-from .minvec import MinData, _vectors_below, minimal_vectors
+from .minvec import MinData, minimal_vectors, vectors_below
 
 
 class NeighborStepError(RuntimeError):
@@ -283,7 +283,7 @@ class PerfectFormRecord:
         self._invariant = (
             self.min_data.mu,
             len(self.min_data.vectors),
-            integer_ldlt(self.integral_form)[1][-1][-1],  # det(int_rows)
+            integer_ldlt(self.integral_form)[-1][-1],  # det(int_rows)
             tuple(products),
         )
         return self._invariant
@@ -324,15 +324,13 @@ def neighbor(record: PerfectFormRecord, facet: Facet) -> SymMatrix:
     step = Fraction(1)
     for probes in range(1, 201):
         cur = lo + step
-        decomp = integer_ldlt(q + r.scale(cur))
-        if decomp is None:
+        probe = q + r.scale(cur)
+        if integer_ldlt(probe) is None:
             step /= 2
             continue
-        fresh = [
-            v
-            for v, _val in _vectors_below(decomp, mu)
-            if v not in old and r_value(v) < 0
-        ]
+        # mu in probe.num units, floored: the values there are integers
+        bound = mu.numerator * probe.den // mu.denominator
+        fresh = [v for v, _val in vectors_below(probe, bound) if v not in old and r_value(v) < 0]
         if fresh:
             rho = min((mu - q.evaluate(v)) / r_value(v) for v in fresh)
             obs.add("neighbor", steps=1, ldlt_probes=probes)
@@ -353,8 +351,8 @@ def are_equivalent(a: SymMatrix, b: SymMatrix) -> Optional[list[list[int]]]:
     Backtracks over the columns of U, in the order 0..n-1: column j
     must be a vector of A-value b_jj, and pairs of columns must
     reproduce the off-diagonal entries of B, so candidates come from one
-    short-vector enumeration.  The search runs in integers, on A and B
-    scaled by one common denominator.  Each candidate's image A v is
+    short-vector enumeration.  The search runs in integers, on A.num and
+    B.num over their common denominator.  Each candidate's image A v is
     computed once per call, and placing column j with vector v filters
     the candidate list of every later column jj down to the u with
     (A v) . u = b_j,jj (forward checking); v is dropped as soon as one of
@@ -365,26 +363,22 @@ def are_equivalent(a: SymMatrix, b: SymMatrix) -> Optional[list[list[int]]]:
     """
     if a.n != b.n:
         return None
-    decomp = integer_ldlt(a)
-    decomp_b = integer_ldlt(b)
-    if decomp is None or decomp_b is None:
+    rows_a, rows_b = integer_ldlt(a), integer_ldlt(b)
+    if rows_a is None or rows_b is None:
         raise ValueError("both forms must be positive definite")
     n = a.n
     nodes = 0  # columns placed in the search
     u = None
     try:
-        # det A = det B, with det(num / den) = det(num) / den^n and
-        # det(num) the last LDL^T pivot
-        if decomp[1][-1][-1] * b.den**n != decomp_b[1][-1][-1] * a.den**n:
+        # the entries of B = U^T A U and of A = U^-T B U^-1 are integral
+        # combinations of each other's, so equivalent forms share den, and
+        # then det(num), the last LDL^T pivot
+        if a.den != b.den or rows_a[-1][-1] != rows_b[-1][-1]:
             return None
-        targets = [b[j, j] for j in range(n)]
-        by_value: dict[Fraction, list[tuple[int, ...]]] = {}
-        for v, val in _vectors_below(decomp, max(targets)):
+        targets = [b.num[j][j] for j in range(n)]
+        by_value: dict[int, list[tuple[int, ...]]] = {}
+        for v, val in vectors_below(a, max(targets)):
             by_value.setdefault(val, []).extend([v, tuple(-x for x in v)])
-        scale = lcm(a.den, b.den)
-        a_int, b_int = (
-            [[x * (scale // m.den) for x in row] for row in m.num] for m in (a, b)
-        )
         images: dict[tuple[int, ...], tuple[int, ...]] = {}
         candidates = []
         for t in targets:
@@ -393,7 +387,7 @@ def are_equivalent(a: SymMatrix, b: SymMatrix) -> Optional[list[list[int]]]:
                 return None
             for v in pool:
                 if v not in images:
-                    images[v] = tuple(sum(map(mul, row, v)) for row in a_int)
+                    images[v] = tuple(sum(map(mul, row, v)) for row in a.num)
             candidates.append([(v, images[v]) for v in pool])
 
         cols: list[tuple[int, ...]] = []
@@ -401,7 +395,7 @@ def are_equivalent(a: SymMatrix, b: SymMatrix) -> Optional[list[list[int]]]:
         def place(j: int, pools: list[list[tuple[tuple[int, ...], tuple[int, ...]]]]) -> bool:
             """Fill columns j..n-1; pools[k] holds the (u, A u) still open for column j + k."""
             nonlocal nodes
-            b_row = b_int[j]
+            b_row = b.num[j]
             for v, av in pools[0]:
                 narrowed = []
                 for jj, pool in enumerate(pools[1:], j + 1):
@@ -421,12 +415,12 @@ def are_equivalent(a: SymMatrix, b: SymMatrix) -> Optional[list[list[int]]]:
         if not place(0, candidates):
             return None
         u = [[cols[j][i] for j in range(n)] for i in range(n)]
-        conjugate = [
-            [sum(map(mul, cols[i], images[cols[j]])) for j in range(n)] for i in range(n)
-        ]
+        conjugate = tuple(
+            tuple(sum(map(mul, cols[i], images[cols[j]])) for j in range(n)) for i in range(n)
+        )
         # U^T A U = B with det A = det B != 0 (compared above) gives
         # det(U)^2 = 1, so U is unimodular
-        assert conjugate == b_int
+        assert conjugate == b.num
         return u
     finally:
         obs.add("isometry", calls=1, hits=int(u is not None), nodes=nodes)
@@ -530,10 +524,13 @@ class Catalog:
         if doc.get("format") != 1:
             raise ValueError("unsupported catalog format")
         cat = Catalog(_integer(doc["n"], "n must be an integer"))
-        count = len(doc["classes"])
+        classes = doc["classes"]
+        if not isinstance(classes, list) or not all(isinstance(e, dict) for e in classes):
+            raise ValueError("classes must be a list of objects")
+        count = len(classes)
         if count == 0:
             raise ValueError("catalog has no classes")
-        for index, entry in enumerate(doc["classes"]):
+        for index, entry in enumerate(classes):
             nb = entry["neighbors"]
             if nb is not None and not (
                 isinstance(nb, list)

@@ -2,12 +2,19 @@
 
 Tests marked ``@pytest.mark.criterion(num, "summary")`` get one
 ``criterion N: PASS/FAIL`` line each in the terminal summary, so the
-acceptance gate reads as a checklist.
+acceptance gate reads as a checklist.  Tests marked ``slow`` take
+minutes each and run only with ``--run-slow``.
 """
 
 import pytest
 
 _RESULTS: dict[int, tuple[str, str]] = {}
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--run-slow", action="store_true", help="also run the tests marked slow"
+    )
 
 
 def pytest_configure(config):
@@ -16,6 +23,16 @@ def pytest_configure(config):
         "criterion(num, summary): acceptance-gate criterion with a "
         "one-line pass/fail report",
     )
+    config.addinivalue_line("markers", "slow: takes minutes; runs only with --run-slow")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--run-slow"):
+        return
+    skip = pytest.mark.skip(reason="slow; pass --run-slow to run it")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
 
 
 @pytest.hookimpl(hookwrapper=True)

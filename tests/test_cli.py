@@ -19,12 +19,12 @@ from vorocell.cells import RegularComplex, SimplicialComplex
 CLI = [sys.executable, "-m", "vorocell.cli"]
 
 
-def run(*args, env=None):
+def run(*args, env=None, timeout=300):
     merged = dict(os.environ)
     if env:
         merged.update(env)
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=merged, timeout=300
+        CLI + list(args), capture_output=True, text=True, env=merged, timeout=timeout
     )
 
 
@@ -241,9 +241,16 @@ def test_reduce_rejects_indefinite_form(tmp_path):
         ("catalog", lambda d: d.__setitem__("n", 3),
          "class 0: form has dimension 2, catalog has 3"),
         ("catalog", lambda d: d.__setitem__("n", 2.5), "n must be an integer"),
+        ("form", lambda d: d["rows"][0].__setitem__(0, 0.1),
+         "bad form document: rows must hold integers or rational strings, not fractional floats"),
+        ("catalog", lambda d: d.__setitem__("classes", "ab"),
+         "bad catalog document: classes must be a list of objects"),
+        ("catalog", lambda d: d["classes"].__setitem__(0, 5),
+         "bad catalog document: classes must be a list of objects"),
     ],
     ids=["zero-denominator", "infinite-entry", "no-classes", "form-dimension",
-         "catalog-dimension", "n-not-integral"],
+         "catalog-dimension", "n-not-integral", "fractional-float-entry",
+         "classes-not-a-list", "class-not-an-object"],
 )
 def test_reduce_rejects_bad_documents(tmp_path, fault, edit, message):
     docs = {
@@ -436,6 +443,21 @@ def test_enumerate_then_reduce(tmp_path):
     # witness is unimodular 2x2
     a, b = doc["witness"]
     assert a[0] * b[1] - a[1] * b[0] in (1, -1)
+
+
+@pytest.mark.slow
+def test_enumerate_n6_finds_the_seven_classes_of_barnes(tmp_path):
+    cat = tmp_path / "cat6.json"
+    r = run("perfect", "enumerate", "--n", "6", "--out", str(cat), timeout=3600)
+    assert r.returncode == 0
+    summary = json.loads(r.stdout)
+    assert summary["classes"] == 7  # Barnes 1957
+    assert summary["complete"] is True
+    doc = json.loads(cat.read_text())
+    assert doc["complete"] is True
+    classes = doc["classes"]
+    assert [len(c["min_vectors"]) for c in classes] == [21, 30, 36, 21, 22, 27, 21]
+    assert [len(c["neighbors"]) for c in classes] == [21, 6336, 38124, 21, 46, 621, 21]
 
 
 def test_sl2_emit_feeds_homology(tmp_path):

@@ -295,7 +295,8 @@ def test_integer_ldlt_identity():
         )
     ]
     for a in fixed + drawn_positive_forms(rng, 40):
-        scale, table = integer_ldlt(a)
+        table = integer_ldlt(a)
+        scale = a.den
         n = a.n
         assert all(type(e) is int for row in table for e in row)
         assert all(table[k][j] == 0 for k in range(n) for j in range(k))
@@ -315,6 +316,20 @@ def test_integer_ldlt_identity():
                 prev = table[k][k]
             assert total == scale * a.evaluate(x)
     assert integer_ldlt(SymMatrix([[1, 2], [2, 1]])) is None
+
+
+def test_integer_ldlt_is_computed_once_per_matrix():
+    a = SymMatrix([[Fraction(7, 3), Fraction(1, 2)], [Fraction(1, 2), Fraction(5, 4)]])
+    rows = integer_ldlt(a)
+    assert integer_ldlt(a) is rows
+    # an equal but distinct matrix is factored on its own, to equal rows
+    twin = SymMatrix(a.rows)
+    assert twin == a and twin is not a
+    assert integer_ldlt(twin) == rows and integer_ldlt(twin) is not rows
+    # a failed factorization is kept too, and results of arithmetic start afresh
+    indefinite = SymMatrix([[1, 2], [2, 1]])
+    assert integer_ldlt(indefinite) is None and integer_ldlt(indefinite) is None
+    assert not hasattr(a.scale(2), "_ldlt") and not hasattr(a + indefinite, "_ldlt")
 
 
 def test_cone_membership_interior_and_outside():

@@ -2,13 +2,15 @@
 integer sweep against a reference sweep in ``Fraction`` arithmetic."""
 
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vorocell.perfect
 from vorocell.linalg import SymMatrix, is_positive_definite
 from vorocell.minvec import canonical_sign, is_primitive, minimal_vectors, vectors_below
+from vorocell.perfect import PerfectFormRecord, a_root_form, are_equivalent, neighbor
 
 
 # -- oracle: exhaustive search over a crude coordinate box -------------------
@@ -165,7 +167,7 @@ def test_matches_brute_force(entries):
 
 def test_vectors_below_includes_bound():
     q = SymMatrix.identity(2)
-    got = vectors_below(q, Fraction(2))
+    got = vectors_below(q, 2)
     vals = {v: val for v, val in got}
     assert vals[(1, 0)] == 1 and vals[(1, 1)] == 2
     assert (1, -1) in vals
@@ -174,7 +176,7 @@ def test_vectors_below_includes_bound():
 
 def test_vectors_below_primitive_only():
     q = SymMatrix.identity(2)
-    got = dict(vectors_below(q, Fraction(4)))
+    got = dict(vectors_below(q, 4))
     assert (2, 0) not in got
     assert (0, 2) not in got
 
@@ -186,17 +188,61 @@ def test_fractional_form():
     assert md.vectors == ((1, 0),)
 
 
+def in_num_units(q: SymMatrix, bound: Fraction):
+    """The reference sweep below a rational bound, values times q.den."""
+    return [(v, val * q.den) for v, val in reference_vectors_below(q, bound)]
+
+
 @given(rational_forms(), st.fractions(Fraction(1, 3), Fraction(5)))
 @settings(max_examples=150, deadline=None)
 def test_integer_sweep_matches_fraction_sweep(q, ratio):
+    # the integer sweep's bound and values are in q.num units, q.den times
+    # the reference's; the rational bound, often between two values, is
+    # floored into those units
     bound = min(q.rows[i][i] for i in range(q.n)) * ratio
-    assert vectors_below(q, bound) == reference_vectors_below(q, bound)
+    got = vectors_below(q, floor(bound * q.den))
+    assert all(type(val) is int for _, val in got)
+    assert got == in_num_units(q, bound)
 
 
-def test_bound_between_values_is_floored_exactly():
+def test_bound_between_values_is_floored_exactly(monkeypatch):
     # values of the identity are integers; a bound just below 2 keeps the
     # unit vectors and drops (1, 1) and (1, -1)
-    got = vectors_below(SymMatrix.identity(2), Fraction(199, 100))
+    got = vectors_below(SymMatrix.identity(2), floor(Fraction(199, 100)))
     assert got == [((0, 1), 1), ((1, 0), 1)]
-    again = vectors_below(SymMatrix([[Fraction(1, 3), 0], [0, Fraction(1, 3)]]), Fraction(2, 3))
-    assert [v for v, _ in again] == [(0, 1), (1, -1), (1, 0), (1, 1)]
+    third = SymMatrix([[Fraction(1, 3), 0], [0, Fraction(1, 3)]])
+    again = vectors_below(third, floor(Fraction(2, 3) * third.den))
+    assert again == [((0, 1), 1), ((1, -1), 2), ((1, 0), 1), ((1, 1), 2)]
+    assert vectors_below(third, 1) == [((0, 1), 1), ((1, 0), 1)]
+    assert vectors_below(third, 0) == []  # a bound below 1 finds nothing
+
+    # the callers floor their rational bound c to c * q.den in q.num units
+    swept = []
+
+    def recorded(q, bound):
+        found = vectors_below(q, bound)
+        swept.append((q, bound, found))
+        return found
+
+    monkeypatch.setattr(vorocell.perfect, "vectors_below", recorded)
+    record = PerfectFormRecord(a_root_form(3))
+    mu = record.min_data.mu
+    for facet in record.facets[:4]:
+        swept.clear()
+        neighbor(record, facet)
+        assert swept
+        for probe, bound, found in swept:
+            assert bound == floor(mu * probe.den)
+            assert found == in_num_units(probe, mu)
+    # are_equivalent sweeps only forms over one denominator, whose b_jj
+    # are in a.num units already
+    half = SymMatrix([[Fraction(9, 2), 0], [0, 2]])
+    swept.clear()
+    assert are_equivalent(SymMatrix([[1, 0], [0, 9]]), half) is None  # equal det
+    assert swept == []
+    b = half.conjugate([[1, 1], [0, 1]])
+    assert are_equivalent(half, b) is not None
+    c = max(b.rows[j][j] for j in range(b.n))
+    [(q, bound, found)] = swept
+    assert q is half and bound == floor(c * half.den) == 13
+    assert found == in_num_units(half, c)

@@ -11,7 +11,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 import pytest
 import sympy
@@ -246,38 +246,25 @@ def test_facet_normals_are_supporting():
 
 
 def test_each_step_factors_a_form_once(monkeypatch):
-    """neighbor, PerfectFormRecord and are_equivalent reuse the LDL^T made
-    to test positive definiteness: none factors one matrix twice."""
+    """integer_ldlt keeps its rows on the matrix: over the whole n=4
+    enumeration no matrix object is factored twice, and the neighbor
+    steps, records and isometry searches read the stored rows."""
     real = vorocell.linalg.integer_ldlt
-    scopes = []
-    calls = repeats = 0
+    factored = []  # kept alive, so that no id is reused
+    calls = 0
 
     def counted(a):
-        nonlocal calls, repeats
+        nonlocal calls
         calls += 1
-        if scopes:
-            repeats += any(seen is a for seen in scopes[-1])
-            scopes[-1].append(a)
+        if not hasattr(a, "_ldlt"):
+            factored.append(a)
         return real(a)
-
-    def scoped(fn):
-        def wrapper(*args, **kwargs):
-            scopes.append([])
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                scopes.pop()
-
-        return wrapper
 
     for module in (vorocell.linalg, vorocell.minvec, vorocell.perfect):
         monkeypatch.setattr(module, "integer_ldlt", counted)
-    for name in ("neighbor", "are_equivalent"):
-        monkeypatch.setattr(vorocell.perfect, name, scoped(getattr(vorocell.perfect, name)))
-    monkeypatch.setattr(PerfectFormRecord, "__init__", scoped(PerfectFormRecord.__init__))
     assert len(vorocell.perfect.enumerate_perfect_forms(4)) == 2
-    assert calls > 0
-    assert repeats == 0
+    assert len({id(a) for a in factored}) == len(factored)
+    assert 0 < len(factored) < calls
 
 
 # -- neighbors -----------------------------------------------------------------
@@ -345,8 +332,9 @@ def reference_equivalence(a: SymMatrix, b: SymMatrix):
     n = a.n
     targets = [b_rows[j][j] for j in range(n)]
     by_value = {}
-    for v, val in vectors_below(a, max(targets)):
-        by_value.setdefault(val, []).extend([v, tuple(-x for x in v)])
+    # the sweep's bound and values are in a.num units, a.den times A's
+    for v, val in vectors_below(a, floor(max(targets) * a.den)):
+        by_value.setdefault(Fraction(val, a.den), []).extend([v, tuple(-x for x in v)])
     candidates = []
     for t in targets:
         pool = sorted(by_value.get(t, []))
@@ -434,6 +422,9 @@ def test_witness_matches_reference_on_rational_forms():
     assert assert_same_witness(a3, b3) is not None
     # rational entries on one side only: scaling is not quotiented
     assert assert_same_witness(a3, a_root_form(3)) is None
+    # equal determinants over denominators 1 and 2
+    half = SymMatrix([[Fraction(9, 2), 0], [0, 2]])
+    assert assert_same_witness(SymMatrix([[1, 0], [0, 9]]), half) is None
 
 
 def test_witness_matches_reference_on_scaled_pair():
