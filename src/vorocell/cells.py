@@ -226,9 +226,11 @@ class SimplicialComplex:
         if d == 0:
             return [()] * len(faces[0])
         index = {f: i for i, f in enumerate(faces[d - 1])}
-        signs = [(-1) ** i for i in range(d + 1)]
+        # combinations drop the last vertex first, so they pair with the
+        # signs from the last one down and the pairs are then reversed
+        signs = [(-1) ** i for i in range(d, -1, -1)]
         return [
-            tuple([(index[s[:i] + s[i + 1 :]], signs[i]) for i in range(d + 1)])
+            tuple(zip(map(index.__getitem__, combinations(s, d)), signs))[::-1]
             for s in faces[d]
         ]
 
@@ -318,9 +320,13 @@ def _sparse_reduce(
     Takes the shortest live row first and pivots on its +-1 entry in
     the column with the fewest rows, which splits off unit invariant
     factors one at a time and keeps fill low; a row with no +-1 entry
-    waits until an update gives it one.  Whatever survives without a
-    unit entry goes through the dense Smith routine.  For boundary
-    matrices this residual is tiny (it is where torsion lives).
+    waits until an update gives it one.  A row whose one entry is +-1
+    (a free face) is pivoted by deleting its column from the other
+    rows, which is all the row update does there: no arithmetic, no
+    choice of column, and the same pushes and count of row updates.
+    Whatever survives without a unit entry goes through the dense Smith
+    routine.  For boundary matrices this residual is tiny (it is where
+    torsion lives).
 
     The rows of the +-1 pivots are what ``homology`` clears in the next
     degree down.  Leaving those columns out keeps the column lattice,
@@ -363,6 +369,23 @@ def _sparse_reduce(
         length, pr = heapq.heappop(heap)
         prow = rows.get(pr)
         if prow is None or len(prow) != length:
+            continue
+        if length == 1:  # a free face: clearing its column is the whole update
+            ((pc, v),) = prow.items()
+            if v != 1 and v != -1:
+                continue
+            others = cols.pop(pc)
+            row_updates += len(others) - 1
+            for r in others:
+                if r != pr:
+                    row = rows[r]
+                    del row[pc]
+                    if row:
+                        heapq.heappush(heap, (len(row), r))
+                    else:
+                        del rows[r]
+            del rows[pr]
+            pivot_rows.add(pr)
             continue
         pc = min(
             (c for c, v in prow.items() if v in (-1, 1)),

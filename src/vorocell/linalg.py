@@ -44,10 +44,11 @@ def _frac(x) -> Fraction:
 
 def _integer(value, message: str) -> int:
     """``int(value)``, failing with ``message``, which names the field,
-    also on a float that is not integral."""
+    also on a float that is not integral and on a JSON ``true`` or
+    ``false``."""
     if type(value) is int:
         return value
-    if isinstance(value, float) and not value.is_integer():
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(message)
     try:
         return int(value)
@@ -215,8 +216,10 @@ class SymMatrix:
             raise ValueError("rows must be a list of lists")
         if any(type(x) is float and isfinite(x) and not x.is_integer() for r in rows for x in r):
             raise ValueError("rows must hold integers or rational strings, not fractional floats")
+        if any(type(x) is bool for r in rows for x in r):
+            raise ValueError("rows must hold integers or rational strings, not booleans")
         m = SymMatrix([[Fraction(s) for s in row] for row in rows])
-        if m.n != doc["n"]:
+        if m.n != _integer(doc["n"], "n must be an integer"):
             raise ValueError("declared dimension does not match rows")
         return m
 

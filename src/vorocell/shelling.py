@@ -10,12 +10,21 @@ a ball.  The search is depth first, most-glued facet first, with
 chronological backtracking under a node budget, so "unknown" is an
 honest possible outcome distinct from "not shellable" (which only an
 exhausted search may report).
+
+Ridges are numbered once per facet list, as integers, by
+``_ridge_table``: each facet's ridge numbers, the k-th one dropping its
+k-th vertex, and each ridge's ``(facet, opposite vertex)`` pairs.  Ridge
+degrees, the search's ridge counts and its attachments are read off that
+table, with no set built per ridge.  ``verify_shelling`` replays the
+definition with a ridge set of its own, so the check does not share the
+search's data.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 from . import obs
@@ -32,22 +41,35 @@ def _facet_list(c: SimplicialComplex) -> list[frozenset[int]]:
     return facets
 
 
-def _ridge_degrees(facets: Sequence[frozenset[int]]) -> dict[frozenset[int], int]:
-    out: dict[frozenset[int], int] = {}
-    for f in facets:
-        for v in f:
-            r = f - {v}
-            out[r] = out.get(r, 0) + 1
-    if len(next(iter(facets))) == 1:
-        # facets are single vertices; their unique ridge is the empty face
-        out[frozenset()] = len(facets)
-    return out
+def _ridge_table(
+    facets: Sequence[tuple[int, ...]],
+) -> tuple[list[tuple[int, ...]], list[list[int]], list[list[tuple[int, int]]]]:
+    """Number the ridges of sorted facets: ``(ridges, facet_ridges,
+    sides)``.  ``ridges[r]`` is ridge r as a sorted tuple,
+    ``facet_ridges[i][k]`` the number of facet i's ridge without its
+    k-th vertex, and ``sides[r]`` the ``(facet, opposite vertex)`` pairs
+    of ridge r, by facet.  A single-vertex facet has the empty ridge."""
+    number: dict[tuple[int, ...], int] = {}
+    facet_ridges: list[list[int]] = []
+    sides: list[list[tuple[int, int]]] = []
+    for i, f in enumerate(facets):
+        row = []
+        # combinations drop the last vertex first
+        for v, ridge in zip(reversed(f), combinations(f, len(f) - 1)):
+            r = number.setdefault(ridge, len(sides))
+            if r == len(sides):
+                sides.append([])
+            sides[r].append((i, v))
+            row.append(r)
+        row.reverse()
+        facet_ridges.append(row)
+    return list(number), facet_ridges, sides
 
 
 def is_pseudomanifold(c: SimplicialComplex) -> bool:
     """Every codimension-one face lies in exactly two maximal faces."""
-    facets = _facet_list(c)
-    return all(d == 2 for d in _ridge_degrees(facets).values())
+    _facet_list(c)  # pure, or ValueError
+    return all(len(s) == 2 for s in _ridge_table(c.maximal_faces)[2])
 
 
 @dataclass(frozen=True)
@@ -73,10 +95,14 @@ class ShellingResult:
 class _SearchState:
     """Incremental bookkeeping for the shelling search.
 
-    ``glue[i]`` holds, for the unused facet i, the vertices whose
+    The ridges are the integers of ``_ridge_table`` on the sorted facets,
+    and ``ridge_count[r]`` is how many placed facets contain ridge r, so
+    ``place`` and ``unplace`` walk a facet's ridge numbers and build no
+    set.  ``glue[i]`` holds, for the unused facet i, the vertices whose
     opposite ridge is already present in the built part; a facet is a
     legal next step iff that set is nonempty and no used facet contains
-    all of it.
+    all of it.  The glue sets and the facets, as frozensets, stay sets,
+    for that containment test.
 
     The frontier is a lazy heap of ``(-len(glue[i]), sorted facet, i)``
     entries, with a ``parked`` list beside it.  Every live facet --
@@ -102,14 +128,11 @@ class _SearchState:
     def __init__(self, facets: list[frozenset[int]]) -> None:
         self.facets = facets
         self.sorted_facets = [tuple(sorted(f)) for f in facets]
-        self.ridge_to_facets: dict[frozenset[int], list[int]] = {}
-        for i, f in enumerate(facets):
-            for v in f:
-                self.ridge_to_facets.setdefault(f - {v}, []).append(i)
+        self.ridges, self.facet_ridges, self.sides = _ridge_table(self.sorted_facets)
         self.glue: list[set[int]] = [set() for _ in facets]
         self.used: list[bool] = [False] * len(facets)
         self.used_by_vertex: dict[int, set[int]] = {}
-        self.ridge_count: dict[frozenset[int], int] = {}
+        self.ridge_count: list[int] = [0] * len(self.ridges)
         self.order: list[int] = []
         self.frontier: list[tuple[int, tuple[int, ...], int]] = []
         self.parked: list[tuple[int, tuple[int, ...], int]] = []
@@ -124,37 +147,30 @@ class _SearchState:
         return not self.used[j] and len(self.glue[j]) == -entry[0] > 0
 
     def place(self, idx: int) -> list[tuple[int, int]]:
-        f = self.facets[idx]
         self.used[idx] = True
         self.order.append(idx)
-        for v in f:
+        for v in self.sorted_facets[idx]:
             self.used_by_vertex.setdefault(v, set()).add(idx)
+        count, used, glue = self.ridge_count, self.used, self.glue
         glue_log: list[tuple[int, int]] = []
-        for v in f:
-            r = f - {v}
-            c = self.ridge_count.get(r, 0)
-            self.ridge_count[r] = c + 1
-            if c == 0:
-                for j in self.ridge_to_facets[r]:
-                    if not self.used[j]:
-                        w = next(iter(self.facets[j] - r))
-                        if w not in self.glue[j]:
-                            self.glue[j].add(w)
-                            glue_log.append((j, w))
+        for r in self.facet_ridges[idx]:
+            count[r] += 1
+            if count[r] == 1:  # a new ridge glues its unused facets
+                for j, w in self.sides[r]:
+                    if not used[j]:
+                        glue[j].add(w)
+                        glue_log.append((j, w))
         for j in {j for j, _ in glue_log}:
             self._push(j)
         return glue_log
 
     def unplace(self, idx: int, glue_log: list[tuple[int, int]]) -> None:
-        f = self.facets[idx]
         for j, w in glue_log:
             self.glue[j].discard(w)
-        for v in f:
-            r = f - {v}
-            self.ridge_count[r] -= 1
-            if self.ridge_count[r] == 0:
-                del self.ridge_count[r]
-        for v in f:
+        count = self.ridge_count
+        for r in self.facet_ridges[idx]:
+            count[r] -= 1
+        for v in self.sorted_facets[idx]:
             self.used_by_vertex[v].discard(idx)
         self.order.pop()
         self.used[idx] = False
@@ -206,8 +222,10 @@ class _SearchState:
         return [entry[2] for entry in live]
 
     def attachment(self, idx: int) -> tuple[tuple[int, ...], ...]:
-        f = self.facets[idx]
-        return tuple(sorted(tuple(sorted(f - {v})) for v in self.glue[idx]))
+        glue, ridges = self.glue[idx], self.ridges
+        # dropping a later vertex of a sorted facet leaves a smaller ridge
+        pairs = zip(reversed(self.sorted_facets[idx]), reversed(self.facet_ridges[idx]))
+        return tuple(ridges[r] for v, r in pairs if v in glue)
 
 
 def find_shelling(c: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> ShellingResult:
@@ -270,30 +288,31 @@ def find_shelling(c: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Shellin
 def verify_shelling(c: SimplicialComplex, ordering: Sequence[Sequence[int]]) -> bool:
     """Check the shelling condition from scratch for a given order.
 
-    Independent of the search: replays the definition directly — each
-    facet after the first must meet the union of its predecessors in a
-    nonempty union of its own codimension-one faces.
+    Independent of the search: replays the definition directly, on
+    sorted tuples and a ridge set of its own — each facet after the
+    first must meet the union of its predecessors in a nonempty union of
+    its own codimension-one faces.
     """
-    facets = _facet_list(c)
-    given = [frozenset(f) for f in ordering]
-    if sorted(map(sorted, given)) != sorted(map(sorted, facets)):
+    _facet_list(c)  # pure, or ValueError
+    given = [tuple(sorted(f)) for f in ordering]
+    if sorted(given) != list(c.maximal_faces) or len(set(given)) != len(given):
         return False
-    if len(given) != len(set(given)):
-        return False
-    built_ridges: set[frozenset[int]] = set()
+    built_ridges: set[tuple[int, ...]] = set()
     used_by_vertex: dict[int, list[frozenset[int]]] = {}
     for j, f in enumerate(given):
+        ridges = [f[:k] + f[k + 1 :] for k in range(len(f))]  # the k-th drops f[k]
         if j > 0:
-            glue = {v for v in f if f - {v} in built_ridges}
+            glue = {v for v, r in zip(f, ridges) if r in built_ridges}
             if not glue:
                 return False
             pick = min(glue, key=lambda v: len(used_by_vertex.get(v, ())))
             for g in used_by_vertex.get(pick, ()):
                 if glue <= g:
                     return False
+        built_ridges.update(ridges)
+        fs = frozenset(f)
         for v in f:
-            built_ridges.add(f - {v})
-            used_by_vertex.setdefault(v, []).append(f)
+            used_by_vertex.setdefault(v, []).append(fs)
     return True
 
 
@@ -317,13 +336,13 @@ def certify_sphere(c: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Sphere
     unknown.
     """
     try:
-        facets = _facet_list(c)
+        _facet_list(c)
     except ValueError as e:
         return SphereCertificate("not-pseudomanifold", None, str(e), 0)
-    degrees = _ridge_degrees(facets)
-    worst = max(degrees.values())
+    ridges, _, sides = _ridge_table(c.maximal_faces)
+    worst = max(map(len, sides))
     if worst > 2:
-        ridge = sorted(min((r for r, d in degrees.items() if d > 2), key=sorted))
+        ridge = list(min(r for r, s in zip(ridges, sides) if len(s) > 2))
         return SphereCertificate(
             "not-pseudomanifold",
             None,
@@ -342,7 +361,7 @@ def certify_sphere(c: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Sphere
         return SphereCertificate(
             "unknown", None, "shelling failed its independent check", result.nodes_used
         )
-    boundary = sum(1 for d in degrees.values() if d == 1)
+    boundary = sum(1 for s in sides if len(s) == 1)
     if boundary:
         return SphereCertificate(
             "ball",

@@ -5,6 +5,7 @@ must carry file/line positions, and exit codes follow the contract:
 0 success, 1 verification failure, 2 usage or precondition error.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -247,10 +248,11 @@ def test_reduce_rejects_indefinite_form(tmp_path):
          "bad catalog document: classes must be a list of objects"),
         ("catalog", lambda d: d["classes"].__setitem__(0, 5),
          "bad catalog document: classes must be a list of objects"),
+        ("catalog", lambda d: d.__setitem__("n", True), "bad catalog document: n must be an integer"),
     ],
     ids=["zero-denominator", "infinite-entry", "no-classes", "form-dimension",
          "catalog-dimension", "n-not-integral", "fractional-float-entry",
-         "classes-not-a-list", "class-not-an-object"],
+         "classes-not-a-list", "class-not-an-object", "n-true"],
 )
 def test_reduce_rejects_bad_documents(tmp_path, fault, edit, message):
     docs = {
@@ -267,6 +269,26 @@ def test_reduce_rejects_bad_documents(tmp_path, fault, edit, message):
     assert r.stderr.startswith(f"error: {paths[fault]}: ")
     assert message in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "form, message",
+    [
+        ({"n": 2, "rows": [[True, 0], [0, 1]]},
+         "rows must hold integers or rational strings, not booleans"),
+        ({"n": True, "rows": [["4", "1"], ["1", "3"]]}, "n must be an integer"),
+    ],
+    ids=["entry-true", "n-true"],
+)
+def test_form_booleans_are_not_numbers(tmp_path, form, message):
+    # JSON true and false would otherwise load as the integers 1 and 0
+    cat = tmp_path / "cat2.json"
+    assert run("perfect", "enumerate", "--n", "2", "--out", str(cat)).returncode == 0
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(form))
+    r = run("reduce", "--form", str(path), "--catalog", str(cat))
+    assert r.returncode == 2
+    assert r.stderr == f"error: {path}: bad form document: {message}\n"
 
 
 def test_catalog_without_n_names_the_field(tmp_path):
@@ -387,6 +409,12 @@ def _edge(dim=1, signs=(-1, 1), dims=(2, 1)):
             {"id": "a", "dim": 0, "faces": []},
             {"id": "e", "dim": 1, "faces": [{"id": "a", "sign": "q"}]},
         ]}, "sign must be an integer"),
+        (_edge(signs=(-1, True)), "sign must be an integer"),
+        ({"format": 1, "cells": [{"id": "a", "dim": False, "faces": []}]},
+         "dim must be an integer"),
+        (_edge(dims=[2, True]), "dims must be a list of integers"),
+        ({"format": 1, "maximal_faces": [[0, True]]},
+         "maximal_faces must be a list of lists of integers"),
     ],
     ids=[
         "faces-not-a-list", "faces-of-numbers", "vertex-not-an-integer",
@@ -395,7 +423,8 @@ def _edge(dim=1, signs=(-1, 1), dims=(2, 1)):
         "sign-not-integral", "dims-not-integral", "unknown-face", "sign-two",
         "repeated-face", "vertex-with-faces", "edge-without-faces",
         "dim-negative", "dim-huge", "dim-huge-without-faces",
-        "fields-parsed-before-structure",
+        "fields-parsed-before-structure", "sign-true", "dim-false", "dims-true",
+        "vertex-true",
     ],
 )
 def test_complex_nested_fields_name_the_field(tmp_path, doc, message):
@@ -631,6 +660,27 @@ def test_verbose_homology_counters_on_the_level_31_surface(tmp_path):
             "unit_pivots": 5438,
         }
     }
+
+
+@pytest.mark.parametrize(
+    "maximal_faces, counters",
+    [
+        (SimplicialComplex(itertools.combinations(range(5), 4)).subdivide().maximal_faces,
+         {"unit_pivots": 269, "row_updates": 908, "residual_rows": 0, "residual_cols": 0}),
+        (SimplicialComplex(OCTAHEDRON).subdivide().subdivide().maximal_faces,
+         {"unit_pivots": 432, "row_updates": 1074, "residual_rows": 0, "residual_cols": 0}),
+    ],
+    ids=["subdivided-boundary-4-simplex", "twice-subdivided-octahedron"],
+)
+def test_verbose_homology_counters_on_spheres(tmp_path, maximal_faces, counters):
+    # below the top degree every pivot of these spheres is a row with
+    # one +-1 entry, a free face, which clears its column without
+    # arithmetic; the counts are those of the general row update
+    path = write_complex(tmp_path / "sphere.json", maximal_faces)
+    flagged = run("-v", "homology", "--complex", path, "--integer")
+    assert flagged.returncode == 0
+    (line,) = flagged.stderr.splitlines()
+    assert json.loads(line) == {"homology": counters}
 
 
 def test_verbose_reports_reduction_counters(tmp_path):

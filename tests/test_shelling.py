@@ -316,6 +316,7 @@ def test_certify_rejects_triple_ridge():
     res = certify_sphere(c)
     assert res.status == "not-pseudomanifold"
     assert "3 facets" in res.detail
+    assert res.detail == "ridge [0, 1] lies in 3 facets"
 
 
 def test_certify_unknown_cases():
@@ -457,6 +458,20 @@ def test_frontier_matches_rescan_at_every_budget(budget):
 def test_frontier_matches_rescan_on_random_complexes(faces, budget):
     c = SimplicialComplex(faces)
     assert find_shelling(c, budget) == reference_find_shelling(c, budget)
+
+
+@pytest.mark.parametrize(
+    "c, facets",
+    [(boundary_simplex(3).subdivide(), 120), (OCTAHEDRON.subdivide().subdivide(), 288)],
+    ids=["subdivided-boundary-4-simplex", "twice-subdivided-octahedron"],
+)
+def test_frontier_matches_rescan_on_larger_spheres(c, facets):
+    """The ridge table and the frontier against the rescan, on spheres
+    far larger than the random complexes reach."""
+    assert len(c.maximal_faces) == facets
+    res = find_shelling(c)
+    assert res.status == "shelled"
+    assert res == reference_find_shelling(c)
 
 
 def test_certify_rejects_an_order_that_fails_the_check(monkeypatch):
