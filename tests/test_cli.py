@@ -673,9 +673,8 @@ def test_verbose_homology_counters_on_the_level_31_surface(tmp_path):
     ids=["subdivided-boundary-4-simplex", "twice-subdivided-octahedron"],
 )
 def test_verbose_homology_counters_on_spheres(tmp_path, maximal_faces, counters):
-    # below the top degree every pivot of these spheres is a row with
-    # one +-1 entry, a free face, which clears its column without
-    # arithmetic; the counts are those of the general row update
+    # below the top degree every pivot of these spheres is a free face,
+    # a row with one +-1 entry, which clears its column without arithmetic
     path = write_complex(tmp_path / "sphere.json", maximal_faces)
     flagged = run("-v", "homology", "--complex", path, "--integer")
     assert flagged.returncode == 0
