@@ -66,12 +66,6 @@ def _ridge_table(
     return list(number), facet_ridges, sides
 
 
-def is_pseudomanifold(c: SimplicialComplex) -> bool:
-    """Every codimension-one face lies in exactly two maximal faces."""
-    _facet_list(c)  # pure, or ValueError
-    return all(len(s) == 2 for s in _ridge_table(c.maximal_faces)[2])
-
-
 @dataclass(frozen=True)
 class Shelling:
     """A shelling order with its per-step attachment record.
@@ -240,10 +234,14 @@ def find_shelling(c: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Shellin
     exhausted inside the budget; running out of budget yields
     "unknown".
     """
+    return _search(_SearchState(_facet_list(c)), budget)
+
+
+def _search(state: _SearchState, budget: int) -> ShellingResult:
+    """``find_shelling`` on a fresh search state."""
     if budget <= 0:
         raise ValueError("budget must be positive")
-    facets = _facet_list(c)
-    state = _SearchState(facets)
+    facets = state.facets
     nodes = 0
     # one frame per placed facet: (facet, glue log, attachment, its
     # level's candidate snapshot or None, its position in the snapshot)
@@ -336,20 +334,20 @@ def certify_sphere(c: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Sphere
     unknown.
     """
     try:
-        _facet_list(c)
+        state = _SearchState(_facet_list(c))
     except ValueError as e:
         return SphereCertificate("not-pseudomanifold", None, str(e), 0)
-    ridges, _, sides = _ridge_table(c.maximal_faces)
+    sides = state.sides  # the search reads the same ridge table
     worst = max(map(len, sides))
     if worst > 2:
-        ridge = list(min(r for r, s in zip(ridges, sides) if len(s) > 2))
+        ridge = list(min(r for r, s in zip(state.ridges, sides) if len(s) > 2))
         return SphereCertificate(
             "not-pseudomanifold",
             None,
             f"ridge {ridge} lies in {worst} facets",
             0,
         )
-    result = find_shelling(c, budget)
+    result = _search(state, budget)
     if result.status != "shelled":
         reason = (
             "search space exhausted without a shelling"

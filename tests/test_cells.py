@@ -27,7 +27,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vorocell import cli
+from vorocell import cli, obs
 from vorocell.cells import (
     RegularComplex,
     SimplicialComplex,
@@ -466,6 +466,155 @@ def test_clearing_matches_full_reduction_on_sl2_complexes(level):
     t = QuotientTessellation(level)
     assert_clearing_agrees(t.surface_complex())
     assert_clearing_agrees(t.dual_graph())
+
+
+# -- coreduction matching ------------------------------------------------------
+
+
+def cleared_homology(cx):
+    """Betti numbers and torsion with no matching: every ``cells(d)``
+    reduced from the top down, with the clearing ``homology`` does."""
+    counts = cx.f_vector()
+    top = len(counts) - 1
+    factors = [[] for _ in range(top + 2)]
+    cleared = set()
+    for d in range(top, 0, -1):
+        factors[d], cleared = _sparse_reduce(cx.cells(d), cleared)
+    betti = tuple(
+        counts[d] - len(factors[d]) - len(factors[d + 1]) for d in range(top + 1)
+    )
+    torsion = tuple(tuple(f for f in factors[d + 1] if f > 1) for d in range(top + 1))
+    return betti, torsion
+
+
+def assert_matching_agrees(cx):
+    h = homology(cx)
+    assert (h.betti, h.torsion) == cleared_homology(cx)
+
+
+def cubical_complex(cubes):
+    """The regular complex of elementary cubes in Z^3 with all their
+    faces.  A cube is one interval (a, a) or (a, a + 1) per axis, and
+    the face at the far (near) end of its i-th unit interval enters with
+    sign +(-1)^k (-(-1)^k), k the unit intervals before the i-th."""
+
+    def name(cube):
+        return "c" + "_".join(f"{a}{b}" for a, b in cube)
+
+    closure, todo = {}, list(cubes)
+    while todo:
+        cube = todo.pop()
+        if cube in closure:
+            continue
+        faces, k = [], 0
+        for i, (a, b) in enumerate(cube):
+            if a != b:
+                for end, sign in ((a, -1), (b, 1)):
+                    face = cube[:i] + ((end, end),) + cube[i + 1 :]
+                    faces.append((face, sign * (-1) ** k))
+                    todo.append(face)
+                k += 1
+        closure[cube] = faces
+    return RegularComplex.from_json_dict(regular(*(
+        (name(cube), sum(a != b for a, b in cube), [(name(f), s) for f, s in faces])
+        for cube, faces in closure.items()
+    )))
+
+
+@given(
+    st.lists(
+        st.frozensets(st.integers(0, 8), min_size=1, max_size=5),
+        min_size=1,
+        max_size=14,
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_matching_matches_cleared_reduction_on_random_simplicial_complexes(raw):
+    sc = SimplicialComplex([tuple(sorted(f)) for f in raw])
+    assert_matching_agrees(sc)
+    assert_matching_agrees(sc.to_regular())  # the same cells in string-id order
+
+
+@given(
+    st.lists(
+        st.tuples(*[st.integers(0, 2).flatmap(
+            lambda a: st.sampled_from([(a, a), (a, a + 1)])
+        )] * 3),
+        min_size=1,
+        max_size=10,
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_matching_matches_cleared_reduction_on_random_cubical_complexes(cubes):
+    assert_matching_agrees(cubical_complex(cubes))
+
+
+def test_cubical_complex_builder():
+    square = cubical_complex([((0, 1), (0, 1), (0, 0))])
+    assert square.f_vector() == (4, 4, 1)
+    torus_less = cubical_complex([  # the 3 x 3 ring of squares round a hole
+        ((x, x + 1), (y, y + 1), (0, 0))
+        for x in range(3) for y in range(3) if (x, y) != (1, 1)
+    ])
+    assert homology(torus_less).betti == (1, 1, 0)
+    assert homology(cubical_complex([((0, 1), (0, 1), (0, 1))])).betti == (1, 0, 0, 0)
+
+
+def test_matching_on_a_cell_with_one_vertex():
+    # check() accepts an edge whose boundary is a single vertex; that
+    # vertex is critical, so the edge is too, and the Morse boundary
+    # pairs them off
+    cx = RegularComplex.from_json_dict(regular(("v", 0, []), ("e", 1, [("v", 1)])))
+    assert_matching_agrees(cx)
+    assert homology(cx).betti == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "cx, torsion",
+    [
+        (SimplicialComplex(RP2), ((), (2,), ())),
+        (antipodal_quotient(2), ((), (2,), ())),
+        (antipodal_quotient(3), ((), (2,), (), ())),
+    ],
+    ids=["rp2-simplicial", "rp2", "rp3"],
+)
+def test_matching_keeps_torsion_of_projective_spaces(cx, torsion):
+    assert_matching_agrees(cx)
+    assert homology(cx).torsion == torsion
+
+
+# the levels of the benchmark's sl2 ladder
+SL2_LADDER = (5, 6, 7, 8, 9, 10, 12, 13, 15, 16, 19, 31)
+
+
+@pytest.mark.parametrize("level", SL2_LADDER)
+def test_matching_matches_cleared_reduction_on_sl2_surfaces(level):
+    t = QuotientTessellation(level)
+    # the surface as `sl2 --emit` writes it and `homology` loads it
+    assert_matching_agrees(RegularComplex.from_json_dict(t.surface_complex().to_json_dict()))
+    assert_matching_agrees(t.dual_graph())
+
+
+@pytest.mark.parametrize(
+    "cx, counters",
+    [
+        (SimplicialComplex(itertools.combinations(range(5), 4)).subdivide(),
+         {"critical": 2, "matched": 269}),
+        (SimplicialComplex(OCTAHEDRON).subdivide().subdivide(),
+         {"critical": 2, "matched": 432}),
+    ],
+    ids=["subdivided-boundary-4-simplex", "twice-subdivided-octahedron"],
+)
+def test_matching_leaves_one_critical_cell_per_sphere_betti_number(cx, counters):
+    # a critical vertex and a critical top cell, and no elimination:
+    # every other cell is matched
+    with obs.collecting() as book:
+        h = homology(cx)
+    assert sum(h.betti) == 2
+    assert book == {"homology": {
+        **counters, "unit_pivots": 0, "row_updates": 0, "residual_rows": 0, "residual_cols": 0,
+    }}
+    assert 2 * counters["matched"] + counters["critical"] == sum(cx.f_vector())
 
 
 # -- sparse elimination on plain matrices --------------------------------------

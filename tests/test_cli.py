@@ -616,11 +616,14 @@ def test_verbose_reports_homology_counters(tmp_path):
     assert flagged.returncode == 0
     assert flagged.stdout == plain.stdout
     (line,) = flagged.stderr.splitlines()
-    # 9 unit pivots in degree 2 and 5 in degree 1; the 3 x 1 residual
-    # of degree 2 is where the invariant factor 2 lives
+    # the matching pairs off 14 of the 31 cells and leaves one critical
+    # cell in each degree; the 1 x 1 residual of degree 2, the Morse
+    # boundary of the critical triangle, is where the invariant factor 2
+    # lives
     assert json.loads(line) == {
         "homology": {
-            "residual_cols": 1, "residual_rows": 3, "row_updates": 24, "unit_pivots": 14,
+            "critical": 3, "matched": 14,
+            "residual_cols": 1, "residual_rows": 1, "row_updates": 0, "unit_pivots": 0,
         }
     }
     assert json.loads(plain.stdout)["torsion"] == [[], [2], []]
@@ -628,8 +631,8 @@ def test_verbose_reports_homology_counters(tmp_path):
 
 def test_verbose_homology_counters_on_subdivided_rp2(tmp_path):
     # labels run to 30, so the numbering of faces() (tuple order) and of
-    # to_regular (string-id order, "1.10" before "1.2") differ here: that
-    # order gives 7 residual rows and 179 row updates instead
+    # to_regular (string-id order, "1.10" before "1.2") differ here; the
+    # matching leaves three critical cells in either order
     subdivided = SimplicialComplex(RP2).subdivide()
     assert max(subdivided.faces()[0]) == (30,)
     path = write_complex(tmp_path / "rp2-sd.json", subdivided.maximal_faces)
@@ -640,15 +643,16 @@ def test_verbose_homology_counters_on_subdivided_rp2(tmp_path):
     (line,) = flagged.stderr.splitlines()
     assert json.loads(line) == {
         "homology": {
-            "residual_cols": 1, "residual_rows": 10, "row_updates": 209, "unit_pivots": 89,
+            "critical": 3, "matched": 89,
+            "residual_cols": 1, "residual_rows": 1, "row_updates": 0, "unit_pivots": 0,
         }
     }
     assert json.loads(plain.stdout)["torsion"] == [[], [2], []]
 
 
 def test_verbose_homology_counters_on_the_level_31_surface(tmp_path):
-    # the elimination's path, and so these counts, follow the row order
-    # of the loaded cells
+    # genus 1001: the matching leaves a minimal Morse complex, 1 + 2002
+    # + 1 critical cells with a zero boundary, so nothing is eliminated
     path = tmp_path / "surface31.json"
     assert run("sl2", "--level", "31", "--emit", str(path)).returncode == 0
     flagged = run("-v", "homology", "--complex", str(path), "--integer")
@@ -656,8 +660,8 @@ def test_verbose_homology_counters_on_the_level_31_surface(tmp_path):
     (line,) = flagged.stderr.splitlines()
     assert json.loads(line) == {
         "homology": {
-            "residual_cols": 0, "residual_rows": 0, "row_updates": 15327,
-            "unit_pivots": 5438,
+            "critical": 2004, "matched": 5438,
+            "residual_cols": 0, "residual_rows": 0, "row_updates": 0, "unit_pivots": 0,
         }
     }
 
@@ -666,15 +670,17 @@ def test_verbose_homology_counters_on_the_level_31_surface(tmp_path):
     "maximal_faces, counters",
     [
         (SimplicialComplex(itertools.combinations(range(5), 4)).subdivide().maximal_faces,
-         {"unit_pivots": 269, "row_updates": 908, "residual_rows": 0, "residual_cols": 0}),
+         {"critical": 2, "matched": 269,
+          "unit_pivots": 0, "row_updates": 0, "residual_rows": 0, "residual_cols": 0}),
         (SimplicialComplex(OCTAHEDRON).subdivide().subdivide().maximal_faces,
-         {"unit_pivots": 432, "row_updates": 1074, "residual_rows": 0, "residual_cols": 0}),
+         {"critical": 2, "matched": 432,
+          "unit_pivots": 0, "row_updates": 0, "residual_rows": 0, "residual_cols": 0}),
     ],
     ids=["subdivided-boundary-4-simplex", "twice-subdivided-octahedron"],
 )
 def test_verbose_homology_counters_on_spheres(tmp_path, maximal_faces, counters):
-    # below the top degree every pivot of these spheres is a free face,
-    # a row with one +-1 entry, which clears its column without arithmetic
+    # the matching leaves a critical vertex and a critical top cell, whose
+    # Morse boundary is zero, so nothing is left to eliminate
     path = write_complex(tmp_path / "sphere.json", maximal_faces)
     flagged = run("-v", "homology", "--complex", path, "--integer")
     assert flagged.returncode == 0

@@ -27,7 +27,6 @@ from vorocell.shelling import (
     ShellingResult,
     certify_sphere,
     find_shelling,
-    is_pseudomanifold,
     verify_shelling,
 )
 
@@ -188,6 +187,13 @@ def reference_find_shelling(c, budget=shelling.DEFAULT_BUDGET):
 
 
 # -- pseudomanifold test ---------------------------------------------------------
+
+
+def is_pseudomanifold(c):
+    """Every codimension-one face lies in exactly two maximal faces, read
+    off the module's ridge table."""
+    shelling._facet_list(c)  # pure, or ValueError
+    return all(len(s) == 2 for s in shelling._ridge_table(c.maximal_faces)[2])
 
 
 def test_pseudomanifold_detection():
@@ -479,8 +485,23 @@ def test_certify_rejects_an_order_that_fails_the_check(monkeypatch):
     order.insert(1, order.pop())  # two disjoint facets in a row
     assert not verify_shelling(OCTAHEDRON, order)
     broken = ShellingResult("shelled", Shelling(tuple(order), ((),) * 8), 8)
-    monkeypatch.setattr(shelling, "find_shelling", lambda c, budget: broken)
+    # certify_sphere searches on the state whose ridge table it has read
+    monkeypatch.setattr(shelling, "_search", lambda state, budget: broken)
     cert = certify_sphere(OCTAHEDRON)
     assert (cert.status, cert.shelling, cert.detail, cert.nodes_used) == (
         "unknown", None, "shelling failed its independent check", 8
     )
+
+
+def test_certify_builds_one_ridge_table(monkeypatch):
+    """The ridge degrees and the search read one table."""
+    built = []
+    table = shelling._ridge_table
+    monkeypatch.setattr(shelling, "_ridge_table", lambda facets: built.append(1) or table(facets))
+    assert certify_sphere(OCTAHEDRON.subdivide()).status == "sphere"
+    assert len(built) == 1
+    built.clear()
+    assert certify_sphere(SimplicialComplex([(0, 1, 2), (0, 1, 3), (0, 1, 4)])).status == (
+        "not-pseudomanifold"
+    )
+    assert len(built) == 1
