@@ -17,7 +17,7 @@ live face is matched with that face, and when no such cell is queued,
 the lowest live cell, which has no live face, is critical.  The Morse
 boundary of the critical cells comes from a memo: each matched face's
 image on the critical cells one dimension down, computed once, in
-removal order.  The result is exact over the integers, because every
+removal order, and only where there are critical cells on both sides.  The result is exact over the integers, because every
 pairing has incidence +-1 and the removal order makes the matching
 acyclic (the argument is in ``homology``).  The critical boundaries then go through a sparse
 unit-pivot elimination that takes the shortest row first and hands what
@@ -475,44 +475,57 @@ def homology(cx: "RegularComplex | SimplicialComplex") -> HomologyResult:
     image(f) over the other faces f of a.  Taken in removal order,
     those faces' images are already known, so each image is computed
     once, from a memo; a dimension with no critical cells, or none
-    below it, needs no images.  The critical boundaries are then
-    reduced from the top down by ``_sparse_reduce``, each leaving out
-    the columns cleared by the unit pivots of the one above."""
+    below it, needs no images.  ``cx.cells(d)`` is read once for the
+    matching (the coface lists, and each cell's count and index sum of
+    live faces, which names the last one), and again only in a degree
+    whose critical cells have critical faces.  The critical boundaries
+    are then reduced from the top down by ``_sparse_reduce``, each
+    leaving out the columns cleared by the unit pivots of the one
+    above."""
     counts = cx.f_vector()
     top = len(counts) - 1
-    faces = [cx.cells(d) for d in range(top + 1)]
+    # cofaces[d][k]: the (d+1)-cells on face k.  live[d][j]: how many
+    # faces of d-cell j are alive, and rest[d][j] the sum of their
+    # indices, which is the last live face once only one is left.
     cofaces: list[list[list[int]]] = [[[] for _ in range(n)] for n in counts]
-    for d in range(1, top + 1):  # cofaces[d - 1][k]: the d-cells on face k
-        up = cofaces[d - 1]
-        for j, cell in enumerate(faces[d]):
+    live: list[list[int]] = [[0] * counts[0]]
+    rest: list[list[int]] = [[0] * counts[0]]
+    for d in range(1, top + 1):
+        up, count, total = cofaces[d - 1], [], []
+        for j, cell in enumerate(cx.cells(d)):
+            t = 0
             for k, _ in cell:
                 up[k].append(j)
-    # live[d][j]: how many faces of d-cell j are alive; the entries past
-    # the top are never indexed, as the top cells have no cofaces
+                t += k
+            count.append(len(cell))
+            total.append(t)
+        live.append(count)
+        rest.append(total)
+    # one more, empty, entry past the top, as remove() reads the row
+    # above a top cell, and a top cell has no cofaces to index it with
     alive = [bytearray(b"\x01") * n for n in counts] + [bytearray()]
-    live = [list(map(len, cells)) for cells in faces] + [[]]
+    live.append([])
+    rest.append([])
     queue: deque[tuple[int, int]] = deque()
 
     def remove(d: int, j: int) -> None:
         alive[d][j] = 0
-        above, count = alive[d + 1], live[d + 1]
+        above, count, total = alive[d + 1], live[d + 1], rest[d + 1]
         for i in cofaces[d][j]:
             count[i] -= 1
+            total[i] -= j
             if count[i] == 1 and above[i]:
                 queue.append((d + 1, i))
 
     critical: list[list[int]] = [[] for _ in counts]
-    pairs: list[tuple[int, int, int, int]] = []  # (d, a, b, [a:b]): d-cell a matched with b
+    pairs: list[tuple[int, int, int]] = []  # (d, a, b): d-cell a matched with face b
     d, j = 0, 0  # the lowest live cell is never below this one
     while d <= top:
         while queue:
             e, a = queue.popleft()
             if alive[e][a] and live[e][a] == 1:
-                below = alive[e - 1]
-                for b, sign in faces[e][a]:
-                    if below[b]:
-                        break
-                pairs.append((e, a, b, sign))
+                b = rest[e][a]  # the one live face
+                pairs.append((e, a, b))
                 remove(e, a)
                 remove(e - 1, b)
         j = alive[d].find(1, j)
@@ -523,10 +536,13 @@ def homology(cx: "RegularComplex | SimplicialComplex") -> HomologyResult:
             remove(d, j)
     obs.add("homology", critical=sum(map(len, critical)), matched=len(pairs))
 
+    # Only the d-cells of a degree with critical cells in d and d - 1 are
+    # read again: to compute the images of dimension d - 1 and the
+    # boundaries of the critical d-cells.
+    faces = {d: cx.cells(d) for d in range(1, top + 1) if critical[d - 1] and critical[d]}
     # image[d][k]: the image of d-cell k, as {critical position: coefficient}
     image: list[dict[int, dict[int, int]]] = [
-        {c: {p: 1} for p, c in enumerate(critical[d])}
-        if d < top and critical[d] and critical[d + 1] else {}
+        {c: {p: 1} for p, c in enumerate(critical[d])} if d + 1 in faces else {}
         for d in range(top + 1)
     ]
 
@@ -545,15 +561,19 @@ def homology(cx: "RegularComplex | SimplicialComplex") -> HomologyResult:
                 acc[p] = acc.get(p, 0) + s * v
         return {p: v for p, v in acc.items() if v}
 
-    for e, a, b, sign in pairs:
-        if image[e - 1]:  # the images of dimension e - 1 are wanted
-            img = chain(faces[e][a], image[e - 1], -sign)  # b has no image yet
+    for e, a, b in pairs:
+        if e in faces:
+            cell = faces[e][a]
+            sign = next(s for f, s in cell if f == b)
+            img = chain(cell, image[e - 1], -sign)  # b has no image yet
             if img:
                 image[e - 1][b] = img
     factors: list[list[int]] = [[] for _ in range(top + 2)]
     cleared: set[int] = set()
     for d in range(top, 0, -1):
-        columns = [chain(faces[d][c], image[d - 1]).items() for c in critical[d]]
+        columns = (
+            [chain(faces[d][c], image[d - 1]).items() for c in critical[d]] if d in faces else []
+        )
         factors[d], cleared = _sparse_reduce(columns, cleared)
     betti = tuple(
         len(critical[d]) - len(factors[d]) - len(factors[d + 1]) for d in range(top + 1)
