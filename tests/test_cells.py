@@ -8,7 +8,9 @@ string-id cells of ``to_regular`` and reduces every boundary in full,
 without the clearing across degrees that ``homology`` does.  A third,
 ``rational_betti``, takes the ranks of the dense boundary matrices over
 the rationals; by universal coefficients its Betti numbers are the
-integer ones.  The integer cells a simplicial complex builds itself are
+integer ones.  A fourth, ``cleared_homology``, is ``homology`` without
+its coreduction matching: every ``cells(d)`` reduced from the top down
+with clearing.  The integer cells a simplicial complex builds itself are
 compared with the textbook boundary in
 ``test_simplicial_cells_match_textbook_boundary``.  The projective
 spaces built by ``antipodal_quotient`` are the regular complexes that
@@ -552,11 +554,11 @@ def test_matching_matches_cleared_reduction_on_random_cubical_complexes(cubes):
 def test_cubical_complex_builder():
     square = cubical_complex([((0, 1), (0, 1), (0, 0))])
     assert square.f_vector() == (4, 4, 1)
-    torus_less = cubical_complex([  # the 3 x 3 ring of squares round a hole
+    annulus = cubical_complex([  # the 3 x 3 ring of squares round a hole
         ((x, x + 1), (y, y + 1), (0, 0))
         for x in range(3) for y in range(3) if (x, y) != (1, 1)
     ])
-    assert homology(torus_less).betti == (1, 1, 0)
+    assert homology(annulus).betti == (1, 1, 0)
     assert homology(cubical_complex([((0, 1), (0, 1), (0, 1))])).betti == (1, 0, 0, 0)
 
 
