@@ -222,7 +222,9 @@ class _SearchState:
         return tuple(ridges[r] for v, r in pairs if v in glue)
 
 
-def find_shelling(c: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> ShellingResult:
+def find_shelling(
+    c: "SimplicialComplex | _SearchState", budget: int = DEFAULT_BUDGET
+) -> ShellingResult:
     """Search for a shelling depth first, placing the most-glued valid
     facet first and backtracking chronologically.
 
@@ -233,14 +235,14 @@ def find_shelling(c: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Shellin
     "not-shellable" is reported only when the full search space was
     exhausted inside the budget; running out of budget yields
     "unknown".
+
+    ``c`` may also be a fresh ``_SearchState`` of a complex's facets:
+    ``certify_sphere`` passes the one whose ridge table it has read, so
+    the table is built once per certificate.
     """
-    return _search(_SearchState(_facet_list(c)), budget)
-
-
-def _search(state: _SearchState, budget: int) -> ShellingResult:
-    """``find_shelling`` on a fresh search state."""
     if budget <= 0:
         raise ValueError("budget must be positive")
+    state = c if isinstance(c, _SearchState) else _SearchState(_facet_list(c))
     facets = state.facets
     nodes = 0
     # one frame per placed facet: (facet, glue log, attachment, its
@@ -347,7 +349,7 @@ def certify_sphere(c: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Sphere
             f"ridge {ridge} lies in {worst} facets",
             0,
         )
-    result = _search(state, budget)
+    result = find_shelling(state, budget)
     if result.status != "shelled":
         reason = (
             "search space exhausted without a shelling"

@@ -485,8 +485,7 @@ def test_certify_rejects_an_order_that_fails_the_check(monkeypatch):
     order.insert(1, order.pop())  # two disjoint facets in a row
     assert not verify_shelling(OCTAHEDRON, order)
     broken = ShellingResult("shelled", Shelling(tuple(order), ((),) * 8), 8)
-    # certify_sphere searches on the state whose ridge table it has read
-    monkeypatch.setattr(shelling, "_search", lambda state, budget: broken)
+    monkeypatch.setattr(shelling, "find_shelling", lambda c, budget: broken)
     cert = certify_sphere(OCTAHEDRON)
     assert (cert.status, cert.shelling, cert.detail, cert.nodes_used) == (
         "unknown", None, "shelling failed its independent check", 8
