@@ -15,17 +15,20 @@ Homology works over the integers in two steps.  An acyclic matching by
 coreductions first pairs off nearly every cell: a cell with exactly one
 live face is matched with that face, and when no such cell is queued,
 the lowest live cell, which has no live face, is critical.  The Morse
-boundary of the critical cells comes from a memo: each matched face's
-image on the critical cells one dimension down, computed once, in
-removal order, and only where there are critical cells on both sides.  The result is exact over the integers, because every
-pairing has incidence +-1 and the removal order makes the matching
-acyclic (the argument is in ``homology``).  The critical boundaries then go through a sparse
-unit-pivot elimination that takes the shortest row first and hands what
-is left to the dense Smith form.  Degrees are reduced from the top down
-with clearing: the rows of the unit pivots of one boundary are columns
-the next one down may drop, because each such column is an integer
-combination of the others (the argument is in ``_sparse_reduce``), so
-rank and torsion are unchanged.
+boundary of a degree with critical cells on both sides comes from a memo
+on the side with fewer of them: the images of the cells one dimension
+down on the critical cells there, computed in removal order, or the
+coimages of the cells of the degree on its critical cells, computed in
+reverse removal order.  Both give the same matrix, so the side only
+sets the memo's size.  The result is exact over the integers, because
+every pairing has incidence +-1 and the removal order makes the
+matching acyclic (the arguments are in ``homology``).  The critical
+boundaries then go through a sparse unit-pivot elimination that takes
+the shortest row first and hands what is left to the dense Smith form.
+Degrees are reduced from the top down with clearing: the rows of the
+unit pivots of one boundary are columns the next one down may drop,
+because each such column is an integer combination of the others (the
+argument is in ``_sparse_reduce``), so rank and torsion are unchanged.
 """
 
 from __future__ import annotations
@@ -38,6 +41,12 @@ from typing import AbstractSet, Iterable, Optional, Sequence
 
 from . import obs
 from .linalg import _integer, smith_normal_form
+
+
+def _check_format(doc: dict) -> None:
+    fmt = doc.get("format")
+    if fmt != 1 or isinstance(fmt, bool):  # JSON true compares equal to 1
+        raise ValueError("unsupported complex format")
 
 
 class RegularComplex:
@@ -126,11 +135,12 @@ class RegularComplex:
         and validated by ``check``.  Numbering needs faces that exist one
         dimension down and dimensions from 0 up with no gap, so those
         faults are reported here."""
-        if doc.get("format") != 1:
-            raise ValueError("unsupported complex format")
+        _check_format(doc)
         entries = doc["cells"]
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ValueError("cells must be a list of objects")
+        if not entries:
+            raise ValueError("complex has no cells")
         for entry in entries:
             listed = entry["faces"]
             if not isinstance(listed, list) or not all(isinstance(f, dict) for f in listed):
@@ -271,8 +281,7 @@ class SimplicialComplex:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "SimplicialComplex":
-        if doc.get("format") != 1:
-            raise ValueError("unsupported complex format")
+        _check_format(doc)
         faces = doc["maximal_faces"]
         if not isinstance(faces, list) or not all(isinstance(f, list) for f in faces):
             raise ValueError("maximal_faces must be a list of lists")
@@ -449,44 +458,18 @@ def _sparse_reduce(
     return units + list(factors), pivot_rows
 
 
-def homology(cx: "RegularComplex | SimplicialComplex") -> HomologyResult:
-    """Integer homology of the complex: in each degree the Betti number
-    and the torsion invariant factors, read off ``cx.f_vector()`` and
-    ``cx.cells(d)``.  The Betti numbers are those over the rationals too
-    (universal coefficients).
-
-    First an acyclic matching by coreductions (Mrozek & Batko,
-    *Coreduction homology algorithm*, 2009) removes the cells in pairs.
-    A queued cell with exactly one live face b is paired with b; both
-    go, and the cofaces that are left with one live face are queued.
-    When the queue runs dry, the lowest-indexed live cell of the lowest
-    live dimension has no live face and is taken as critical; its
-    cofaces are queued in turn.  Every pairing has incidence +-1, and a
-    cell's other faces were all removed before it was paired, so a
-    gradient path only ever steps to an earlier pair: the matching is
-    acyclic, and the critical cells with the Morse boundary below form
-    a chain complex homotopy equivalent to the whole one over Z
-    (discrete Morse theory; Harker, Mischaikow, Mrozek & Nanda 2014).
-
-    The Morse boundary of a critical cell is the sum of its faces'
-    images on the critical cells one dimension down.  A critical cell
-    is its own image, the upper cell of a pair has none, and the lower
-    cell b of a pair (a, b) has the image -[a:b] * sum of [a:f] *
-    image(f) over the other faces f of a.  Taken in removal order,
-    those faces' images are already known, so each image is computed
-    once, from a memo; a dimension with no critical cells, or none
-    below it, needs no images.  ``cx.cells(d)`` is read once for the
-    matching (the coface lists, and each cell's count and index sum of
-    live faces, which names the last one), and again only in a degree
-    whose critical cells have critical faces.  The critical boundaries
-    are then reduced from the top down by ``_sparse_reduce``, each
-    leaving out the columns cleared by the unit pivots of the one
-    above."""
+def _coreduce(
+    cx: "RegularComplex | SimplicialComplex",
+) -> tuple[list[list[int]], list[list[tuple[int, int]]], list[list[list[int]]]]:
+    """The coreduction matching of ``homology``: per dimension d the
+    critical d-cells, the pairs ``(a, b)`` of a d-cell a matched with
+    its face b, both in removal order, and ``cofaces[d][k]``, the
+    (d+1)-cells on d-cell k.  Reads each ``cx.cells(d)`` once."""
     counts = cx.f_vector()
     top = len(counts) - 1
-    # cofaces[d][k]: the (d+1)-cells on face k.  live[d][j]: how many
-    # faces of d-cell j are alive, and rest[d][j] the sum of their
-    # indices, which is the last live face once only one is left.
+    # live[d][j]: how many faces of d-cell j are alive, and rest[d][j]
+    # the sum of their indices, which is the last live face once only
+    # one is left
     cofaces: list[list[list[int]]] = [[[] for _ in range(n)] for n in counts]
     live: list[list[int]] = [[0] * counts[0]]
     rest: list[list[int]] = [[0] * counts[0]]
@@ -518,14 +501,14 @@ def homology(cx: "RegularComplex | SimplicialComplex") -> HomologyResult:
                 queue.append((d + 1, i))
 
     critical: list[list[int]] = [[] for _ in counts]
-    pairs: list[tuple[int, int, int]] = []  # (d, a, b): d-cell a matched with face b
+    pairs: list[list[tuple[int, int]]] = [[] for _ in counts]
     d, j = 0, 0  # the lowest live cell is never below this one
     while d <= top:
         while queue:
             e, a = queue.popleft()
             if alive[e][a] and live[e][a] == 1:
                 b = rest[e][a]  # the one live face
-                pairs.append((e, a, b))
+                pairs[e].append((a, b))
                 remove(e, a)
                 remove(e - 1, b)
         j = alive[d].find(1, j)
@@ -534,46 +517,146 @@ def homology(cx: "RegularComplex | SimplicialComplex") -> HomologyResult:
         else:
             critical[d].append(j)
             remove(d, j)
-    obs.add("homology", critical=sum(map(len, critical)), matched=len(pairs))
+    return critical, pairs, cofaces
 
-    # Only the d-cells of a degree with critical cells in d and d - 1 are
-    # read again: to compute the images of dimension d - 1 and the
-    # boundaries of the critical d-cells.
-    faces = {d: cx.cells(d) for d in range(1, top + 1) if critical[d - 1] and critical[d]}
-    # image[d][k]: the image of d-cell k, as {critical position: coefficient}
-    image: list[dict[int, dict[int, int]]] = [
-        {c: {p: 1} for p, c in enumerate(critical[d])} if d + 1 in faces else {}
-        for d in range(top + 1)
-    ]
 
-    def chain(cell: Iterable[tuple[int, int]], known: dict[int, dict[int, int]],
-              scale: int = 1) -> dict[int, int]:
-        """scale (+-1) times the sum of the faces' images, without zero
-        coefficients; a single image is shared when the factor is 1, as
-        no image is changed once made."""
-        terms = [(s * scale, known[f]) for f, s in cell if f in known]
-        if len(terms) == 1:
-            s, img = terms[0]
-            return img if s == 1 else {p: -v for p, v in img.items()}
-        acc: dict[int, int] = {}
-        for s, img in terms:
-            for p, v in img.items():
-                acc[p] = acc.get(p, 0) + s * v
-        return {p: v for p, v in acc.items() if v}
+def _chain(cell: Iterable[tuple[int, int]], known: dict[int, dict[int, int]],
+           scale: int = 1) -> dict[int, int]:
+    """scale (+-1) times the sum of the known chains of the cells in
+    ``cell``, each weighted by its sign, without zero coefficients.  A
+    single chain is shared when its factor is 1, as no chain is changed
+    once made."""
+    terms = [(s * scale, known[f]) for f, s in cell if f in known]
+    if len(terms) == 1:
+        s, img = terms[0]
+        return img if s == 1 else {p: -v for p, v in img.items()}
+    acc: dict[int, int] = {}
+    for s, img in terms:
+        for p, v in img.items():
+            acc[p] = acc.get(p, 0) + s * v
+    return {p: v for p, v in acc.items() if v}
 
-    for e, a, b in pairs:
-        if e in faces:
-            cell = faces[e][a]
-            sign = next(s for f, s in cell if f == b)
-            img = chain(cell, image[e - 1], -sign)  # b has no image yet
-            if img:
-                image[e - 1][b] = img
+
+def _image_columns(
+    faces: Sequence[Sequence[tuple[int, int]]],
+    pairs: Sequence[tuple[int, int]],
+    critical: Sequence[int],
+    below: Sequence[int],
+) -> list[Iterable[tuple[int, int]]]:
+    """The Morse boundary of the critical d-cells ``critical`` on the
+    critical (d-1)-cells ``below``, as ``_sparse_reduce`` columns, from
+    the images of the (d-1)-cells: ``faces`` is ``cells(d)`` and
+    ``pairs`` the d-cells' pairs in removal order."""
+    image = {c: {p: 1} for p, c in enumerate(below)}
+    for a, b in pairs:
+        cell = faces[a]
+        sign = next(s for f, s in cell if f == b)
+        img = _chain(cell, image, -sign)  # b has no image yet
+        if img:
+            image[b] = img
+    return [_chain(faces[c], image).items() for c in critical]
+
+
+def _coimage_columns(
+    faces: Sequence[Sequence[tuple[int, int]]],
+    cofaces: Sequence[Sequence[int]],
+    pairs: Sequence[tuple[int, int]],
+    critical: Sequence[int],
+    below: Sequence[int],
+) -> list[list[tuple[int, int]]]:
+    """The same columns as ``_image_columns``, from the coimages of the
+    d-cells on the critical d-cells; ``cofaces`` lists the d-cells on
+    each (d-1)-cell."""
+
+    def signed_cofaces(k: int) -> list[tuple[int, int]]:
+        return [(x, s) for x in cofaces[k] for f, s in faces[x] if f == k]
+
+    coimage = {c: {p: 1} for p, c in enumerate(critical)}
+    for a, b in reversed(pairs):
+        sign = next(s for f, s in faces[a] if f == b)
+        img = _chain(signed_cofaces(b), coimage, -sign)  # a has no coimage yet
+        if img:
+            coimage[a] = img
+    columns: list[list[tuple[int, int]]] = [[] for _ in critical]
+    for q, c in enumerate(below):
+        for p, v in _chain(signed_cofaces(c), coimage).items():
+            columns[p].append((q, v))
+    return columns
+
+
+def homology(cx: "RegularComplex | SimplicialComplex") -> HomologyResult:
+    """Integer homology of the complex: in each degree the Betti number
+    and the torsion invariant factors, read off ``cx.f_vector()`` and
+    ``cx.cells(d)``.  The Betti numbers are those over the rationals too
+    (universal coefficients).
+
+    First an acyclic matching by coreductions (Mrozek & Batko,
+    *Coreduction homology algorithm*, 2009) removes the cells in pairs.
+    A queued cell with exactly one live face b is paired with b; both
+    go, and the cofaces that are left with one live face are queued.
+    When the queue runs dry, the lowest-indexed live cell of the lowest
+    live dimension has no live face and is taken as critical; its
+    cofaces are queued in turn.  Every pairing has incidence +-1, and a
+    cell's other faces were all removed before it was paired, so a
+    gradient path only ever steps to an earlier pair: the matching is
+    acyclic, and the critical cells with the Morse boundary below form
+    a chain complex homotopy equivalent to the whole one over Z
+    (discrete Morse theory; Harker, Mischaikow, Mrozek & Nanda 2014).
+    ``_coreduce`` reads each ``cx.cells(d)`` once for the matching (the
+    coface lists, and each cell's count and index sum of live faces,
+    which names the last one).
+
+    The Morse boundary of degree d is computed only where there are
+    critical cells in both d and d - 1, and only those degrees read
+    ``cx.cells(d)`` again.  Its memo holds chains on the critical cells
+    of one side, so it is kept on the side with fewer of them; a tie
+    keeps the images.
+
+    - Images (``_image_columns``) are chains on the critical
+      (d-1)-cells.  A critical cell is its own image, the upper cell of
+      a pair has none, and the lower cell b of a pair (a, b) has the
+      image -[a:b] * sum of [a:f] * image(f) over the other faces f of
+      a.  Each is computed once, in removal order, when those faces'
+      images are known.  The boundary of a critical c is the sum of
+      [c:f] * image(f) over its faces.
+    - Coimages (``_coimage_columns``) are chains on the critical
+      d-cells.  A critical cell is its own coimage, a cell matched
+      upward has none, and the upper cell a of a pair (a, b) has the
+      coimage -[a:b] * sum of [x:b] * coimage(x) over the other
+      cofaces x of b.  Each of those that has a coimage left the
+      matching after b, so in reverse removal order it is known.  The
+      entry at a critical face c' and a critical c is the sum of
+      [x:c'] * coimage(x)[c] over the cofaces x of c'.
+
+    Both give the same matrix.  Let P send a (d-1)-chain to the sum of
+    its coefficients times the images, and let i(c) be the sum of
+    coimage(x)[c] * x.  The image rule says P vanishes on the boundary
+    of every upper cell, and i(c) - c is a sum of such cells, so
+    P(d c) = P(d i(c)).  The coimage rule says d i(c) has no term on a
+    lower cell, and P is the identity on critical cells and zero on
+    upper ones, so P(d i(c)) is the part of d i(c) on the critical
+    (d-1)-cells, which is the coimage side's column.  On the level-N
+    surfaces the one critical triangle takes the coimage side, and the
+    memo holds at most one entry per triangle.
+
+    The critical boundaries are then reduced from the top down by
+    ``_sparse_reduce``, each leaving out the columns cleared by the
+    unit pivots of the one above."""
+    counts = cx.f_vector()
+    top = len(counts) - 1
+    critical, pairs, cofaces = _coreduce(cx)
+    obs.add("homology", critical=sum(map(len, critical)), matched=sum(map(len, pairs)))
     factors: list[list[int]] = [[] for _ in range(top + 2)]
     cleared: set[int] = set()
     for d in range(top, 0, -1):
-        columns = (
-            [chain(faces[d][c], image[d - 1]).items() for c in critical[d]] if d in faces else []
-        )
+        columns: list[Iterable[tuple[int, int]]] = []
+        if critical[d] and critical[d - 1]:
+            if len(critical[d]) < len(critical[d - 1]):
+                columns = _coimage_columns(
+                    cx.cells(d), cofaces[d - 1], pairs[d], critical[d], critical[d - 1]
+                )
+            else:
+                columns = _image_columns(cx.cells(d), pairs[d], critical[d], critical[d - 1])
         factors[d], cleared = _sparse_reduce(columns, cleared)
     betti = tuple(
         len(critical[d]) - len(factors[d]) - len(factors[d + 1]) for d in range(top + 1)

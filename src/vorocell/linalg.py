@@ -63,8 +63,8 @@ class SymMatrix:
     The pair is normalized so that gcd(content(num), den) = 1 (and a
     zero matrix has den = 1), which makes it canonical: two matrices
     are equal exactly when their ``num`` and ``den`` are.  ``den`` is
-    then the lcm of the entries' denominators.  ``rows``, :meth:`upper`
-    and indexing are read-only ``Fraction`` views of the same entries.
+    then the lcm of the entries' denominators.  ``rows`` and indexing
+    are read-only ``Fraction`` views of the same entries.
     ``_ldlt`` holds :func:`integer_ldlt` once it has run on the matrix.
     """
 
@@ -108,17 +108,14 @@ class SymMatrix:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def identity(n: int) -> "SymMatrix":
-        return SymMatrix._over([[int(i == j) for j in range(n)] for i in range(n)], 1)
-
-    @staticmethod
     def rank_one(v: Sequence[int]) -> "SymMatrix":
         """The rank-one form v v^T of an integer vector."""
         return SymMatrix._over([[a * b for b in v] for a in v], 1)
 
     @staticmethod
     def from_upper(n: int, coords: Sequence) -> "SymMatrix":
-        """Inverse of :meth:`upper`: rebuild from upper-triangle entries."""
+        """The symmetric matrix with these upper-triangle entries, row
+        by row."""
         coords = [_frac(x) for x in coords]
         den = lcm(*(x.denominator for x in coords))
         it = iter(x.numerator * (den // x.denominator) for x in coords)
@@ -138,13 +135,6 @@ class SymMatrix:
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         return Fraction(self.num[i][j], self.den)
-
-    def upper(self) -> tuple:
-        """Upper-triangle entries, row by row; a coordinate system of
-        dimension n(n+1)/2 in which entrywise equality of symmetric
-        matrices becomes equality of vectors."""
-        n, den = self.n, self.den
-        return tuple(Fraction(self.num[i][j], den) for i in range(n) for j in range(i, n))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -173,17 +163,6 @@ class SymMatrix:
             if vi:
                 total += vi * sum(map(mul, row, v))
         return Fraction(total, self.den)
-
-    def pair(self, other: "SymMatrix") -> Fraction:
-        """Trace pairing <A,B> = trace(AB) = sum_ij A_ij B_ij."""
-        total = sum(sum(map(mul, ra, rb)) for ra, rb in zip(self.num, other.num))
-        return Fraction(total, self.den * other.den)
-
-    def conjugate(self, u: Sequence[Sequence[int]]) -> "SymMatrix":
-        """U^T A U for a square integer matrix U."""
-        ut = transpose(u)
-        au = mat_mul(self.num, u)
-        return SymMatrix._over(mat_mul(ut, au), self.den)
 
     def integral_multiple(self) -> "SymMatrix":
         """The smallest positive rational multiple with integer entries

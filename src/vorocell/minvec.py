@@ -103,11 +103,6 @@ class MinData:
     mu: Fraction
     vectors: tuple[tuple[int, ...], ...]
 
-    @property
-    def signed_count(self) -> int:
-        """Cardinality when v and -v are counted separately."""
-        return 2 * len(self.vectors)
-
 
 def minimal_vectors(q: SymMatrix) -> MinData:
     """Exact mu(A) and the complete set M(A) up to sign."""

@@ -85,8 +85,26 @@ REDUCE = {
 }
 
 
-# (stdout, emitted file) of `sl2 --level N --emit PATH [--dual]`
+# (stdout, emitted file) of `sl2 --level N --emit PATH [--dual]`; levels 5
+# and 19 were recorded while the emitted complex still went through
+# `to_json_dict` and the generic writer
 SL2 = {
+    (5, False): (
+        "926d6aa5a67d51b42845c54bca81a6f7e060fe54c8dcec6045b0b52bfa4842fa",
+        "9b8a6a9337af27fff5b442e97e6941cda6bde3aeefcaa5b00507201aa0dac705",
+    ),
+    (5, True): (
+        "926d6aa5a67d51b42845c54bca81a6f7e060fe54c8dcec6045b0b52bfa4842fa",
+        "a289423d728dd48fc51d9de10b41707abac48dcd45e3d77e45433698de4a2e06",
+    ),
+    (19, False): (
+        "501a2624262642fa2afa479fd2c09bc188234cc13e49b1e755cb3200e10e9625",
+        "7ce5985ec7b306eec85ed7131c808f06d3b93dec2dbed2ae48aec9ed5a0a8365",
+    ),
+    (19, True): (
+        "501a2624262642fa2afa479fd2c09bc188234cc13e49b1e755cb3200e10e9625",
+        "ea9069574669408ae8b435534098ea4c9abf8451f66a76d66fd494d9e753d888",
+    ),
     (7, False): (
         "68b29de49a4ac717efcab3a7c88fed5807cfec0e17479db426f8de35f90864f0",
         "6d8a11810c206cea7c2e16defa721bc1fa94ae2eb54b2d5575d047a7ed3d7a4b",

@@ -10,8 +10,10 @@ without the clearing across degrees that ``homology`` does.  A third,
 the rationals; by universal coefficients its Betti numbers are the
 integer ones.  A fourth, ``cleared_homology``, is ``homology`` without
 its coreduction matching: every ``cells(d)`` reduced from the top down
-with clearing.  The integer cells a simplicial complex builds itself are
-compared with the textbook boundary in
+with clearing; beside it, ``assert_matching_agrees`` computes every
+Morse boundary from both sides, the images and the coimages, and
+requires the same matrix.  The integer cells a simplicial complex
+builds itself are compared with the textbook boundary in
 ``test_simplicial_cells_match_textbook_boundary``.  The projective
 spaces built by ``antipodal_quotient`` are the regular complexes that
 carry torsion.
@@ -29,10 +31,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vorocell import cli, obs
+from vorocell import cells, cli, obs
 from vorocell.cells import (
     RegularComplex,
     SimplicialComplex,
+    _coimage_columns,
+    _coreduce,
+    _image_columns,
     _sparse_reduce,
     homology,
 )
@@ -117,6 +122,11 @@ RP2 = [
     (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
     (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
 ]
+
+# RP^2 with a circle wedged on at a vertex: the matching leaves critical
+# (1, 2, 1), so degree 2 takes the coimage side, and its one entry is the
+# torsion factor 2
+RP2_WEDGE_CIRCLE = RP2 + [(0, 6), (6, 7), (7, 0)]
 
 OCTAHEDRON = [
     tuple(2 * i + s for i, s in enumerate(signs))
@@ -489,9 +499,31 @@ def cleared_homology(cx):
     return betti, torsion
 
 
+def morse_sides(cx):
+    """Per degree with critical cells in both d and d - 1, the Morse
+    boundary from the images and from the coimages, each as
+    {(row, column): value} without zeros."""
+    critical, pairs, cofaces = _coreduce(cx)
+    sides = {}
+    for d in range(1, len(critical)):
+        if critical[d] and critical[d - 1]:
+            faces = cx.cells(d)
+            both = (
+                _image_columns(faces, pairs[d], critical[d], critical[d - 1]),
+                _coimage_columns(faces, cofaces[d - 1], pairs[d], critical[d], critical[d - 1]),
+            )
+            sides[d] = tuple(
+                {(r, c): v for c, column in enumerate(columns) for r, v in column if v}
+                for columns in both
+            )
+    return sides
+
+
 def assert_matching_agrees(cx):
     h = homology(cx)
     assert (h.betti, h.torsion) == cleared_homology(cx)
+    for d, (by_image, by_coimage) in morse_sides(cx).items():
+        assert by_image == by_coimage, d
 
 
 def cubical_complex(cubes):
@@ -577,8 +609,10 @@ def test_matching_on_a_cell_with_one_vertex():
         (SimplicialComplex(RP2), ((), (2,), ())),
         (antipodal_quotient(2), ((), (2,), ())),
         (antipodal_quotient(3), ((), (2,), (), ())),
+        (SimplicialComplex(RP2_WEDGE_CIRCLE), ((), (2,), ())),
+        (SimplicialComplex(RP2_WEDGE_CIRCLE).to_regular(), ((), (2,), ())),
     ],
-    ids=["rp2-simplicial", "rp2", "rp3"],
+    ids=["rp2-simplicial", "rp2", "rp3", "rp2-wedge-circle", "rp2-wedge-circle-regular"],
 )
 def test_matching_keeps_torsion_of_projective_spaces(cx, torsion):
     assert_matching_agrees(cx)
@@ -617,6 +651,33 @@ def test_matching_leaves_one_critical_cell_per_sphere_betti_number(cx, counters)
         **counters, "unit_pivots": 0, "row_updates": 0, "residual_rows": 0, "residual_cols": 0,
     }}
     assert 2 * counters["matched"] + counters["critical"] == sum(cx.f_vector())
+
+
+# -- the side of the Morse boundary -----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cx, sides",
+    [
+        # critical (1, 2002, 1): the triangle's side, then the vertex's
+        (QuotientTessellation(31).surface_complex(), ["coimage", "image"]),
+        (SimplicialComplex(RP2_WEDGE_CIRCLE), ["coimage", "image"]),
+        # critical (1, 1, 1, 1): a tie in every degree takes the images
+        (antipodal_quotient(3), ["image", "image", "image"]),
+        # critical (1, 0, 1): no degree has critical cells on both sides
+        (QuotientTessellation(5).surface_complex(), []),
+    ],
+    ids=["surface31", "rp2-wedge-circle", "rp3", "surface5"],
+)
+def test_morse_boundary_takes_the_side_with_fewer_critical_cells(monkeypatch, cx, sides):
+    taken = []
+    for name, side in (("_image_columns", "image"), ("_coimage_columns", "coimage")):
+        def record(*args, _side=side, _real=getattr(cells, name)):
+            taken.append(_side)
+            return _real(*args)
+        monkeypatch.setattr(cells, name, record)
+    homology(cx)
+    assert taken == sides  # degrees from the top down
 
 
 # -- sparse elimination on plain matrices --------------------------------------

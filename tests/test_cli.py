@@ -415,6 +415,9 @@ def _edge(dim=1, signs=(-1, 1), dims=(2, 1)):
         (_edge(dims=[2, True]), "dims must be a list of integers"),
         ({"format": 1, "maximal_faces": [[0, True]]},
          "maximal_faces must be a list of lists of integers"),
+        ({"format": 1, "cells": []}, "complex has no cells"),
+        ({"format": True, "cells": []}, "unsupported complex format"),
+        ({"format": True, "maximal_faces": [[0, 1]]}, "unsupported complex format"),
     ],
     ids=[
         "faces-not-a-list", "faces-of-numbers", "vertex-not-an-integer",
@@ -424,7 +427,7 @@ def _edge(dim=1, signs=(-1, 1), dims=(2, 1)):
         "repeated-face", "vertex-with-faces", "edge-without-faces",
         "dim-negative", "dim-huge", "dim-huge-without-faces",
         "fields-parsed-before-structure", "sign-true", "dim-false", "dims-true",
-        "vertex-true",
+        "vertex-true", "no-cells", "format-true-cells", "format-true-maximal-faces",
     ],
 )
 def test_complex_nested_fields_name_the_field(tmp_path, doc, message):
@@ -793,3 +796,37 @@ def test_dump_matches_the_stdlib_indented_encoder(doc):
     from vorocell import cli
 
     assert cli._dump(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+# ids with characters JSON escapes, non-ASCII and astral ones, and any others
+CELL_IDS = st.text(st.sampled_from('a.0"\\/\n\t\x00\x1f\x7fé€\U0001f600') | st.characters(), max_size=5)
+
+
+@st.composite
+def regular_complexes(draw):
+    """``to_regular()`` of a random simplicial complex with every id
+    behind one drawn prefix, which keeps the ids sorted; or a path of
+    drawn vertex ids joined by drawn edge ids."""
+    if draw(st.booleans()):
+        raw = draw(st.lists(
+            st.frozensets(st.integers(0, 8), min_size=1, max_size=4), min_size=1, max_size=10,
+        ))
+        cx = SimplicialComplex([tuple(sorted(f)) for f in raw]).to_regular()
+        prefix = draw(CELL_IDS)
+        return RegularComplex([[prefix + cid for cid in group] for group in cx.ids], cx.faces)
+    vertices = sorted(draw(st.sets(CELL_IDS, min_size=1, max_size=6)))
+    edges = sorted(draw(st.sets(CELL_IDS, min_size=len(vertices) - 1, max_size=len(vertices) - 1)))
+    ids, faces = [vertices], [[()] * len(vertices)]
+    if edges:
+        ids.append(edges)
+        faces.append([((i + 1, 1), (i, -1)) for i in range(len(edges))])
+    return RegularComplex(ids, faces)
+
+
+@given(regular_complexes())
+@settings(max_examples=300, deadline=None)
+def test_regular_writer_matches_the_stdlib_indented_encoder(cx):
+    from vorocell import cli
+
+    assert cli._dump_regular(cx) == json.dumps(cx.to_json_dict(), indent=2) + "\n"
+

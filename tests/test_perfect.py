@@ -41,6 +41,7 @@ from vorocell.perfect import (
     is_perfect,
     neighbor,
 )
+from sym_helpers import conjugate, identity, pair
 
 
 # -- oracle 1: perfection as a rank condition -------------------------------
@@ -126,7 +127,7 @@ def test_root_forms_are_perfect(n):
 
 
 def test_identity_is_not_perfect():
-    q = SymMatrix.identity(3)
+    q = identity(3)
     assert not is_perfect(q)
     assert not perfect_by_rank(q)
 
@@ -144,10 +145,10 @@ def test_perfection_matches_rank_oracle_on_scaled_forms():
 
 
 def test_perfection_result_kernel_spans_violations():
-    res = is_perfect(SymMatrix.identity(2))
+    res = is_perfect(identity(2))
     assert not res.perfect
     assert res.kernel
-    md = minimal_vectors(SymMatrix.identity(2))
+    md = minimal_vectors(identity(2))
     for z in res.kernel:
         assert all(z.evaluate(m) == 0 for m in md.vectors)
 
@@ -238,7 +239,7 @@ def test_facet_normals_are_supporting():
             assert all(type(x) is int for x in facet.normal)
             assert gcd(*facet.normal) == 1
             normal = SymMatrix.from_upper(record.n, facet.normal)
-            values = [normal.pair(r) for r in rays]
+            values = [pair(normal, r) for r in rays]
             assert all(v >= 0 for v in values)
             zero = frozenset(i for i, v in enumerate(values) if v == 0)
             assert zero == frozenset(facet.ray_support)
@@ -295,7 +296,7 @@ def test_equivalence_produces_checked_certificate():
     b = SymMatrix([[2, -1], [-1, 4]])
     u = are_equivalent(a, b)
     assert u is not None
-    assert a.conjugate(u).rows == b.rows
+    assert conjugate(a, u).rows == b.rows
     assert abs(sympy.Matrix(u).det()) == 1
 
 
@@ -406,19 +407,19 @@ def test_witness_matches_reference_on_random_conjugates(name):
     gram = ROOT_LATTICES[name]
     rng = random.Random(f"witness:{name}")
     for _ in range(6):
-        b = gram.conjugate(random_gl(gram.n, rng))
+        b = conjugate(gram, random_gl(gram.n, rng))
         for x, y in ((gram, b), (b, gram)):
             u = assert_same_witness(x, y)
             assert u is not None
-            assert x.conjugate(u) == y
+            assert conjugate(x, u) == y
 
 
 def test_witness_matches_reference_on_rational_forms():
     a = SymMatrix([[Fraction(7, 3), Fraction(1, 2)], [Fraction(1, 2), Fraction(5, 4)]])
-    b = a.conjugate([[2, 1], [-1, 0]])
+    b = conjugate(a, [[2, 1], [-1, 0]])
     assert assert_same_witness(a, b) is not None
     a3 = a_root_form(3).scale(Fraction(2, 7))
-    b3 = a3.conjugate(random_gl(3, random.Random(3)))
+    b3 = conjugate(a3, random_gl(3, random.Random(3)))
     assert assert_same_witness(a3, b3) is not None
     # rational entries on one side only: scaling is not quotiented
     assert assert_same_witness(a3, a_root_form(3)) is None
@@ -430,7 +431,7 @@ def test_witness_matches_reference_on_rational_forms():
 def test_witness_matches_reference_on_scaled_pair():
     rng = random.Random(11)
     a = SymMatrix(D4)
-    b = a.conjugate(random_gl(4, rng))
+    b = conjugate(a, random_gl(4, rng))
     u = assert_same_witness(a, b)
     assert assert_same_witness(a.scale(6), b.scale(6)) == u
     assert assert_same_witness(a.scale(Fraction(1, 6)), b.scale(Fraction(1, 6))) == u
@@ -506,7 +507,7 @@ def test_catalog_neighbor_edges_reach_every_class():
     for fi in range(len(rec.facets)):
         j, u = cat.edge(0, fi)
         contiguous = neighbor(rec, rec.facets[fi])
-        assert cat.records[j].integral_form.conjugate(u).rows == contiguous.rows
+        assert conjugate(cat.records[j].integral_form, u).rows == contiguous.rows
 
 
 # -- catalog validation ------------------------------------------------------------

@@ -15,11 +15,12 @@ import sympy
 from vorocell.linalg import SymMatrix, is_positive_definite, mat_mul, transpose
 from vorocell.perfect import Catalog, enumerate_perfect_forms
 from vorocell.reduction import reduce_with_trace, voronoi_reduce
+from sym_helpers import conjugate, identity
 
 
 def reconstructs(x: SymMatrix, result, catalog) -> bool:
     rays = result.translated_rays(catalog)
-    total = SymMatrix.identity(x.n).scale(0)
+    total = identity(x.n).scale(0)
     for c, r in zip(result.coefficients, rays):
         if c <= 0:
             return False
@@ -63,9 +64,9 @@ def test_hexagonal_form_is_interior(cat2):
 
 
 def test_identity_lies_on_a_face(cat2):
-    res = voronoi_reduce(SymMatrix.identity(2), cat2)
+    res = voronoi_reduce(identity(2), cat2)
     assert len(res.support) == 2
-    assert reconstructs(SymMatrix.identity(2), res, cat2)
+    assert reconstructs(identity(2), res, cat2)
 
 
 def test_witness_is_unimodular(cat2):
@@ -88,7 +89,7 @@ def check_equivariance(x, catalog, unimodulars):
     base = voronoi_reduce(x, catalog)
     base_rays = base.translated_rays(catalog)
     for u in unimodulars:
-        y = x.conjugate(u)
+        y = conjugate(x, u)
         res = voronoi_reduce(y, catalog)
         assert res.class_index == base.class_index
         assert reconstructs(y, res, catalog)
@@ -116,7 +117,7 @@ def test_translation_equivariance(cat2):
 def interior_form(record, rng):
     """A positive combination of every ray of the class's domain cone
     with generic weights, so the form lies in the open cone."""
-    total = SymMatrix.identity(record.n).scale(0)
+    total = identity(record.n).scale(0)
     for m in record.min_data.vectors:
         ray = SymMatrix.rank_one(m)
         total = total + ray.scale(Fraction(rng.randint(1, 9), rng.randint(1, 4)))
@@ -137,7 +138,7 @@ def test_translation_equivariance_in_higher_dimensions(n, request):
 
 def test_far_from_domain_takes_steps(cat2):
     u = [[1, 7], [0, 1]]
-    x = SymMatrix([[2, 1], [1, 2]]).conjugate(u)
+    x = conjugate(SymMatrix([[2, 1], [1, 2]]), u)
     res, trace = reduce_with_trace(x, cat2)
     assert res.steps == len(trace) > 0
     assert reconstructs(x, res, cat2)
@@ -147,7 +148,7 @@ def test_three_dimensional_walk(cat3):
     rng = random.Random(7)
     for _ in range(10):
         u = random_unimodular(3, rng)
-        x = SymMatrix([[2, 1, 1], [1, 3, 0], [1, 0, 4]]).conjugate(u)
+        x = conjugate(SymMatrix([[2, 1, 1], [1, 3, 0], [1, 0, 4]]), u)
         assert is_positive_definite(x)
         res = voronoi_reduce(x, cat3)
         assert res.class_index == 0
@@ -176,10 +177,10 @@ def test_rejects_non_positive_definite(cat2):
 
 def test_rejects_dimension_mismatch(cat2):
     with pytest.raises(ValueError):
-        voronoi_reduce(SymMatrix.identity(3), cat2)
+        voronoi_reduce(identity(3), cat2)
 
 
 def test_rejects_incomplete_catalog():
     partial = enumerate_perfect_forms(4, limit=1)
     with pytest.raises(ValueError):
-        voronoi_reduce(SymMatrix.identity(4), partial)
+        voronoi_reduce(identity(4), partial)
