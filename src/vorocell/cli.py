@@ -124,7 +124,9 @@ def _dump_regular(cx: RegularComplex) -> str:
                 for k, s in cell
             ])
             faces = f"[{faces}\n      ]" if faces else "[]"
-            out.append(f'{sep}{{\n      "id": {name},\n      "dim": {d},\n      "faces": {faces}\n    }}')
+            out.append(
+                f'{sep}{{\n      "id": {name},\n      "dim": {d},\n      "faces": {faces}\n    }}'
+            )
             sep = ",\n    "
         below = names
     out.append("\n  ]\n}\n" if any(dims) else "]\n}\n")

@@ -799,7 +799,9 @@ def test_dump_matches_the_stdlib_indented_encoder(doc):
 
 
 # ids with characters JSON escapes, non-ASCII and astral ones, and any others
-CELL_IDS = st.text(st.sampled_from('a.0"\\/\n\t\x00\x1f\x7fé€\U0001f600') | st.characters(), max_size=5)
+CELL_IDS = st.text(
+    st.sampled_from('a.0"\\/\n\t\x00\x1f\x7fé€\U0001f600') | st.characters(), max_size=5,
+)
 
 
 @st.composite
