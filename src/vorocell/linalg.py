@@ -56,6 +56,36 @@ def _integer(value, message: str) -> int:
         raise ValueError(message) from None
 
 
+# Python's default limit on the digits of an int string
+# (sys.int_info.default_max_str_digits); a larger decimal exponent is
+# refused before 10 ** exponent is built
+_MAX_EXPONENT = 4300
+_ENTRY_FAULT = "rows must hold integers or rational strings"
+
+
+def _entry(value) -> Fraction:
+    """One ``rows`` entry of a form document as a ``Fraction``, failing
+    with a message that names the field: on a JSON boolean, a float that
+    is not integral, an infinity or NaN, a string ``Fraction`` rejects,
+    and a decimal exponent above ``_MAX_EXPONENT`` in magnitude."""
+    if type(value) is bool:
+        raise ValueError(f"{_ENTRY_FAULT}, not booleans")
+    if type(value) is float and isfinite(value) and not value.is_integer():
+        raise ValueError(f"{_ENTRY_FAULT}, not fractional floats")
+    if isinstance(value, str):
+        _, e, exponent = value.lower().partition("e")
+        try:
+            huge = bool(e) and abs(int(exponent)) > _MAX_EXPONENT
+        except ValueError:
+            huge = False  # not an exponent: Fraction rejects the string
+        if huge:
+            raise ValueError(_ENTRY_FAULT)
+    try:
+        return Fraction(value)
+    except (ValueError, TypeError, ArithmeticError):
+        raise ValueError(_ENTRY_FAULT) from None
+
+
 class SymMatrix:
     """Immutable symmetric matrix with exact rational entries, stored as
     one integer matrix ``num`` over one positive denominator ``den``.
@@ -193,11 +223,7 @@ class SymMatrix:
         rows = doc["rows"]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ValueError("rows must be a list of lists")
-        if any(type(x) is float and isfinite(x) and not x.is_integer() for r in rows for x in r):
-            raise ValueError("rows must hold integers or rational strings, not fractional floats")
-        if any(type(x) is bool for r in rows for x in r):
-            raise ValueError("rows must hold integers or rational strings, not booleans")
-        m = SymMatrix([[Fraction(s) for s in row] for row in rows])
+        m = SymMatrix([[_entry(x) for x in row] for row in rows])
         if m.n != _integer(doc["n"], "n must be an integer"):
             raise ValueError("declared dimension does not match rows")
         return m
@@ -207,11 +233,8 @@ class SymMatrix:
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list:
-    cols = len(b[0])
-    inner = len(b)
-    return [
-        [sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)] for row in a
-    ]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def transpose(a: Sequence[Sequence]) -> list:

@@ -12,8 +12,10 @@ which is what makes the walk terminate.
 The walk runs in integers: the pulled-back target is kept as integer
 rows over one positive denominator, which a unimodular change of basis
 leaves alone, so each crossing is an integer conjugation and each
-facet test an integer dot product.  The final certificate solves the
-cone-membership LP on the fraction-free tableau of ``linalg``.
+facet test an integer dot product.  The final certificate pushes the
+target toward the sum of its face's rays by 2^-k, with the least k read
+off the facet values the walk already holds, and solves one
+cone-membership LP there on the fraction-free tableau of ``linalg``.
 """
 
 from __future__ import annotations
@@ -71,30 +73,59 @@ class ReductionResult:
 
 
 def _positive_certificate(
-    vectors: Sequence[Sequence[int]], y: Sequence[Sequence[int]], den: int
+    record: PerfectFormRecord,
+    support: Sequence[int],
+    y: Sequence[Sequence[int]],
+    den: int,
+    values: Sequence[int],
 ) -> tuple[tuple[Fraction, ...], int]:
-    """Strictly positive weights over *all* rays q(v), v in vectors,
-    summing to the form y / den, and the number of LPs solved.
+    """Strictly positive weights over *all* rays q(v), v over the record's
+    minimal vectors indexed by ``support``, summing to the form y / den,
+    and the exponent k of the push that found them.
 
-    Exists exactly when the target sits in the relative interior of the
-    cone; found by pushing the target slightly toward the ray barycenter,
-    to y / den - eps * sum_v q(v) for eps = 1, 1/2, 1/4, ..., and solving
-    the resulting membership problem exactly.
+    ``values[i]`` is <F, y> for the record's i-th facet normal F.  The
+    weights exist exactly when y / den sits in the relative interior of
+    the cone G of the support's rays.  They are found by pushing the
+    target toward the ray sum T = sum_v q(v), to y / den - 2^-k T, and
+    solving the membership LP there exactly: each weight is its LP
+    coefficient plus 2^-k.
+
+    The support spans a face G of the record's cone C, so G is C cut
+    with the span of G, and y / den and T both lie in that span.  The
+    pushed target therefore lies in G exactly when it meets every facet
+    inequality of C.  A facet with <F, T> = 0 contains G, and the push
+    leaves <F, y> alone; a facet with <F, T> > 0 asks for
+    2^k <F, y> >= den <F, T>.  The least k meeting all of these is read
+    off the values, and the one LP solved at that k is the last LP of
+    halving eps from 1, with the same pivots.  A facet with <F, T> > 0
+    and <F, y> <= 0 puts the target on the boundary of G, where no
+    strictly positive weights exist.
     """
     n = len(y)
-    rays = [SymMatrix.rank_one(v) for v in vectors]
+    vectors = [record.min_data.vectors[i] for i in support]
     total = [[sum(v[i] * v[j] for v in vectors) for j in range(n)] for i in range(n)]
-    for k in range(64):
-        # y / den - total / 2^k, over the denominator 2^k * den
-        shifted = SymMatrix._over(
-            [[(a << k) - den * t for a, t in zip(row, trow)] for row, trow in zip(y, total)],
-            den << k,
-        )
-        member = cone_membership(rays, shifted)
-        if member is not None:
-            eps = Fraction(1, 1 << k)
-            return tuple(c + eps for c in member.coefficients), k + 1
-    raise WalkDivergenceError("no strictly positive certificate on the face")
+    total_coords = _pairing_coordinates(total)
+    k = 0
+    for f, a in zip(record.facets, values):
+        b = den * sum(map(mul, f.normal, total_coords))
+        if b > 0:
+            if a <= 0:
+                raise WalkDivergenceError("no strictly positive certificate on the face")
+            # the least e with a << e >= b: it gives a << e the bit length of b or one more
+            e = max(0, b.bit_length() - a.bit_length())
+            k = max(k, e + ((a << e) < b))
+    if k >= 64:
+        raise WalkDivergenceError("no strictly positive certificate on the face")
+    # y / den - total / 2^k, over the denominator 2^k * den
+    shifted = SymMatrix._over(
+        [[(a << k) - den * t for a, t in zip(row, trow)] for row, trow in zip(y, total)],
+        den << k,
+    )
+    member = cone_membership([SymMatrix.rank_one(v) for v in vectors], shifted)
+    if member is None:
+        raise WalkDivergenceError("no strictly positive certificate on the face")
+    eps = Fraction(1, 1 << k)
+    return tuple(c + eps for c in member.coefficients), k
 
 
 def _pairing_coordinates(y: Sequence[Sequence[int]]) -> list[int]:
@@ -156,10 +187,8 @@ def reduce_with_trace(
             support_idx = tuple(sorted(support))
             if not support_idx:
                 raise WalkDivergenceError("empty face support for a nonzero form")
-            coeffs, lps = _positive_certificate(
-                [record.min_data.vectors[i] for i in support_idx], y, den
-            )
-            obs.add("reduction", steps=step, lps=lps)
+            coeffs, k = _positive_certificate(record, support_idx, y, den, values)
+            obs.add("reduction", steps=step, lps=1, eps_exponent=k)
             return (
                 ReductionResult(
                     class_index=j,

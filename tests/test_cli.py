@@ -10,12 +10,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vorocell.cells import RegularComplex, SimplicialComplex
+from vorocell.perfect import Catalog
 
 CLI = [sys.executable, "-m", "vorocell.cli"]
 
@@ -234,8 +236,10 @@ def test_reduce_rejects_indefinite_form(tmp_path):
 @pytest.mark.parametrize(
     "fault, edit, message",
     [
-        ("form", lambda d: d["rows"][0].__setitem__(0, "1/0"), "Fraction(1, 0)"),
-        ("form", lambda d: d["rows"][0].__setitem__(0, float("inf")), "Infinity"),
+        ("form", lambda d: d["rows"][0].__setitem__(0, "1/0"),
+         "bad form document: rows must hold integers or rational strings"),
+        ("form", lambda d: d["rows"][0].__setitem__(0, float("inf")),
+         "bad form document: rows must hold integers or rational strings"),
         ("catalog", lambda d: d.__setitem__("classes", []), "catalog has no classes"),
         ("form", lambda d: d.update(n=1, rows=[["2"]]),
          "form has dimension 1, catalog has 2"),
@@ -289,6 +293,41 @@ def test_form_booleans_are_not_numbers(tmp_path, form, message):
     r = run("reduce", "--form", str(path), "--catalog", str(cat))
     assert r.returncode == 2
     assert r.stderr == f"error: {path}: bad form document: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["1/0", "abc", float("inf"), "1e10000000"],
+    ids=["zero-denominator", "not-a-number", "infinity", "huge-exponent"],
+)
+def test_form_entry_faults_name_the_field(tmp_path, entry):
+    # Fraction's own messages name no field, and 10 ** 10000000 takes
+    # seconds to build: the exponent must be refused before that
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"n": 1, "rows": [[entry]]}))
+    start = time.perf_counter()
+    r = run("reduce", "--form", str(path), "--catalog", str(tmp_path / "cat.json"))
+    assert time.perf_counter() - start < 5
+    assert r.returncode == 2
+    assert r.stderr == (
+        f"error: {path}: bad form document: rows must hold integers or rational strings\n"
+    )
+
+
+def test_catalog_record_entry_fault_names_the_field(tmp_path):
+    doc = json.loads(run("perfect", "enumerate", "--n", "2").stdout)
+    entry = doc["classes"][0]
+    entry["form"]["rows"][0][0] = "1/0"
+    entry["hash"] = Catalog._record_hash({k: entry[k] for k in ("form", "mu", "min_vectors")})
+    cat = tmp_path / "cat.json"
+    cat.write_text(json.dumps(doc))
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"n": 2, "rows": [["4", "1"], ["1", "3"]]}))
+    r = run("reduce", "--form", str(form), "--catalog", str(cat))
+    assert r.returncode == 2
+    assert r.stderr == (
+        f"error: {cat}: bad catalog document: rows must hold integers or rational strings\n"
+    )
 
 
 def test_catalog_without_n_names_the_field(tmp_path):
@@ -695,8 +734,8 @@ def test_verbose_reports_reduction_counters(tmp_path):
     catalog = tmp_path / "cat4.json"
     assert run("perfect", "enumerate", "--n", "4", "--out", str(catalog)).returncode == 0
     form = tmp_path / "form.json"
-    # seed-1 benchmark form 19: four crossings, then eight LPs, halving
-    # eps from 1 to 1/128 before the pushed target lies in the face's cone
+    # seed-1 benchmark form 19: four crossings, then one LP at eps = 1/128,
+    # the first power of two that keeps the pushed target in the face's cone
     form.write_text(json.dumps({"n": 4, "rows": [
         ["155/72", "-83/72", "-43/36", "1/9"],
         ["-83/72", "811/360", "233/180", "-19/90"],
@@ -710,7 +749,7 @@ def test_verbose_reports_reduction_counters(tmp_path):
     assert json.loads(plain.stdout)["steps"] == 4
     (line,) = flagged.stderr.splitlines()
     counters = json.loads(line)
-    assert counters["reduction"] == {"steps": 4, "lps": 8}
+    assert counters["reduction"] == {"steps": 4, "lps": 1, "eps_exponent": 7}
     # each crossing builds its neighbor once and matches it to a class
     assert counters["neighbor"] == {"steps": 4, "ldlt_probes": 4}
 

@@ -12,7 +12,7 @@ from operator import mul
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vorocell import linalg
@@ -94,6 +94,15 @@ def test_symmatrix_rejects_asymmetric():
         SymMatrix([[1, 2], [3, 4]])
 
 
+@pytest.mark.parametrize(
+    "entry, value",
+    [("1e400", 10**400), ("-2.5E+3", -2500), ("1e-3", Fraction(1, 1000)),
+     (7.0, 7), (-3, -3), (" 3/4 ", Fraction(3, 4))],
+)
+def test_form_entries_that_load(entry, value):
+    assert SymMatrix.from_json_dict({"n": 1, "rows": [[entry]]}) == SymMatrix([[value]])
+
+
 def test_rank_one():
     r = SymMatrix.rank_one((1, -2))
     assert r.rows == ((1, -2), (-2, 4))
@@ -106,6 +115,39 @@ def test_conjugate_is_congruence():
     ut = transpose(u)
     expect = mat_mul(mat_mul(ut, [list(r) for r in a.rows]), u)
     assert [list(r) for r in b.rows] == expect
+
+
+def reference_mat_mul(a, b):
+    """The triple loop ``mat_mul`` ran before it zipped the columns."""
+    cols = len(b[0])
+    inner = len(b)
+    return [[sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)] for row in a]
+
+
+small_fractions = st.builds(Fraction, small_entries, st.integers(1, 5))
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Rectangular a (r x m) and b (m x c), 1 x n and n x 1 among them,
+    with integer or Fraction entries."""
+    r, m, c = (draw(st.integers(1, 5)) for _ in range(3))
+    entries = draw(st.sampled_from([small_entries, small_fractions]))
+    a = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=r, max_size=r))
+    b = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=m, max_size=m))
+    return a, b
+
+
+@given(matrix_pairs())
+@example(([[1, -2, 3]], [[4], [0], [-1]]))
+@example(([[Fraction(1, 2)], [3]], [[2, Fraction(-1, 3)]]))
+@settings(max_examples=200)
+def test_mat_mul_matches_the_triple_loop(ab):
+    a, b = ab
+    out = mat_mul(a, b)
+    expect = reference_mat_mul(a, b)
+    assert out == expect
+    assert [[type(x) for x in row] for row in out] == [[type(x) for x in row] for row in expect]
 
 
 class FractionSymMatrix:

@@ -8,13 +8,21 @@ That certificate does not trust any of the walk bookkeeping.
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 import sympy
 
-from vorocell.linalg import SymMatrix, is_positive_definite, mat_mul, transpose
+from vorocell import reduction
+from vorocell.linalg import SymMatrix, cone_membership, is_positive_definite, mat_mul, transpose
 from vorocell.perfect import Catalog, enumerate_perfect_forms
-from vorocell.reduction import reduce_with_trace, voronoi_reduce
+from vorocell.reduction import (
+    WalkDivergenceError,
+    _pairing_coordinates,
+    _positive_certificate,
+    reduce_with_trace,
+    voronoi_reduce,
+)
 from sym_helpers import conjugate, identity
 
 
@@ -184,3 +192,110 @@ def test_rejects_incomplete_catalog():
     partial = enumerate_perfect_forms(4, limit=1)
     with pytest.raises(ValueError):
         voronoi_reduce(identity(4), partial)
+
+
+# -- the positive certificate against the halving loop -----------------------
+
+
+def halving_certificate(vectors, y, den):
+    """The reference certificate: push y / den toward the ray sum by
+    eps = 1, 1/2, 1/4, ... and solve a fresh membership LP each time,
+    until the pushed target lies in the cone.  Returns the weights and
+    the exponent k of the eps that worked."""
+    n = len(y)
+    rays = [SymMatrix.rank_one(v) for v in vectors]
+    total = [[sum(v[i] * v[j] for v in vectors) for j in range(n)] for i in range(n)]
+    for k in range(64):
+        eps = Fraction(1, 2**k)
+        shifted = SymMatrix(
+            [[Fraction(a, den) - eps * t for a, t in zip(row, trow)] for row, trow in zip(y, total)]
+        )
+        member = cone_membership(rays, shifted)
+        if member is not None:
+            return tuple(c + eps for c in member.coefficients), k
+    raise WalkDivergenceError("no strictly positive certificate on the face")
+
+
+def certificate_case(record, support, weights):
+    """The arguments of ``_positive_certificate`` for the target
+    sum_i weights[i] q(v_i) over the rays of ``support``."""
+    x = identity(record.n).scale(0)
+    for i, w in zip(support, weights):
+        x = x + SymMatrix.rank_one(record.min_data.vectors[i]).scale(w)
+    coords = _pairing_coordinates(x.num)
+    values = [sum(map(mul, f.normal, coords)) for f in record.facets]
+    return record, support, x.num, x.den, values
+
+
+def assert_matches_halving(record, support, y, den, values):
+    coeffs, k = _positive_certificate(record, support, y, den, values)
+    vectors = [record.min_data.vectors[i] for i in support]
+    assert (coeffs, k) == halving_certificate(vectors, y, den)
+    return k
+
+
+def random_positive_form(n, rng):
+    """A positive sum of rank-one terms over the basis and a few small
+    vectors, moved by a random unimodular matrix."""
+    vectors = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    for _ in range(rng.randint(0, 3)):
+        v = [0] * n
+        while not any(v):
+            v = [rng.randint(-1, 1) for _ in range(n)]
+        vectors.append(tuple(v))
+    x = identity(n).scale(0)
+    for v in vectors:
+        x = x + SymMatrix.rank_one(v).scale(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+    return conjugate(x, random_unimodular(n, rng, rng.randint(0, 6)))
+
+
+@pytest.mark.parametrize("n, count", [(2, 30), (3, 30), (4, 24)])
+def test_certificate_matches_halving_on_reduced_forms(n, count, request, monkeypatch):
+    catalog = request.getfixturevalue(f"cat{n}")
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return _positive_certificate(*args)
+
+    monkeypatch.setattr(reduction, "_positive_certificate", recording)
+    rng = random.Random(f"certificate:{n}")
+    for _ in range(count):
+        x = random_positive_form(n, rng)
+        assert reconstructs(x, voronoi_reduce(x, catalog), catalog)
+    assert len(calls) == count
+    exponents = {assert_matches_halving(*args) for args in calls}
+    assert len(exponents) > 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_certificate_matches_halving_on_proper_faces(n, request):
+    # targets in the relative interior of one facet, and of the face two
+    # facets share, so that the certificate sees proper faces
+    catalog = request.getfixturevalue(f"cat{n}")
+    rng = random.Random(f"faces:{n}")
+    cases = 0
+    for record in catalog.records:
+        facets = rng.sample(record.facets, min(8, len(record.facets)))
+        supports = [f.ray_support for f in facets]
+        for f, g in zip(facets, facets[1:]):
+            shared = tuple(sorted(set(f.ray_support) & set(g.ray_support)))
+            if shared:
+                supports.append(shared)
+        for support in supports:
+            weights = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in support]
+            assert_matches_halving(*certificate_case(record, support, weights))
+            cases += 1
+    assert cases >= 2 * len(catalog.records)
+
+
+def test_certificate_rejects_a_target_on_the_boundary_of_its_face(cat2):
+    # one ray of the facet {0, 1} gets weight 0: the target is a multiple
+    # of the other ray, on the boundary of that facet's cone
+    record = cat2.records[0]
+    (facet,) = [f for f in record.facets if f.ray_support == (0, 1)]
+    case = certificate_case(record, facet.ray_support, [Fraction(0), Fraction(3, 2)])
+    with pytest.raises(WalkDivergenceError):
+        _positive_certificate(*case)
+    with pytest.raises(WalkDivergenceError):
+        halving_certificate([record.min_data.vectors[0], record.min_data.vectors[1]], *case[2:4])
