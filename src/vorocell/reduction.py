@@ -111,7 +111,7 @@ def _positive_certificate(
         if b > 0:
             if a <= 0:
                 raise WalkDivergenceError("no strictly positive certificate on the face")
-            # the least e with a << e >= b: it gives a << e the bit length of b or one more
+            # the least e >= 0 with a << e >= b; a << e then has b's bit length or one more
             e = max(0, b.bit_length() - a.bit_length())
             k = max(k, e + ((a << e) < b))
     if k >= 64:
