@@ -36,17 +36,11 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations, repeat
 from typing import AbstractSet, Iterable, Optional, Sequence
 
 from . import obs
-from .linalg import _integer, smith_normal_form
-
-
-def _check_format(doc: dict) -> None:
-    fmt = doc.get("format")
-    if fmt != 1 or isinstance(fmt, bool):  # JSON true compares equal to 1
-        raise ValueError("unsupported complex format")
+from .linalg import _check_format, _integer, smith_normal_form
 
 
 class RegularComplex:
@@ -135,7 +129,7 @@ class RegularComplex:
         and validated by ``check``.  Numbering needs faces that exist one
         dimension down and dimensions from 0 up with no gap, so those
         faults are reported here."""
-        _check_format(doc)
+        _check_format(doc, "complex")
         entries = doc["cells"]
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ValueError("cells must be a list of objects")
@@ -220,12 +214,20 @@ class SimplicialComplex:
     def faces(self) -> dict[int, list[tuple[int, ...]]]:
         """All faces grouped by dimension, each sorted lexicographically."""
         if self._faces is None:
-            # maximal faces are sorted, so their combinations are too
-            maximal = self.maximal_faces
-            self._faces = {
-                k - 1: sorted(set().union(*(combinations(f, k) for f in maximal)))
-                for k in range(1, self.dim + 2)
-            }
+            # a face is maximal or a face of a face one vertex larger, so
+            # each dimension comes from the one above; faces are sorted
+            # tuples, so their combinations are too
+            by_size: dict[int, list[tuple[int, ...]]] = {}
+            for f in self.maximal_faces:
+                by_size.setdefault(len(f), []).append(f)
+            levels = []
+            above: list[tuple[int, ...]] = []
+            for k in range(self.dim + 1, 0, -1):
+                level = set(by_size.get(k, ()))
+                level.update(chain.from_iterable(map(combinations, above, repeat(k))))
+                above = sorted(level)
+                levels.append(above)
+            self._faces = dict(enumerate(reversed(levels)))
         return self._faces
 
     @property
@@ -281,7 +283,7 @@ class SimplicialComplex:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "SimplicialComplex":
-        _check_format(doc)
+        _check_format(doc, "complex")
         faces = doc["maximal_faces"]
         if not isinstance(faces, list) or not all(isinstance(f, list) for f in faces):
             raise ValueError("maximal_faces must be a list of lists")

@@ -56,6 +56,14 @@ def _integer(value, message: str) -> int:
         raise ValueError(message) from None
 
 
+def _check_format(doc: dict, kind: str) -> None:
+    """Reject a document whose ``format`` is not the integer 1, naming
+    its kind; a JSON ``true`` compares equal to 1."""
+    fmt = doc.get("format")
+    if fmt != 1 or isinstance(fmt, bool):
+        raise ValueError(f"unsupported {kind} format")
+
+
 # Python's default limit on the digits of an int string
 # (sys.int_info.default_max_str_digits); a larger decimal exponent is
 # refused before 10 ** exponent is built
@@ -95,10 +103,13 @@ class SymMatrix:
     are equal exactly when their ``num`` and ``den`` are.  ``den`` is
     then the lcm of the entries' denominators.  ``rows`` and indexing
     are read-only ``Fraction`` views of the same entries.
-    ``_ldlt`` holds :func:`integer_ldlt` once it has run on the matrix.
+    ``_ldlt`` holds :func:`integer_ldlt` once it has run on the matrix,
+    and ``_pools`` the isometry search's candidate vectors once
+    :func:`~vorocell.perfect.are_equivalent` has swept the matrix as its
+    first form.
     """
 
-    __slots__ = ("n", "num", "den", "_ldlt")
+    __slots__ = ("n", "num", "den", "_ldlt", "_pools")
 
     def __init__(self, rows: Sequence[Sequence]) -> None:
         n = len(rows)

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 from .linalg import (
     SymMatrix,
+    _check_format,
     _eliminate,
     _integer,
     _null_space,
@@ -245,17 +246,35 @@ class PerfectFormRecord:
 
     The record keeps the form as ``integral_form``, its smallest integer
     multiple with content 1, on which all combinatorial work happens.
+
+    Building a record does not test perfection; :meth:`require_perfect`
+    does, at most once per record.  A catalog calls it on every record
+    it admits (:meth:`Catalog.add`), and the enumeration and
+    :meth:`Catalog.edge` on every contiguous form that matches no known
+    class.  A form that does match needs no test: its witness U with
+    U^T A U = B proves it perfect, as the class form A passed the test
+    when it entered the catalog, and perfection is a GL_n(Z) invariant:
+    x -> U x maps the minimal vectors of B onto those of A, so
+    Z -> U^T Z U maps the solutions of A's value system onto B's.
     """
 
     def __init__(self, form: SymMatrix) -> None:
         integral = form.integral_multiple()
-        md = minimal_vectors(integral)
-        if not is_perfect(integral, md).perfect:
-            raise ValueError("form is not perfect")
         self.integral_form = integral
-        self.min_data = md
+        self.min_data = minimal_vectors(integral)
+        self._perfect = False  # set once the rank test has passed
         self._facets: Optional[tuple[Facet, ...]] = None
         self._invariant: Optional[tuple] = None
+
+    def require_perfect(self) -> None:
+        """Rank-test the form's perfection, unless it already passed;
+        ValueError when it is not perfect."""
+        if self._perfect:
+            return
+        obs.add("classify", perfection_tests=1)
+        if not is_perfect(self.integral_form, self.min_data).perfect:
+            raise ValueError("form is not perfect")
+        self._perfect = True
 
     @property
     def n(self) -> int:
@@ -345,6 +364,34 @@ def neighbor(record: PerfectFormRecord, facet: Facet) -> SymMatrix:
 # -- unimodular equivalence -------------------------------------------------------
 
 
+_Pool = list[tuple[tuple[int, ...], tuple[int, ...]]]  # (v, A v) pairs
+
+
+def _candidate_pools(a: SymMatrix, bound: int) -> dict[int, _Pool]:
+    """The isometry search's candidates on ``a`` for every value up to at
+    least ``bound`` (in ``a.num`` units): per value, the signed primitive
+    vectors v of that value, sorted, each paired with its image A v.
+
+    They are kept on ``a`` (``num`` and ``den`` never change, so they
+    cannot go stale) together with the bound they were swept to; ``a`` is
+    swept again only for a larger bound.  A value's vectors do not depend
+    on the bound once it reaches the value, so each pool is the list a
+    fresh sweep would give.
+    """
+    cached = getattr(a, "_pools", None)
+    if cached is None or cached[0] < bound:
+        by_value: dict[int, list[tuple[int, ...]]] = {}
+        for v, val in vectors_below(a, bound):
+            by_value.setdefault(val, []).extend([v, tuple(-x for x in v)])
+        pools = {
+            val: [(v, tuple(sum(map(mul, row, v)) for row in a.num)) for v in sorted(vs)]
+            for val, vs in by_value.items()
+        }
+        cached = a._pools = (bound, pools)
+        obs.add("classify", pool_sweeps=1)
+    return cached[1]
+
+
 def are_equivalent(a: SymMatrix, b: SymMatrix) -> Optional[list[list[int]]]:
     """A unimodular U with U^T A U = B, or None.  Scaling is not quotiented.
 
@@ -352,14 +399,20 @@ def are_equivalent(a: SymMatrix, b: SymMatrix) -> Optional[list[list[int]]]:
     must be a vector of A-value b_jj, and pairs of columns must
     reproduce the off-diagonal entries of B, so candidates come from one
     short-vector enumeration.  The search runs in integers, on A.num and
-    B.num over their common denominator.  Each candidate's image A v is
-    computed once per call, and placing column j with vector v filters
-    the candidate list of every later column jj down to the u with
-    (A v) . u = b_j,jj (forward checking); v is dropped as soon as one of
-    those lists comes up empty.  The filtered lists keep their sorted
-    order, so the search returns the same first witness, found in the
-    same order, as a plain backtrack that checks each column only
-    against the columns already placed.
+    B.num over their common denominator.  The candidates and their
+    images A v are swept once per form A and kept on it
+    (:func:`_candidate_pools`), so a catalog's class form, matched
+    against many contiguous forms, is swept again only when a target
+    b_jj exceeds every earlier one.  Placing column j with vector v
+    filters the candidate list of every later column jj down to the u
+    with (A v) . u = b_j,jj (forward checking); v is dropped as soon as
+    one of those lists comes up empty.  The filtered lists keep their
+    sorted order, so the search returns the same first witness, found
+    in the same order, as a plain backtrack that checks each column
+    only against the columns already placed.
+
+    A witness is a certificate of more than equivalence: every GL_n(Z)
+    invariant of A, perfection among them, holds for B as well.
     """
     if a.n != b.n:
         return None
@@ -376,23 +429,17 @@ def are_equivalent(a: SymMatrix, b: SymMatrix) -> Optional[list[list[int]]]:
         if a.den != b.den or rows_a[-1][-1] != rows_b[-1][-1]:
             return None
         targets = [b.num[j][j] for j in range(n)]
-        by_value: dict[int, list[tuple[int, ...]]] = {}
-        for v, val in vectors_below(a, max(targets)):
-            by_value.setdefault(val, []).extend([v, tuple(-x for x in v)])
-        images: dict[tuple[int, ...], tuple[int, ...]] = {}
+        by_value = _candidate_pools(a, max(targets))
         candidates = []
         for t in targets:
-            pool = sorted(by_value.get(t, []))
-            if not pool:
+            pool = by_value.get(t)
+            if pool is None:
                 return None
-            for v in pool:
-                if v not in images:
-                    images[v] = tuple(sum(map(mul, row, v)) for row in a.num)
-            candidates.append([(v, images[v]) for v in pool])
+            candidates.append(pool)
 
-        cols: list[tuple[int, ...]] = []
+        cols: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # placed (v, A v)
 
-        def place(j: int, pools: list[list[tuple[tuple[int, ...], tuple[int, ...]]]]) -> bool:
+        def place(j: int, pools: list[_Pool]) -> bool:
             """Fill columns j..n-1; pools[k] holds the (u, A u) still open for column j + k."""
             nonlocal nodes
             b_row = b.num[j]
@@ -405,7 +452,7 @@ def are_equivalent(a: SymMatrix, b: SymMatrix) -> Optional[list[list[int]]]:
                         break
                     narrowed.append(kept)
                 else:
-                    cols.append(v)
+                    cols.append((v, av))
                     nodes += 1
                     if j + 1 == n or place(j + 1, narrowed):
                         return True
@@ -414,9 +461,9 @@ def are_equivalent(a: SymMatrix, b: SymMatrix) -> Optional[list[list[int]]]:
 
         if not place(0, candidates):
             return None
-        u = [[cols[j][i] for j in range(n)] for i in range(n)]
+        u = [[cols[j][0][i] for j in range(n)] for i in range(n)]
         conjugate = tuple(
-            tuple(sum(map(mul, cols[i], images[cols[j]])) for j in range(n)) for i in range(n)
+            tuple(sum(map(mul, vi, avj)) for _, avj in cols) for vi, _ in cols
         )
         # U^T A U = B with det A = det B != 0 (compared above) gives
         # det(U)^2 = 1, so U is unimodular
@@ -455,13 +502,23 @@ class Catalog:
         return None, None
 
     def add(self, record: PerfectFormRecord) -> int:
+        """Admit a record as a new class, after its perfection test: the
+        one gate of the loader and the enumeration.  Every class form is
+        thus tested, which lets a witness onto it stand in for the test
+        of any form it matches (see :class:`PerfectFormRecord`)."""
+        record.require_perfect()
         self.records.append(record)
         self.neighbors.append(None)
         return len(self.records) - 1
 
     def edge(self, class_index: int, facet_index: int) -> tuple[int, list[list[int]]]:
         """Neighbor class across one facet, with the witness U such that
-        U^T (neighbor class form) U = the literal contiguous form."""
+        U^T (neighbor class form) U = the literal contiguous form.
+
+        The witness proves the contiguous form perfect, since the class
+        form is; a contiguous form that matches no class is rank-tested
+        before the catalog is called incomplete, so a form that is not
+        perfect raises ValueError, not :class:`CatalogError`."""
         cached = self._witnesses.get((class_index, facet_index))
         if cached is not None:
             return cached
@@ -475,6 +532,7 @@ class Catalog:
         contiguous = PerfectFormRecord(neighbor(rec, rec.facets[facet_index]))
         j, u = self.classify(contiguous)
         if j is None:
+            contiguous.require_perfect()
             raise CatalogError("catalog is incomplete: unknown neighbor class")
         if stored is not None and stored[facet_index] != j:
             raise CatalogError(
@@ -521,8 +579,7 @@ class Catalog:
         for type and index range here; their lengths and classes are
         checked against the computed facets in :meth:`edge`, so loading
         computes no facets."""
-        if doc.get("format") != 1:
-            raise ValueError("unsupported catalog format")
+        _check_format(doc, "catalog")
         cat = Catalog(_integer(doc["n"], "n must be an integer"))
         classes = doc["classes"]
         if not isinstance(classes, list) or not all(isinstance(e, dict) for e in classes):
@@ -544,6 +601,9 @@ class Catalog:
             if Catalog._record_hash(core) != entry["hash"]:
                 raise ValueError("catalog record hash mismatch")
             record = PerfectFormRecord(SymMatrix.from_json_dict(entry["form"]))
+            # rank-tested first among the record's checks; a failure
+            # below discards the catalog and the record with it
+            cat.add(record)
             if record.n != cat.n:
                 raise ValueError(
                     f"class {index}: form has dimension {record.n}, catalog has {cat.n}"
@@ -552,7 +612,6 @@ class Catalog:
                 raise ValueError("catalog record minimal vectors mismatch")
             if str(record.min_data.mu) != entry["mu"]:
                 raise ValueError("catalog record minimum mismatch")
-            cat.add(record)
             cat.neighbors[-1] = list(nb) if nb is not None else None
         if not isinstance(doc["complete"], bool):
             raise ValueError("complete must be true or false")
@@ -574,6 +633,11 @@ def enumerate_perfect_forms(
     representative per equivalence class.  ``limit`` caps the
     class count; hitting it leaves the catalog flagged incomplete.
     Passing a partially expanded ``catalog`` resumes it in place.
+
+    A contiguous form that matches a known class is perfect by its
+    witness (see :class:`PerfectFormRecord`); only one that matches none
+    is rank-tested, before the limit is checked, and
+    :meth:`Catalog.add` then finds it tested.
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
@@ -589,6 +653,7 @@ def enumerate_perfect_forms(
             contiguous = PerfectFormRecord(neighbor(record, facet))
             found, _ = catalog.classify(contiguous)
             if found is None:
+                contiguous.require_perfect()
                 if limit is not None and len(catalog) >= limit:
                     catalog.neighbors[index] = None
                     catalog.complete = False

@@ -229,6 +229,28 @@ def test_faces_and_f_vector():
     assert sc.faces()[1] == [(0, 1), (0, 2), (1, 2), (2, 3)]
 
 
+@given(
+    st.lists(
+        st.frozensets(st.integers(0, 9), min_size=1, max_size=6),
+        min_size=1,
+        max_size=12,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_faces_match_the_union_over_maximal_faces(raw):
+    # faces() builds each dimension from the one above; the brute force
+    # takes every combination of every maximal face.  Maximal faces of
+    # mixed sizes make most of these complexes non-pure.
+    sc = SimplicialComplex([tuple(sorted(f)) for f in raw])
+    expected = {
+        k - 1: sorted(set().union(*(itertools.combinations(f, k) for f in sc.maximal_faces)))
+        for k in range(1, sc.dim + 2)
+    }
+    got = sc.faces()
+    assert list(got) == list(expected)
+    assert got == expected
+
+
 def test_to_regular_builds_valid_chain_complex():
     reg = SimplicialComplex(RP2).to_regular()
     assert reg.f_vector() == (6, 15, 10)

@@ -342,6 +342,37 @@ def test_catalog_without_n_names_the_field(tmp_path):
     assert r.stderr == f"error: {cat}: bad catalog document: missing field 'n'\n"
 
 
+def test_catalog_format_true_is_refused(tmp_path):
+    # JSON true compares equal to 1, so a plain comparison let it through
+    doc = json.loads(run("perfect", "enumerate", "--n", "4").stdout)
+    doc["format"] = True
+    cat = tmp_path / "cat.json"
+    cat.write_text(json.dumps(doc))
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"n": 4, "rows": [[int(i == j) for j in range(4)] for i in range(4)]}))
+    r = run("reduce", "--form", str(form), "--catalog", str(cat))
+    assert r.returncode == 2
+    assert r.stderr == f"error: {cat}: bad catalog document: unsupported catalog format\n"
+
+
+def test_catalog_record_that_is_not_perfect_is_refused(tmp_path):
+    # the identity with its true minimum, minimal vectors and hash: only
+    # the perfection test at the catalog's gate can refuse it
+    doc = json.loads(run("perfect", "enumerate", "--n", "2").stdout)
+    entry = doc["classes"][0]
+    entry["form"] = {"n": 2, "rows": [["1", "0"], ["0", "1"]]}
+    entry["mu"] = "1"
+    entry["min_vectors"] = [[0, 1], [1, 0]]
+    entry["hash"] = Catalog._record_hash({k: entry[k] for k in ("form", "mu", "min_vectors")})
+    cat = tmp_path / "cat.json"
+    cat.write_text(json.dumps(doc))
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"n": 2, "rows": [["4", "1"], ["1", "3"]]}))
+    r = run("reduce", "--form", str(form), "--catalog", str(cat))
+    assert r.returncode == 2
+    assert r.stderr == f"error: {cat}: bad catalog document: form is not perfect\n"
+
+
 def test_complex_cell_without_sign_names_the_field(tmp_path):
     doc = SimplicialComplex([(0, 1)]).to_regular().to_json_dict()
     del doc["cells"][-1]["faces"][0]["sign"]
@@ -649,6 +680,10 @@ def test_verbose_reports_dd_counters():
     # 73 of the 74 neighbors match a known class (the first D4 is new);
     # each match places its 4 columns without backtracking
     assert counters["isometry"] == {"calls": 73, "hits": 73, "nodes": 292}
+    # each class form sweeps its candidate pools when a target first
+    # exceeds its last bound; only the two classes are rank-tested, as
+    # each match's witness proves its contiguous form perfect
+    assert counters["classify"] == {"pool_sweeps": 4, "perfection_tests": 2}
 
 
 def test_verbose_reports_homology_counters(tmp_path):

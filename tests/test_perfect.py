@@ -22,6 +22,7 @@ import vorocell.linalg
 import vorocell.minvec
 import vorocell.perfect
 
+from vorocell import obs
 from vorocell.linalg import (
     SymMatrix,
     is_positive_definite,
@@ -443,6 +444,85 @@ def test_inequivalent_pairs_match_reference():
     a = SymMatrix([[1, 0, 0], [0, 4, 0], [0, 0, 9]])
     b = SymMatrix([[1, 0, 0], [0, 6, 0], [0, 0, 6]])
     assert assert_same_witness(a, b) is None
+
+
+def fresh(a: SymMatrix) -> SymMatrix:
+    """A copy of a with nothing kept on it: no LDL^T, no candidate pools."""
+    return SymMatrix(a.rows)
+
+
+def counted_equivalence(a, b):
+    with obs.collecting() as book:
+        u = are_equivalent(a, b)
+    return u, book
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cached_pools_give_the_fresh_search(n):
+    """One class form answers a sequence of searches whose largest target
+    first rises, so its pools are swept again, and then falls; among them
+    a form of equal det and den that is not equivalent.  Each call gives
+    the witness and the isometry counters of a search on a fresh copy,
+    and the witness of the reference backtrack."""
+    for k, record in enumerate(enumerate_perfect_forms(n).records):
+        rng = random.Random(f"pools:{n}:{k}")
+        a = fresh(record.integral_form)
+        det = int(sympy.Matrix(a.rows).det())
+        conjugates = sorted(
+            (conjugate(a, random_gl(n, rng, steps)) for steps in (1, 2, 3, 4)),
+            key=lambda b: max(b.num[j][j] for j in range(n)),
+        )
+        unit = SymMatrix([[det if i == j == n - 1 else int(i == j) for j in range(n)]
+                          for i in range(n)])
+        stranger = conjugate(unit, random_gl(n, rng, 2))
+        assert stranger.den == a.den and sympy.Matrix(stranger.rows).det() == det
+        sequence = [a, *conjugates, stranger, *reversed(conjugates), a]
+        swept = 0
+        sweeps = []
+        for b in sequence:
+            u, book = counted_equivalence(a, b)
+            again, fresh_book = counted_equivalence(fresh(a), b)
+            assert u == again == reference_equivalence(a, b)
+            assert (u is None) == (b is stranger)
+            assert book["isometry"] == fresh_book["isometry"]
+            bound = max(b.num[j][j] for j in range(n))
+            sweeps.append(book.get("classify", {}).get("pool_sweeps", 0))
+            assert sweeps[-1] == int(bound > swept)
+            swept = max(swept, bound)
+        assert sweeps[0] == 1 and sum(sweeps) >= 2  # the bound rose at least once
+        assert sweeps[-len(conjugates) - 1:] == [0] * (len(conjugates) + 1)
+
+
+def test_a_contiguous_form_that_is_not_perfect_is_refused(monkeypatch):
+    """With every contiguity step landing on the identity, a positive
+    definite form that is not perfect, the enumeration (with and without
+    a limit) and a catalog edge raise the perfection error, not a
+    catalog error."""
+    cat = Catalog.from_json_dict(enumerate_perfect_forms(2).to_json_dict())
+    monkeypatch.setattr(vorocell.perfect, "neighbor", lambda record, facet: identity(2))
+    for limit in (None, 1):
+        with pytest.raises(ValueError) as raised:
+            enumerate_perfect_forms(2, limit=limit)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == "form is not perfect"
+    with pytest.raises(ValueError) as raised:
+        cat.edge(0, 0)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == "form is not perfect"
+
+
+def test_matched_forms_are_not_rank_tested():
+    """The n = 4 walk rank-tests its two classes as they enter the
+    catalog and nothing else: the other 72 contiguous forms are proven
+    perfect by their witnesses."""
+    with obs.collecting() as book:
+        enumerate_perfect_forms(4)
+    assert book["classify"]["perfection_tests"] == 2
+    assert book["isometry"]["hits"] == 73
+    doc = enumerate_perfect_forms(4).to_json_dict()
+    with obs.collecting() as book:
+        Catalog.from_json_dict(doc)
+    assert book["classify"] == {"perfection_tests": 2}
 
 
 def test_unimodular_inverse():
