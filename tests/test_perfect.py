@@ -511,14 +511,7 @@ def test_a_contiguous_form_that_is_not_perfect_is_refused(monkeypatch):
     assert str(raised.value) == "form is not perfect"
 
 
-def test_matched_forms_are_not_rank_tested():
-    """The n = 4 walk rank-tests its two classes as they enter the
-    catalog and nothing else: the other 72 contiguous forms are proven
-    perfect by their witnesses."""
-    with obs.collecting() as book:
-        enumerate_perfect_forms(4)
-    assert book["classify"]["perfection_tests"] == 2
-    assert book["isometry"]["hits"] == 73
+def test_loading_rank_tests_each_class_once():
     doc = enumerate_perfect_forms(4).to_json_dict()
     with obs.collecting() as book:
         Catalog.from_json_dict(doc)
