@@ -22,9 +22,10 @@ coimages of the cells of the degree on its critical cells, computed in
 reverse removal order.  Both give the same matrix, so the side only
 sets the memo's size.  The result is exact over the integers, because
 every pairing has incidence +-1 and the removal order makes the
-matching acyclic (the arguments are in ``homology``).  The critical
-boundaries then go through a sparse unit-pivot elimination that takes
-the shortest row first and hands what is left to the dense Smith form.
+matching acyclic (the arguments are in ``homology``).  The matching
+has taken the free faces, so only the critical boundaries go through
+the sparse unit-pivot elimination, which takes the shortest row first
+and hands what is left to the dense Smith form.
 Degrees are reduced from the top down with clearing: the rows of the
 unit pivots of one boundary are columns the next one down may drop,
 because each such column is an integer combination of the others (the
@@ -342,13 +343,9 @@ def _sparse_reduce(
     Takes the shortest live row first and pivots on its +-1 entry in
     the column with the fewest rows, which splits off unit invariant
     factors one at a time and keeps fill low; a row with no +-1 entry
-    waits until an update gives it one.  A row whose one entry is +-1
-    (a free face) is pivoted by deleting its column from the other
-    rows, which is all the row update does there: no arithmetic, no
-    choice of column, and the same pushes and count of row updates.
-    Whatever survives without a unit entry goes through the dense Smith
-    routine.  For boundary matrices this residual is tiny (it is where
-    torsion lives).
+    waits until an update gives it one.  Whatever survives without a
+    unit entry goes through the dense Smith routine.  For boundary
+    matrices this residual is tiny (it is where torsion lives).
 
     The rows of the +-1 pivots are what ``homology`` clears in the next
     degree down.  Leaving those columns out keeps the column lattice,
@@ -391,23 +388,6 @@ def _sparse_reduce(
         length, pr = heapq.heappop(heap)
         prow = rows.get(pr)
         if prow is None or len(prow) != length:
-            continue
-        if length == 1:  # a free face: clearing its column is the whole update
-            ((pc, v),) = prow.items()
-            if v != 1 and v != -1:
-                continue
-            others = cols.pop(pc)
-            row_updates += len(others) - 1
-            for r in others:
-                if r != pr:
-                    row = rows[r]
-                    del row[pc]
-                    if row:
-                        heapq.heappush(heap, (len(row), r))
-                    else:
-                        del rows[r]
-            del rows[pr]
-            pivot_rows.add(pr)
             continue
         pc = min(
             (c for c, v in prow.items() if v in (-1, 1)),

@@ -51,65 +51,15 @@ def _fault(e: Exception) -> str:
 
 
 def _dump(doc: dict) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte.  With an
-    indent the stdlib leaves its C encoder for a pure-Python one built of
-    nested generators; this writer appends to one list instead."""
-    out: list[str] = []
-    _write(doc, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _write(x: object, newline: str, out: list[str]) -> None:
-    """Append ``x`` as indented JSON, ``newline`` being the line break
-    and indent of its own line.  Dict keys must be strings; scalars other
-    than strings and ints (bool, None, float) go to ``json.dumps``.  The
-    str and int members of a container, most of any document, are
-    written in place rather than by a call each."""
-    if isinstance(x, dict):
-        if not x:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for k, v in x.items():
-            key = f"{sep}{encode_basestring_ascii(k)}: "
-            if type(v) is str:
-                out.append(key + encode_basestring_ascii(v))
-            elif type(v) is int:
-                out.append(key + int.__repr__(v))
-            else:
-                out.append(key)
-                _write(v, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(x, (list, tuple)):
-        if not x:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for v in x:
-            if type(v) is int:
-                out.append(sep + int.__repr__(v))
-            else:
-                out.append(sep)
-                _write(v, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(x, str):
-        out.append(encode_basestring_ascii(x))
-    elif isinstance(x, int) and not isinstance(x, bool):
-        out.append(int.__repr__(x))
-    else:
-        out.append(json.dumps(x))
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _dump_regular(cx: RegularComplex) -> str:
-    """``_dump(cx.to_json_dict())``, byte for byte, written straight
-    from ``cx.ids`` and ``cx.faces``.  The document's shape is fixed, so
-    each face object is one f-string, and each id is encoded once, not
-    once per face that names it."""
+    """The bytes of ``json.dumps(cx.to_json_dict(), indent=2)`` and a
+    newline, written straight from ``cx.ids`` and ``cx.faces`` for the
+    one large document, ``sl2 --emit``, without building its dict.  The
+    document's shape is fixed, so each face object is one f-string, and
+    each id is encoded once, not once per face that names it."""
     dims = cx.f_vector()
     out = ['{\n  "format": 1,\n  "dims": ',
            "[\n    " + ",\n    ".join(map(str, dims)) + "\n  ]" if dims else "[]",

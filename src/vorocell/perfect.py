@@ -264,7 +264,6 @@ class PerfectFormRecord:
         self.min_data = minimal_vectors(integral)
         self._perfect = False  # set once the rank test has passed
         self._facets: Optional[tuple[Facet, ...]] = None
-        self._invariant: Optional[tuple] = None
 
     def require_perfect(self) -> None:
         """Rank-test the form's perfection, unless it already passed;
@@ -288,24 +287,15 @@ class PerfectFormRecord:
         return self._facets
 
     def invariant_key(self) -> tuple:
-        """Cheap unimodular invariants used to pre-filter equivalence."""
-        if self._invariant is not None:
-            return self._invariant
-        int_rows = self.integral_form.num  # over den = 1
-        vectors = self.min_data.vectors
-        images = [tuple(sum(map(mul, row, v)) for row in int_rows) for v in vectors]
-        products = sorted(
-            abs(sum(map(mul, a, im)))
-            for k, a in enumerate(vectors)
-            for im in images[k + 1 :]
-        )
-        self._invariant = (
+        """Cheap unimodular invariants used to pre-filter equivalence:
+        (mu, minimal-vector pairs, det), which tell apart every class of
+        n <= 6.  ``Catalog.classify`` confirms each match with a witness,
+        so a shared key costs an isometry search, never a wrong class."""
+        return (
             self.min_data.mu,
             len(self.min_data.vectors),
-            integer_ldlt(self.integral_form)[-1][-1],  # det(int_rows)
-            tuple(products),
+            integer_ldlt(self.integral_form)[-1][-1],  # det(integral_form)
         )
-        return self._invariant
 
 
 def a_root_form(n: int) -> SymMatrix:
@@ -331,14 +321,9 @@ def neighbor(record: PerfectFormRecord, facet: Facet) -> SymMatrix:
     parameter (mu - Q[v]) / R[v] over vectors with R[v] < 0 is exact.
     """
     q = record.integral_form
-    n = q.n
     mu = record.min_data.mu
-    r = SymMatrix.from_upper(n, facet.normal)
+    r = SymMatrix.from_upper(q.n, facet.normal)
     old = set(record.min_data.vectors)
-
-    def r_value(v: tuple[int, ...]) -> int:
-        return sum(map(mul, _value_row(v, n), facet.normal))
-
     lo = Fraction(0)
     step = Fraction(1)
     for probes in range(1, 201):
@@ -349,9 +334,9 @@ def neighbor(record: PerfectFormRecord, facet: Facet) -> SymMatrix:
             continue
         # mu in probe.num units, floored: the values there are integers
         bound = mu.numerator * probe.den // mu.denominator
-        fresh = [v for v, _val in vectors_below(probe, bound) if v not in old and r_value(v) < 0]
+        fresh = [v for v, _val in vectors_below(probe, bound) if v not in old and r.evaluate(v) < 0]
         if fresh:
-            rho = min((mu - q.evaluate(v)) / r_value(v) for v in fresh)
+            rho = min((mu - q.evaluate(v)) / r.evaluate(v) for v in fresh)
             obs.add("neighbor", steps=1, ldlt_probes=probes)
             return q + r.scale(rho)
         lo = cur

@@ -1,4 +1,4 @@
-"""Pinned stdout of `perfect enumerate`, `reduce`, `sl2` and `homology`.
+"""Pinned stdout of every subcommand, and every file one emits.
 
 The `perfect enumerate` and `reduce` hashes were recorded from the
 `Fraction` implementation of the short-vector sweep, the rank-one rays
@@ -17,16 +17,21 @@ matrices for every coset; indexing PSL2(Z/N) and its permutations
 keeps them.  The level-31 dual graph and the `homology` of both level-31
 complexes were recorded while a regular complex was still a dict of
 string-named cells; the integer cells in sorted-id order keep them.
+The `shell`, `sp4 verify` and `building` hashes were recorded while
+every small document still went through a hand-written JSON writer; the
+stdlib encoder keeps them.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 
 import pytest
 
 from vorocell import cli
+from vorocell.cells import SimplicialComplex
 
 ENUMERATE = {
     3: "085361fc661942a8d00f7cb93070da7d153b8dca77f7c518a24dc98190dcd816",
@@ -160,11 +165,37 @@ RP2 = [
     [1, 2, 4], [2, 3, 5], [3, 4, 1], [4, 5, 2], [5, 1, 3],
 ]
 
+# (maximal faces, exit code, stdout) of `shell --complex PATH`: the
+# subdivided boundary of the 4-simplex, a 3-sphere of 120 facets, and
+# three triangles on one edge, which is not a pseudomanifold
+SHELL = {
+    "sphere": (
+        SimplicialComplex(itertools.combinations(range(5), 4)).subdivide().maximal_faces,
+        0,
+        "a8f913ce180b39bc4196b87d31091b9c40894cc4f9594e0a5b8f2584339604fa",
+    ),
+    "fan": (
+        [(0, 1, 2), (0, 1, 3), (0, 1, 4)],
+        1,
+        "60ea6b7ceaf12bd64dd4e5963dac1b8c55aa0bdf15b52b1e6d25583b20ba1fa3",
+    ),
+}
 
-def stdout_of(*argv) -> str:
+SP4_VERIFY = "f99a91406ec4542a08f6ce53209c7ed4d15cbaf35217e3876e25ab0611a835e9"
+
+# stdout of `building --n 4`, and (stdout, emitted file) of
+# `building --n 5 --emit PATH`
+BUILDING_N4 = "6bb1f083cdf6feb9ef103f921332044417f07afc7a6e763da6709798b098e446"
+BUILDING_N5 = (
+    "29671441892b74d64ee26ae5074ee7c428927f0fe52f0845fe9581ee79ecfb40",
+    "96ef3f869fa62db998af7b61b021cb165faf12e332e676055c7f42ae28161a00",
+)
+
+
+def stdout_of(*argv, code=0) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        assert cli.main([str(a) for a in argv]) == 0
+        assert cli.main([str(a) for a in argv]) == code
     return buf.getvalue()
 
 
@@ -219,3 +250,22 @@ def test_homology_bytes(name, tmp_path):
     plain = stdout_of("homology", "--complex", path)
     integer = stdout_of("homology", "--complex", path, "--integer")
     assert (sha256(plain), sha256(integer)) == HOMOLOGY[name]
+
+
+@pytest.mark.parametrize("name", sorted(SHELL))
+def test_shell_bytes(name, tmp_path):
+    faces, code, digest = SHELL[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"format": 1, "maximal_faces": [list(f) for f in faces]}))
+    assert sha256(stdout_of("shell", "--complex", path, code=code)) == digest
+
+
+def test_sp4_verify_bytes():
+    assert sha256(stdout_of("sp4", "verify")) == SP4_VERIFY
+
+
+def test_building_bytes(tmp_path):
+    assert sha256(stdout_of("building", "--n", 4)) == BUILDING_N4
+    path = tmp_path / "building5.json"
+    stdout = stdout_of("building", "--n", 5, "--emit", path)
+    assert (sha256(stdout), sha256(path.read_text())) == BUILDING_N5

@@ -641,6 +641,26 @@ def test_matching_keeps_torsion_of_projective_spaces(cx, torsion):
     assert homology(cx).torsion == torsion
 
 
+@pytest.mark.parametrize(
+    "cx, result, counters",
+    [
+        (QuotientTessellation(12).surface_complex(),
+         ((1, 50, 1), ((), (), ())),
+         {"unit_pivots": 238, "row_updates": 615}),
+        (SimplicialComplex(itertools.combinations(range(5), 4)).subdivide().subdivide(),
+         ((1, 0, 0, 1), ((), (), (), ())),
+         {"unit_pivots": 6299, "row_updates": 23878}),
+    ],
+    ids=["surface12", "twice-subdivided-boundary-4-simplex"],
+)
+def test_sparse_reduce_on_whole_complexes(cx, result, counters):
+    # elimination with no matching in front of it, so every free face of
+    # the complex goes through the unit-pivot path; every factor is 1
+    with obs.collecting() as book:
+        assert cleared_homology(cx) == result
+    assert book == {"homology": {**counters, "residual_rows": 0, "residual_cols": 0}}
+
+
 # the levels of the benchmark's sl2 ladder
 SL2_LADDER = (5, 6, 7, 8, 9, 10, 12, 13, 15, 16, 19, 31)
 

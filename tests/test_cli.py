@@ -5,6 +5,7 @@ must carry file/line positions, and exit codes follow the contract:
 0 success, 1 verification failure, 2 usage or precondition error.
 """
 
+import hashlib
 import itertools
 import json
 import os
@@ -560,6 +561,9 @@ def test_enumerate_n6_finds_the_seven_classes_of_barnes(tmp_path):
     classes = doc["classes"]
     assert [len(c["min_vectors"]) for c in classes] == [21, 30, 36, 21, 22, 27, 21]
     assert [len(c["neighbors"]) for c in classes] == [21, 6336, 38124, 21, 46, 621, 21]
+    assert hashlib.sha256(cat.read_bytes()).hexdigest() == (
+        "b2fd5be0a30e56881598e3041a99be941eb3cbe2be1ae7b501d3d6edd3f6d2cf"
+    )
 
 
 def test_sl2_emit_feeds_homology(tmp_path):
@@ -841,36 +845,6 @@ def test_cached_parser_matches_a_fresh_one(tmp_path, monkeypatch, capsys):
 
 
 # -- the JSON writer -----------------------------------------------------------------
-
-JSON_SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(min_value=2**64, max_value=2**200) | st.integers(max_value=-(2**64)),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.text(),  # control characters, non-ASCII and astral code points included
-)
-
-JSON_DOCUMENTS = st.dictionaries(
-    st.text(),
-    st.recursive(
-        JSON_SCALARS,
-        lambda inner: st.lists(inner, max_size=4)
-        | st.lists(inner, max_size=3).map(tuple)
-        | st.dictionaries(st.text(), inner, max_size=4),
-        max_leaves=25,
-    ),
-    max_size=5,
-)
-
-
-@given(JSON_DOCUMENTS)
-@settings(max_examples=300, deadline=None)
-def test_dump_matches_the_stdlib_indented_encoder(doc):
-    from vorocell import cli
-
-    assert cli._dump(doc) == json.dumps(doc, indent=2) + "\n"
-
 
 # ids with characters JSON escapes, non-ASCII and astral ones, and any others
 CELL_IDS = st.text(
