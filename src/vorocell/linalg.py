@@ -106,7 +106,8 @@ class SymMatrix:
     ``_ldlt`` holds :func:`integer_ldlt` once it has run on the matrix,
     and ``_pools`` the isometry search's candidate vectors once
     :func:`~vorocell.perfect.are_equivalent` has swept the matrix as its
-    first form.
+    first form, or :func:`~vorocell.perfect.automorphism_group` has
+    swept it.
     """
 
     __slots__ = ("n", "num", "den", "_ldlt", "_pools")

@@ -9,8 +9,11 @@ determines Z uniquely among symmetric matrices.  Each perfect form spans
 a full-dimensional "domain" cone generated by the rank-one matrices
 q(m) = mm^T; these cones tile the positive-definite cone, neighboring
 domains share facets, and walking the facet graph enumerates all
-perfect forms up to unimodular equivalence.  Everything here is exact;
-minimal vectors, rays and facet normals are kept as integer vectors.
+perfect forms up to unimodular equivalence.  An automorphism of a form
+maps its facets onto facets whose neighbors are equivalent, so the walk
+steps across one facet per orbit of the form's automorphism group.
+Everything here is exact; minimal vectors, rays and facet normals are
+kept as integer vectors.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .linalg import (
     integer_ldlt,
 )
 from . import obs
-from .minvec import MinData, minimal_vectors, vectors_below
+from .minvec import MinData, canonical_sign, minimal_vectors, vectors_below
 
 
 class NeighborStepError(RuntimeError):
@@ -242,7 +245,8 @@ def facets_of_cone(halfspaces: Sequence[Sequence[int]]) -> list[Facet]:
 
 class PerfectFormRecord:
     """A perfect form with its minimal vectors m, whose m m^T are the
-    rays of its domain cone in that order, and (lazily) its facets.
+    rays of its domain cone in that order, and (lazily) its facets, its
+    automorphism group and the group's facet orbits.
 
     The record keeps the form as ``integral_form``, its smallest integer
     multiple with content 1, on which all combinatorial work happens.
@@ -264,6 +268,8 @@ class PerfectFormRecord:
         self.min_data = minimal_vectors(integral)
         self._perfect = False  # set once the rank test has passed
         self._facets: Optional[tuple[Facet, ...]] = None
+        self._automorphisms: Optional[AutomorphismGroup] = None
+        self._orbits: Optional[tuple[int, ...]] = None
 
     def require_perfect(self) -> None:
         """Rank-test the form's perfection, unless it already passed;
@@ -285,6 +291,21 @@ class PerfectFormRecord:
             rows = [_value_row(v, self.n) for v in self.min_data.vectors]
             self._facets = tuple(facets_of_cone(rows))
         return self._facets
+
+    def automorphisms(self) -> AutomorphismGroup:
+        """Aut of the integral form, by :func:`automorphism_group`."""
+        if self._automorphisms is None:
+            self._automorphisms = automorphism_group(self.integral_form)
+        return self._automorphisms
+
+    def facet_orbits(self) -> tuple[int, ...]:
+        """Per facet, the least index of a facet in its Aut-orbit
+        (:func:`facet_orbits`)."""
+        if self._orbits is None:
+            self._orbits = facet_orbits(
+                self.facets, self.min_data.vectors, self.automorphisms().generators
+            )
+        return self._orbits
 
     def invariant_key(self) -> tuple:
         """Cheap unimodular invariants used to pre-filter equivalence:
@@ -319,26 +340,51 @@ def neighbor(record: PerfectFormRecord, facet: Facet) -> SymMatrix:
     Walks Q + rho * R outward for the facet normal R: rho grows until
     fresh vectors drop to the minimum; the smallest positive crossing
     parameter (mu - Q[v]) / R[v] over vectors with R[v] < 0 is exact.
+    It runs in integers: the record's integral form has den 1, so mu,
+    Q[v] and R[v] are integers, each probe Q + (p/d) R is the integer
+    matrix d Q + p R over d, and the crossing parameters are compared
+    by cross-multiplication.
     """
-    q = record.integral_form
-    mu = record.min_data.mu
-    r = SymMatrix.from_upper(q.n, facet.normal)
+    q = record.integral_form.num
+    n = len(q)
+    mu = record.min_data.mu.numerator
+    r = [[0] * n for _ in range(n)]
+    coords = iter(facet.normal)
+    for i in range(n):
+        for j in range(i, n):
+            r[i][j] = r[j][i] = next(coords)
+
+    def value(m: Sequence[Sequence[int]], v: tuple[int, ...]) -> int:
+        return sum(x * sum(map(mul, row, v)) for x, row in zip(v, m))
+
     old = set(record.min_data.vectors)
     lo = Fraction(0)
     step = Fraction(1)
     for probes in range(1, 201):
         cur = lo + step
-        probe = q + r.scale(cur)
+        p, d = cur.numerator, cur.denominator
+        probe = SymMatrix._over(
+            [[d * a + p * b for a, b in zip(qa, ra)] for qa, ra in zip(q, r)], d
+        )
         if integer_ldlt(probe) is None:
             step /= 2
             continue
-        # mu in probe.num units, floored: the values there are integers
-        bound = mu.numerator * probe.den // mu.denominator
-        fresh = [v for v, _val in vectors_below(probe, bound) if v not in old and r.evaluate(v) < 0]
+        # mu in probe.num units: the values there are integers
+        fresh = [
+            v for v, _val in vectors_below(probe, mu * probe.den)
+            if v not in old and value(r, v) < 0
+        ]
         if fresh:
-            rho = min((mu - q.evaluate(v)) / r.evaluate(v) for v in fresh)
+            # rho = gap / drop for gap = Q[v] - mu > 0 and drop = -R[v] > 0
+            gap, drop = value(q, fresh[0]) - mu, -value(r, fresh[0])
+            for v in fresh[1:]:
+                g, h = value(q, v) - mu, -value(r, v)
+                if g * drop < gap * h:
+                    gap, drop = g, h
             obs.add("neighbor", steps=1, ldlt_probes=probes)
-            return q + r.scale(rho)
+            return SymMatrix._over(
+                [[drop * a + gap * b for a, b in zip(qa, ra)] for qa, ra in zip(q, r)], drop
+            )
         lo = cur
         step *= 2
     raise NeighborStepError(
@@ -377,24 +423,67 @@ def _candidate_pools(a: SymMatrix, bound: int) -> dict[int, _Pool]:
     return cached[1]
 
 
+def _first_isometry(
+    a: SymMatrix, b: SymMatrix, candidates: list[_Pool]
+) -> tuple[Optional[list[list[int]]], int]:
+    """The first U with U^T A U = B whose column j is taken from
+    ``candidates[j]``, or None, with the count of columns placed.
+
+    Backtracks over the columns of U, in the order 0..n-1, on A.num and
+    B.num: pairs of columns must reproduce the off-diagonal entries of
+    B, and each candidate u of column j already has u^T A u = b_jj.
+    Placing column j with vector v filters the candidate list of every
+    later column jj down to the u with (A v) . u = b_j,jj (forward
+    checking); v is dropped as soon as one of those lists comes up
+    empty.  The filtered lists keep their order, so the search returns
+    the same first witness, found in the same order, as a plain
+    backtrack that checks each column only against the columns already
+    placed.  Requires det A.num = det B.num != 0.
+    """
+    n = a.n
+    nodes = 0
+    cols: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # placed (v, A v)
+
+    def place(j: int, pools: list[_Pool]) -> bool:
+        """Fill columns j..n-1; pools[k] holds the (u, A u) still open for column j + k."""
+        nonlocal nodes
+        b_row = b.num[j]
+        for v, av in pools[0]:
+            narrowed = []
+            for jj, pool in enumerate(pools[1:], j + 1):
+                target = b_row[jj]
+                kept = [pair for pair in pool if sum(map(mul, av, pair[0])) == target]
+                if not kept:
+                    break
+                narrowed.append(kept)
+            else:
+                cols.append((v, av))
+                nodes += 1
+                if j + 1 == n or place(j + 1, narrowed):
+                    return True
+                cols.pop()
+        return False
+
+    if not place(0, candidates):
+        return None, nodes
+    conjugate = tuple(tuple(sum(map(mul, vi, avj)) for _, avj in cols) for vi, _ in cols)
+    # U^T A U = B with det A = det B != 0 gives det(U)^2 = 1, so U is
+    # unimodular
+    if conjugate != b.num:
+        raise RuntimeError("the isometry search's witness fails U^T A U = B")
+    return [[cols[j][0][i] for j in range(n)] for i in range(n)], nodes
+
+
 def are_equivalent(a: SymMatrix, b: SymMatrix) -> Optional[list[list[int]]]:
     """A unimodular U with U^T A U = B, or None.  Scaling is not quotiented.
 
-    Backtracks over the columns of U, in the order 0..n-1: column j
-    must be a vector of A-value b_jj, and pairs of columns must
-    reproduce the off-diagonal entries of B, so candidates come from one
-    short-vector enumeration.  The search runs in integers, on A.num and
-    B.num over their common denominator.  The candidates and their
-    images A v are swept once per form A and kept on it
-    (:func:`_candidate_pools`), so a catalog's class form, matched
-    against many contiguous forms, is swept again only when a target
-    b_jj exceeds every earlier one.  Placing column j with vector v
-    filters the candidate list of every later column jj down to the u
-    with (A v) . u = b_j,jj (forward checking); v is dropped as soon as
-    one of those lists comes up empty.  The filtered lists keep their
-    sorted order, so the search returns the same first witness, found
-    in the same order, as a plain backtrack that checks each column
-    only against the columns already placed.
+    Column j of U must be a vector of A-value b_jj, so candidates come
+    from one short-vector enumeration, and :func:`_first_isometry`
+    searches them.  The search runs in integers, on A.num and B.num
+    over their common denominator.  The candidates and their images A v
+    are swept once per form A and kept on it (:func:`_candidate_pools`),
+    so a catalog's class form, matched against many contiguous forms,
+    is swept again only when a target b_jj exceeds every earlier one.
 
     A witness is a certificate of more than equivalence: every GL_n(Z)
     invariant of A, perfection among them, holds for B as well.
@@ -404,7 +493,6 @@ def are_equivalent(a: SymMatrix, b: SymMatrix) -> Optional[list[list[int]]]:
     rows_a, rows_b = integer_ldlt(a), integer_ldlt(b)
     if rows_a is None or rows_b is None:
         raise ValueError("both forms must be positive definite")
-    n = a.n
     nodes = 0  # columns placed in the search
     u = None
     try:
@@ -413,7 +501,7 @@ def are_equivalent(a: SymMatrix, b: SymMatrix) -> Optional[list[list[int]]]:
         # then det(num), the last LDL^T pivot
         if a.den != b.den or rows_a[-1][-1] != rows_b[-1][-1]:
             return None
-        targets = [b.num[j][j] for j in range(n)]
+        targets = [b.num[j][j] for j in range(a.n)]
         by_value = _candidate_pools(a, max(targets))
         candidates = []
         for t in targets:
@@ -421,41 +509,114 @@ def are_equivalent(a: SymMatrix, b: SymMatrix) -> Optional[list[list[int]]]:
             if pool is None:
                 return None
             candidates.append(pool)
-
-        cols: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # placed (v, A v)
-
-        def place(j: int, pools: list[_Pool]) -> bool:
-            """Fill columns j..n-1; pools[k] holds the (u, A u) still open for column j + k."""
-            nonlocal nodes
-            b_row = b.num[j]
-            for v, av in pools[0]:
-                narrowed = []
-                for jj, pool in enumerate(pools[1:], j + 1):
-                    target = b_row[jj]
-                    kept = [pair for pair in pool if sum(map(mul, av, pair[0])) == target]
-                    if not kept:
-                        break
-                    narrowed.append(kept)
-                else:
-                    cols.append((v, av))
-                    nodes += 1
-                    if j + 1 == n or place(j + 1, narrowed):
-                        return True
-                    cols.pop()
-            return False
-
-        if not place(0, candidates):
-            return None
-        u = [[cols[j][0][i] for j in range(n)] for i in range(n)]
-        conjugate = tuple(
-            tuple(sum(map(mul, vi, avj)) for _, avj in cols) for vi, _ in cols
-        )
-        # U^T A U = B with det A = det B != 0 (compared above) gives
-        # det(U)^2 = 1, so U is unimodular
-        assert conjugate == b.num
+        u, nodes = _first_isometry(a, b, candidates)
         return u
     finally:
         obs.add("isometry", calls=1, hits=int(u is not None), nodes=nodes)
+
+
+# -- automorphisms and facet orbits -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AutomorphismGroup:
+    """Aut(Q) = {U in GL_n(Z) : U^T Q U = Q} by generators and order."""
+
+    generators: tuple[list[list[int]], ...]
+    order: int
+
+
+def _apply(u: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sum(map(mul, row, v)) for row in u)
+
+
+def _orbit(point: tuple[int, ...], generators: Sequence[list[list[int]]]) -> set[tuple[int, ...]]:
+    orbit = {point}
+    frontier = [point]
+    while frontier:
+        v = frontier.pop()
+        for u in generators:
+            w = _apply(u, v)
+            if w not in orbit:
+                orbit.add(w)
+                frontier.append(w)
+    return orbit
+
+
+def automorphism_group(q: SymMatrix) -> AutomorphismGroup:
+    """Generators of Aut(Q) from a stabilizer chain on the basis vectors
+    (Plesken–Souvignier, *Computing isometries of lattices*, 1997).
+
+    Level k is G_k, the automorphisms fixing e_0..e_{k-1}; the levels
+    run from k = n-1 down to 0, so the generators found so far generate
+    G_{k+1}.  At level k the orbit of e_k under them grows by one search
+    (:func:`_first_isometry` with one-element pools for columns 0..k)
+    for each vector v of value q_kk not yet in it: a witness is an
+    element of G_k sending e_k to v and joins the generators, none
+    proves v outside the G_k-orbit.  The orbit is then that of G_k,
+    whose stabilizer of e_k is G_{k+1}, so the generators generate G_k
+    and |G_k| = |orbit| |G_{k+1}|.  Every generator is checked, as every
+    witness of the search is, to satisfy U^T Q U = Q.
+    """
+    n = q.n
+    diagonal = [q.num[k][k] for k in range(n)]
+    pools = _candidate_pools(q, max(diagonal))
+    basis = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    fixed = [[(e, _apply(q.num, e))] for e in basis]
+    generators: list[list[list[int]]] = []
+    order = 1
+    searches = 0
+    for k in range(n - 1, -1, -1):
+        orbit = {basis[k]}
+        for v, av in pools[diagonal[k]]:
+            if v in orbit:
+                continue
+            searches += 1
+            columns = fixed[:k] + [[(v, av)]] + [pools[t] for t in diagonal[k + 1:]]
+            u, _nodes = _first_isometry(q, q, columns)
+            if u is not None:
+                generators.append(u)
+                orbit = _orbit(basis[k], generators)
+        order *= len(orbit)
+    obs.add("aut", searches=searches, generators=len(generators))
+    return AutomorphismGroup(generators=tuple(generators), order=order)
+
+
+def facet_orbits(
+    facets: Sequence[Facet],
+    vectors: Sequence[tuple[int, ...]],
+    generators: Sequence[list[list[int]]],
+) -> tuple[int, ...]:
+    """Per facet, the least index of a facet in its orbit under the
+    group the generators generate, by union–find over the facets.
+
+    A generator permutes the minimal vectors up to sign (``vectors`` are
+    the canonical representatives), and so the rays and the facets of
+    the domain cone; a permuted ray support that is not a facet's raises
+    RuntimeError.  Fewer generators give finer orbits, never wrong ones.
+    """
+    index = {v: i for i, v in enumerate(vectors)}
+    by_support = {f.ray_support: i for i, f in enumerate(facets)}
+    parent = list(range(len(facets)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for u in generators:
+        perm = [index[canonical_sign(_apply(u, v))] for v in vectors]
+        for i, facet in enumerate(facets):
+            j = by_support.get(tuple(sorted([perm[x] for x in facet.ray_support])))
+            if j is None:
+                raise RuntimeError(f"an automorphism maps facet {i} onto no facet")
+            ri, rj = find(i), find(j)
+            if ri != rj:  # the root stays the least index of its orbit
+                parent[max(ri, rj)] = min(ri, rj)
+    roots = tuple(find(i) for i in range(len(facets)))
+    obs.add("aut", orbits=sum(root == i for i, root in enumerate(roots)))
+    return roots
 
 
 # -- enumeration and the on-disk catalog -------------------------------------------
@@ -613,11 +774,16 @@ def enumerate_perfect_forms(
 ) -> Catalog:
     """All perfect-form classes in dimension n, by facet-graph traversal.
 
-    Starting from the A_n root form, expand every facet of every
-    discovered class with the contiguity step and keep one
-    representative per equivalence class.  ``limit`` caps the
-    class count; hitting it leaves the catalog flagged incomplete.
-    Passing a partially expanded ``catalog`` resumes it in place.
+    Starting from the A_n root form, expand the facets of every
+    discovered class in order with the contiguity step and keep one
+    representative per equivalence class.  Only the least facet of each
+    Aut-orbit (:meth:`PerfectFormRecord.facet_orbits`) takes the step;
+    the others lead to its class.  The first facet to find a new class
+    is always such a root, as its root finds the same class, so the
+    catalog is the one that stepping across every facet gives.
+    ``limit`` caps the class count; hitting it leaves the catalog
+    flagged incomplete.  Passing a partially expanded ``catalog``
+    resumes it in place.
 
     A contiguous form that matches a known class is perfect by its
     witness (see :class:`PerfectFormRecord`); only one that matches none
@@ -633,8 +799,11 @@ def enumerate_perfect_forms(
     while pending:
         index = pending.pop(0)
         record = catalog.records[index]
-        edges = []
-        for facet in record.facets:
+        edges: list[int] = []
+        for facet, root in zip(record.facets, record.facet_orbits()):
+            if root < len(edges):  # the facet's orbit leads to its root's class
+                edges.append(edges[root])
+                continue
             contiguous = PerfectFormRecord(neighbor(record, facet))
             found, _ = catalog.classify(contiguous)
             if found is None:

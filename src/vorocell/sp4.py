@@ -56,9 +56,6 @@ class PolytopeShell:
     def f_vector(self) -> tuple[int, int, int]:
         return (self.vertices, self.edges, self.face_count)
 
-    def face_multiset(self) -> dict[int, int]:
-        return dict(self.face_types)
-
 
 def _shell(name: str, face_types: Mapping[int, int]) -> PolytopeShell:
     items = tuple(sorted(face_types.items()))
@@ -152,9 +149,6 @@ class Report:
     def ok(self) -> bool:
         return all(i.passed for i in self.identities)
 
-    def failures(self) -> tuple[str, ...]:
-        return tuple(i.name for i in self.identities if not i.passed)
-
     def to_json_dict(self) -> dict:
         return {
             "format": 1,
@@ -163,12 +157,6 @@ class Report:
             "caveats": list(self.caveats),
             "pass": self.ok,
         }
-
-
-def verify_euler(model: FourCellModel) -> bool:
-    """Alternating sum of the boundary f-vector vanishes (S3)."""
-    v, e, f, c = model.f_vector
-    return v - e + f - c == 0
 
 
 def verify_chain(model: FourCellModel) -> Report:

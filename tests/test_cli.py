@@ -5,6 +5,7 @@ must carry file/line positions, and exit codes follow the contract:
 0 success, 1 verification failure, 2 usage or precondition error.
 """
 
+import collections
 import hashlib
 import itertools
 import json
@@ -23,12 +24,12 @@ from vorocell.perfect import Catalog
 CLI = [sys.executable, "-m", "vorocell.cli"]
 
 
-def run(*args, env=None, timeout=300):
+def run(*args, env=None):
     merged = dict(os.environ)
     if env:
         merged.update(env)
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=merged, timeout=timeout
+        CLI + list(args), capture_output=True, text=True, env=merged, timeout=300
     )
 
 
@@ -548,11 +549,15 @@ def test_enumerate_then_reduce(tmp_path):
     assert a[0] * b[1] - a[1] * b[0] in (1, -1)
 
 
-@pytest.mark.slow
 def test_enumerate_n6_finds_the_seven_classes_of_barnes(tmp_path):
     cat = tmp_path / "cat6.json"
-    r = run("perfect", "enumerate", "--n", "6", "--out", str(cat), timeout=3600)
+    r = run("-v", "perfect", "enumerate", "--n", "6", "--out", str(cat))
     assert r.returncode == 0
+    # one contiguity step per facet orbit: 32 orbits of 45190 facets
+    counters = json.loads(r.stderr)
+    assert counters["aut"]["orbits"] == 32
+    assert counters["neighbor"]["steps"] == 32
+    assert counters["dd"]["facets"] == 45190
     summary = json.loads(r.stdout)
     assert summary["classes"] == 7  # Barnes 1957
     assert summary["complete"] is True
@@ -564,6 +569,22 @@ def test_enumerate_n6_finds_the_seven_classes_of_barnes(tmp_path):
     assert hashlib.sha256(cat.read_bytes()).hexdigest() == (
         "b2fd5be0a30e56881598e3041a99be941eb3cbe2be1ae7b501d3d6edd3f6d2cf"
     )
+    # |Aut| (Conway–Sloane 1988: A6 2*7!, D6 2^6*6!, E6 and E6* 103680)
+    # and the facet orbits of each class, recomputed on the loaded catalog
+    records = Catalog.from_json_dict(doc).records
+    assert [r.automorphisms().order for r in records] == [
+        10080, 46080, 103680, 96, 288, 103680, 672
+    ]
+    orbits = [sorted(collections.Counter(r.facet_orbits()).values()) for r in records]
+    assert orbits == [
+        [21],
+        [96, 96, 192, 960, 960, 1152, 1440, 1440],
+        [45, 135, 432, 1440, 2592, 3240, 3240, 3240, 4320, 6480, 12960],
+        [3, 6, 12],
+        [1, 6, 9, 12, 18],
+        [45, 216, 360],
+        [21],
+    ]
 
 
 def test_sl2_emit_feeds_homology(tmp_path):
@@ -679,15 +700,21 @@ def test_verbose_reports_dd_counters():
     assert dd["peak_generators"] == 64
     assert dd["pairs"] >= dd["pairs_cut_popcount"] + dd["pairs_cut_adjacency"]
     assert counters["enumerate"] == {"classes": 2}
-    # one contiguity step per facet, each settled by its first LDL^T probe
-    assert counters["neighbor"] == {"steps": 74, "ldlt_probes": 74}
-    # 73 of the 74 neighbors match a known class (the first D4 is new);
-    # each match places its 4 columns without backtracking
-    assert counters["isometry"] == {"calls": 73, "hits": 73, "nodes": 292}
-    # each class form sweeps its candidate pools when a target first
-    # exceeds its last bound; only the two classes are rank-tested, as
-    # each match's witness proves its contiguous form perfect
-    assert counters["classify"] == {"pool_sweeps": 4, "perfection_tests": 2}
+    # the stabilizer chains of A4 (|Aut| 240) and D4 (1152) find 8
+    # generators in 118 searches; under them the 10 facets of A4 form one
+    # orbit and the 64 of D4 two
+    assert counters["aut"] == {"searches": 118, "generators": 8, "orbits": 3}
+    # one contiguity step per facet orbit, each settled by its first
+    # LDL^T probe
+    assert counters["neighbor"] == {"steps": 3, "ldlt_probes": 3}
+    # A4's one step finds D4, which is new; the two steps of D4 match a
+    # known class, each placing its 4 columns without backtracking
+    assert counters["isometry"] == {"calls": 2, "hits": 2, "nodes": 8}
+    # each class form sweeps its candidate pools once, for its stabilizer
+    # chain, up to its largest diagonal entry, which no later target
+    # exceeds; only the two classes are rank-tested, as each match's
+    # witness proves its contiguous form perfect
+    assert counters["classify"] == {"pool_sweeps": 2, "perfection_tests": 2}
 
 
 def test_verbose_reports_homology_counters(tmp_path):

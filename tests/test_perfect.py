@@ -6,10 +6,12 @@ system (computed with sympy), and facet enumeration against a
 brute-force subset/nullspace search over the ray configuration.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import floor, gcd
 
@@ -30,7 +32,7 @@ from vorocell.linalg import (
     transpose,
     unimodular_inverse,
 )
-from vorocell.minvec import minimal_vectors, vectors_below
+from vorocell.minvec import canonical_sign, minimal_vectors, vectors_below
 from vorocell.perfect import (
     Catalog,
     NeighborStepError,
@@ -38,6 +40,7 @@ from vorocell.perfect import (
     a_root_form,
     are_equivalent,
     enumerate_perfect_forms,
+    facet_orbits,
     facets_of_cone,
     is_perfect,
     neighbor,
@@ -278,6 +281,43 @@ def test_neighbor_of_a2_is_a2_class():
         form = neighbor(record, facet)
         assert is_perfect(form)
         assert are_equivalent(record.integral_form, form) is not None
+
+
+def reference_neighbor(record, facet):
+    """The contiguity step as it was first written, in ``Fraction``
+    arithmetic on ``SymMatrix`` values: (form, LDL^T probes)."""
+    q = record.integral_form
+    mu = record.min_data.mu
+    r = SymMatrix.from_upper(q.n, facet.normal)
+    old = set(record.min_data.vectors)
+    lo, step = Fraction(0), Fraction(1)
+    for probes in range(1, 201):
+        cur = lo + step
+        probe = q + r.scale(cur)
+        if not is_positive_definite(probe):
+            step /= 2
+            continue
+        bound = mu.numerator * probe.den // mu.denominator
+        fresh = [v for v, _ in vectors_below(probe, bound) if v not in old and r.evaluate(v) < 0]
+        if fresh:
+            rho = min((mu - q.evaluate(v)) / r.evaluate(v) for v in fresh)
+            return q + r.scale(rho), probes
+        lo = cur
+        step *= 2
+    raise NeighborStepError("no step")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_neighbor_matches_the_fraction_step(n):
+    """The integer step gives the form and the probe count of the
+    ``Fraction`` step on every facet of every class."""
+    for record in enumerate_perfect_forms(n).records:
+        for facet in record.facets:
+            with obs.collecting() as book:
+                form = neighbor(record, facet)
+            expected, probes = reference_neighbor(record, facet)
+            assert (form.num, form.den) == (expected.num, expected.den)
+            assert book["neighbor"] == {"steps": 1, "ldlt_probes": probes}
 
 
 def test_neighbor_has_shared_facet_rays():
@@ -522,6 +562,124 @@ def test_unimodular_inverse():
     u = [[1, 2], [1, 3]]
     inv = unimodular_inverse(u)
     assert mat_mul(u, inv) == [[1, 0], [0, 1]]
+
+
+# -- automorphisms and facet orbits ------------------------------------------
+# Oracle: every automorphism listed by a plain backtrack over the vectors of
+# each diagonal value, checked against the stabilizer chain's order and, on
+# the facets, against union-find over the generators.
+
+
+def all_automorphisms(a: SymMatrix):
+    """Every U with U^T A U = A, by a plain backtrack on Fraction rows."""
+    rows, n = a.rows, a.n
+    by_value = {}
+    for v, val in vectors_below(a, max(a.num[j][j] for j in range(n))):
+        by_value.setdefault(val, []).extend([v, tuple(-x for x in v)])
+    pools = [by_value[a.num[j][j]] for j in range(n)]
+    found, cols = [], []
+
+    def place(j):
+        for v in pools[j]:
+            av = [sum(rows[i][k] * v[k] for k in range(n)) for i in range(n)]
+            if all(sum(av[i] * u[i] for i in range(n)) == rows[j][jj] for jj, u in enumerate(cols)):
+                cols.append(v)
+                if j + 1 == n:
+                    found.append([[cols[c][i] for c in range(n)] for i in range(n)])
+                else:
+                    place(j + 1)
+                cols.pop()
+
+    place(0)
+    return found
+
+
+def orbit_partition(record, group):
+    """The facets' orbits under a listed group, as a set of frozensets
+    of ray supports."""
+    vectors = record.min_data.vectors
+    index = {v: i for i, v in enumerate(vectors)}
+    images = [
+        [index[canonical_sign(tuple(sum(map(int.__mul__, row, v)) for row in u))] for v in vectors]
+        for u in group
+    ]
+    return {
+        frozenset(tuple(sorted(perm[x] for x in facet.ray_support)) for perm in images)
+        for facet in record.facets
+    }
+
+
+AUT_ORDERS = {2: [12], 3: [48], 4: [240, 1152], 5: [1440, 3840, 1440]}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_automorphism_groups_of_the_classes(n):
+    """|Aut| of every class (Conway–Sloane): 12; 48; 240, 1152; 1440,
+    3840, 1440.  Each generator is an automorphism of determinant +-1,
+    and each facet's root is the least index of its orbit, whose sizes
+    add up to the facet count of double description."""
+    cat = enumerate_perfect_forms(n)
+    assert [r.automorphisms().order for r in cat.records] == AUT_ORDERS[n]
+    for record in cat.records:
+        a = record.integral_form
+        for u in record.automorphisms().generators:
+            assert conjugate(a, u) == a
+            assert abs(sympy.Matrix(u).det()) == 1
+        roots = record.facet_orbits()
+        assert sum(Counter(roots).values()) == len(record.facets)
+        assert all(roots[root] == root <= i for i, root in enumerate(roots))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_generators_give_the_orbits_of_the_listed_group(n):
+    """The listed group has |Aut| elements, and the orbits that
+    union-find builds from the generators are the orbits of the whole
+    group."""
+    for record in enumerate_perfect_forms(n).records:
+        group = all_automorphisms(record.integral_form)
+        assert len(group) == record.automorphisms().order
+        blocks = {}
+        for facet, root in zip(record.facets, record.facet_orbits()):
+            blocks.setdefault(root, set()).add(facet.ray_support)
+        assert {frozenset(b) for b in blocks.values()} == orbit_partition(record, group)
+
+
+def test_orbits_reject_a_support_that_is_no_facet():
+    record = PerfectFormRecord(a_root_form(3))
+    facets = record.facets[1:]  # the first facet, an image of the others, is missing
+    with pytest.raises(RuntimeError, match="onto no facet"):
+        facet_orbits(facets, record.min_data.vectors, record.automorphisms().generators)
+
+
+def catalog_bytes(cat):
+    return json.dumps(cat.to_json_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("keep", [0, 1, -1], ids=["none", "first", "all-but-last"])
+def test_fewer_generators_give_the_same_catalog(monkeypatch, keep):
+    """A subgroup has finer orbits, so more facets are expanded, but the
+    same facet finds each new class: the catalog bytes do not change."""
+    runs = {str(n): (n, None) for n in (2, 3, 4, 5)}
+    runs["5-limit-2"] = (5, 2)
+    full = {k: catalog_bytes(enumerate_perfect_forms(n, limit)) for k, (n, limit) in runs.items()}
+    real = PerfectFormRecord.automorphisms
+
+    def fewer(self):
+        group = real(self)
+        return dataclasses.replace(group, generators=group.generators[:keep])
+
+    monkeypatch.setattr(PerfectFormRecord, "automorphisms", fewer)
+    for key, (n, limit) in runs.items():
+        assert catalog_bytes(enumerate_perfect_forms(n, limit)) == full[key], key
+
+
+def test_resumed_catalog_gives_the_fresh_bytes():
+    fresh = catalog_bytes(enumerate_perfect_forms(5))
+    partial = enumerate_perfect_forms(5, limit=2)
+    assert not partial.complete
+    loaded = Catalog.from_json_dict(json.loads(catalog_bytes(partial)))
+    assert catalog_bytes(enumerate_perfect_forms(5, catalog=loaded)) == fresh
+    assert catalog_bytes(enumerate_perfect_forms(5, catalog=partial)) == fresh
 
 
 # -- enumeration and the catalog -------------------------------------------
