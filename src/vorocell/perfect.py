@@ -588,35 +588,36 @@ def facet_orbits(
     generators: Sequence[list[list[int]]],
 ) -> tuple[int, ...]:
     """Per facet, the least index of a facet in its orbit under the
-    group the generators generate, by union–find over the facets.
+    group the generators generate.
 
     A generator permutes the minimal vectors up to sign (``vectors`` are
     the canonical representatives), and so the rays and the facets of
-    the domain cone; a permuted ray support that is not a facet's raises
-    RuntimeError.  Fewer generators give finer orbits, never wrong ones.
+    the domain cone.  The facets are visited in index order, and each
+    one not yet reached roots an orbit, which a traversal under the
+    generators fills in; ray supports are compared as bitmasks.  A
+    permuted support that is not a facet's raises RuntimeError.  Fewer
+    generators give finer orbits, never wrong ones.
     """
     index = {v: i for i, v in enumerate(vectors)}
-    by_support = {f.ray_support: i for i, f in enumerate(facets)}
-    parent = list(range(len(facets)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for u in generators:
-        perm = [index[canonical_sign(_apply(u, v))] for v in vectors]
-        for i, facet in enumerate(facets):
-            j = by_support.get(tuple(sorted([perm[x] for x in facet.ray_support])))
-            if j is None:
-                raise RuntimeError(f"an automorphism maps facet {i} onto no facet")
-            ri, rj = find(i), find(j)
-            if ri != rj:  # the root stays the least index of its orbit
-                parent[max(ri, rj)] = min(ri, rj)
-    roots = tuple(find(i) for i in range(len(facets)))
+    by_mask = {sum(1 << x for x in f.ray_support): i for i, f in enumerate(facets)}
+    images = [[1 << index[canonical_sign(_apply(u, v))] for v in vectors] for u in generators]
+    roots = [-1] * len(facets)
+    for root in range(len(facets)):
+        if roots[root] >= 0:
+            continue
+        roots[root] = root
+        frontier = [root]
+        while frontier:
+            i = frontier.pop()
+            for image in images:
+                j = by_mask.get(sum(map(image.__getitem__, facets[i].ray_support)))
+                if j is None:
+                    raise RuntimeError(f"an automorphism maps facet {i} onto no facet")
+                if roots[j] < 0:
+                    roots[j] = root
+                    frontier.append(j)
     obs.add("aut", orbits=sum(root == i for i, root in enumerate(roots)))
-    return roots
+    return tuple(roots)
 
 
 # -- enumeration and the on-disk catalog -------------------------------------------

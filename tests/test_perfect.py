@@ -567,7 +567,7 @@ def test_unimodular_inverse():
 # -- automorphisms and facet orbits ------------------------------------------
 # Oracle: every automorphism listed by a plain backtrack over the vectors of
 # each diagonal value, checked against the stabilizer chain's order and, on
-# the facets, against union-find over the generators.
+# the facets, against the traversal under the generators.
 
 
 def all_automorphisms(a: SymMatrix):
@@ -632,8 +632,8 @@ def test_automorphism_groups_of_the_classes(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_generators_give_the_orbits_of_the_listed_group(n):
-    """The listed group has |Aut| elements, and the orbits that
-    union-find builds from the generators are the orbits of the whole
+    """The listed group has |Aut| elements, and the orbits that the
+    traversal under the generators builds are the orbits of the whole
     group."""
     for record in enumerate_perfect_forms(n).records:
         group = all_automorphisms(record.integral_form)
