@@ -320,6 +320,20 @@ def test_neighbor_matches_the_fraction_step(n):
             assert book["neighbor"] == {"steps": 1, "ldlt_probes": probes}
 
 
+def test_neighbor_takes_the_least_crossing_parameter():
+    """On the facets of the catalogs every fresh vector of the accepted
+    probe crosses at the same rho.  Along these directions R, with
+    R[m] >= 0 on every minimal vector of A3 as on a facet normal, the
+    accepted probe holds fresh vectors of two or three different
+    crossing parameters, so the step must pick the least."""
+    record = PerfectFormRecord(a_root_form(3))
+    for normal in [(0, -1, -2, 2, 2, 1), (0, -1, 1, 2, 1, 2), (0, -1, 2, 2, 0, 1)]:
+        facet = dataclasses.replace(record.facets[0], normal=normal)
+        form = neighbor(record, facet)
+        expected, _ = reference_neighbor(record, facet)
+        assert (form.num, form.den) == (expected.num, expected.den)
+
+
 def test_neighbor_has_shared_facet_rays():
     record = PerfectFormRecord(a_root_form(3))
     facet = record.facets[0]
