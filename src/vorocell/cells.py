@@ -23,22 +23,17 @@ reverse removal order.  Both give the same matrix, so the side only
 sets the memo's size.  The result is exact over the integers, because
 every pairing has incidence +-1 and the removal order makes the
 matching acyclic (the arguments are in ``homology``).  The matching
-has taken the free faces, so only the critical boundaries go through
-the sparse unit-pivot elimination, which takes the shortest row first
-and hands what is left to the dense Smith form.
-Degrees are reduced from the top down with clearing: the rows of the
-unit pivots of one boundary are columns the next one down may drop,
-because each such column is an integer combination of the others (the
-argument is in ``_sparse_reduce``), so rank and torsion are unchanged.
+has taken the free faces, so the Smith form gets only the nonzero
+support of each Morse boundary: the rows and columns that hold an
+entry.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, repeat
-from typing import AbstractSet, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import obs
 from .linalg import _check_format, _integer, smith_normal_form
@@ -257,22 +252,6 @@ class SimplicialComplex:
             for s in faces[d]
         ]
 
-    def to_regular(self) -> RegularComplex:
-        """The same complex as signed cells, each named by its vertices
-        joined by dots: ``cells(d)`` renumbered into sorted-id order."""
-        ids: list[list[str]] = []
-        faces: list[list[tuple[tuple[int, int], ...]]] = []
-        rank: list[int] = []  # faces() index -> sorted-id index, one dimension down
-        for d, simplices in sorted(self.faces().items()):
-            # "1.10" sorts before "1.2", so the ids are not in simplex order
-            names = [".".join(map(str, s)) for s in simplices]
-            order = sorted(range(len(names)), key=names.__getitem__)
-            cells = self.cells(d)
-            ids.append([names[j] for j in order])
-            faces.append([tuple((rank[k], sign) for k, sign in cells[j]) for j in order])
-            rank = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
-        return RegularComplex(ids, faces)
-
     def subdivide(self) -> "SimplicialComplex":
         return barycentric_subdivision(self)
 
@@ -328,116 +307,6 @@ def barycentric_subdivision(cx: "RegularComplex | SimplicialComplex") -> Simplic
 class HomologyResult:
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]  # invariant factors > 1, per degree
-
-
-def _sparse_reduce(
-    columns: Sequence[Iterable[tuple[int, int]]],
-    cleared: AbstractSet[int] = frozenset(),
-) -> tuple[list[int], set[int]]:
-    """Invariant factors (as many as the rank) and unit-pivot rows of a
-    sparse integer matrix given by its columns, each a sequence of
-    ``(row, value)`` pairs, with the columns in ``cleared`` left out.
-    ``cells(d)`` of a complex is its d-th boundary in this form, and
-    ``homology`` hands it the Morse boundaries of its critical cells.
-
-    Takes the shortest live row first and pivots on its +-1 entry in
-    the column with the fewest rows, which splits off unit invariant
-    factors one at a time and keeps fill low; a row with no +-1 entry
-    waits until an update gives it one.  Whatever survives without a
-    unit entry goes through the dense Smith routine.  For boundary
-    matrices this residual is tiny (it is where torsion lives).
-
-    The rows of the +-1 pivots are what ``homology`` clears in the next
-    degree down.  Leaving those columns out keeps the column lattice,
-    so the rank and the invariant factors, exactly over the integers:
-
-    - Let R be the unit-pivot rows and C the pivot columns.  Each pivot
-      is a +-1 entry of the Schur complement of the pivots before it,
-      and the determinant of a block is the product of its successive
-      Schur pivots, so the block R x C of this matrix has determinant
-      +-1 and an integer inverse.
-    - The columns C times that inverse are integer combinations of the
-      columns, so for each r in R the image contains e_r + v with v
-      supported off R.
-    - In the chain complex the next boundary kills that image:
-      d(e_r) = -d(v).  Column r of the next matrix down is thus an
-      integer combination of its columns outside R, and dropping all of
-      R at once leaves its column lattice unchanged.
-
-    This is clearing (Chen & Kerber, *Persistent homology computation
-    with a twist*, 2011), which here holds over Z and not only over a
-    field.
-    """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for c, column in enumerate(columns):
-        if c not in cleared:
-            for r, v in column:
-                if v:
-                    rows.setdefault(r, {})[c] = v
-                    cols.setdefault(c, set()).add(r)
-    # A heap of (length, row).  Every row update pushes the row's new
-    # length, so an entry whose length is out of date has a current twin
-    # and is skipped; any +-1 pivot is exact, so the order can only
-    # affect fill, never correctness.
-    heap = [(len(row), r) for r, row in rows.items()]
-    heapq.heapify(heap)
-    pivot_rows: set[int] = set()
-    row_updates = 0
-    while heap:
-        length, pr = heapq.heappop(heap)
-        prow = rows.get(pr)
-        if prow is None or len(prow) != length:
-            continue
-        pc = min(
-            (c for c, v in prow.items() if v in (-1, 1)),
-            key=lambda c: (len(cols[c]), c),
-            default=None,
-        )
-        if pc is None:
-            continue
-        pivot = prow[pc]
-        row_updates += len(cols[pc]) - 1
-        for r in list(cols[pc]):
-            if r == pr:
-                continue
-            row = rows[r]
-            factor = row[pc] * pivot  # pivot is +-1, so this is exact
-            for c, v in prow.items():
-                nv = row.get(c, 0) - factor * v
-                if nv:
-                    row[c] = nv
-                    cols[c].add(r)
-                else:
-                    del row[c]
-                    cols[c].discard(r)
-            if row:
-                heapq.heappush(heap, (len(row), r))
-            else:
-                del rows[r]
-        for c in prow:
-            cols[c].discard(pr)
-        del rows[pr]
-        pivot_rows.add(pr)
-    units = [1] * len(pivot_rows)
-    live_rows = sorted(rows)
-    live_cols = sorted({c for row in rows.values() for c in row})
-    obs.add(
-        "homology",
-        unit_pivots=len(pivot_rows),
-        residual_rows=len(live_rows),
-        residual_cols=len(live_cols),
-        row_updates=row_updates,
-    )
-    if not rows:
-        return units, pivot_rows
-    cmap = {c: i for i, c in enumerate(live_cols)}
-    dense = [[0] * len(live_cols) for _ in live_rows]
-    for i, r in enumerate(live_rows):
-        for c, v in rows[r].items():
-            dense[i][cmap[c]] = v
-    factors, _ = smith_normal_form(dense)
-    return units + list(factors), pivot_rows
 
 
 def _coreduce(
@@ -526,9 +395,10 @@ def _image_columns(
     below: Sequence[int],
 ) -> list[Iterable[tuple[int, int]]]:
     """The Morse boundary of the critical d-cells ``critical`` on the
-    critical (d-1)-cells ``below``, as ``_sparse_reduce`` columns, from
-    the images of the (d-1)-cells: ``faces`` is ``cells(d)`` and
-    ``pairs`` the d-cells' pairs in removal order."""
+    critical (d-1)-cells ``below``, one column of ``(row, value)`` pairs
+    without zeros per critical d-cell, from the images of the
+    (d-1)-cells: ``faces`` is ``cells(d)`` and ``pairs`` the d-cells'
+    pairs in removal order."""
     image = {c: {p: 1} for p, c in enumerate(below)}
     for a, b in pairs:
         cell = faces[a]
@@ -621,17 +491,16 @@ def homology(cx: "RegularComplex | SimplicialComplex") -> HomologyResult:
     surfaces the one critical triangle takes the coimage side, and the
     memo holds at most one entry per triangle.
 
-    The critical boundaries are then reduced from the top down by
-    ``_sparse_reduce``, each leaving out the columns cleared by the
-    unit pivots of the one above."""
+    The matching has taken the free faces, so each Morse boundary goes
+    to ``smith_normal_form`` as its nonzero support alone: the rows and
+    columns that hold an entry, whose count the ``-v`` counters
+    ``residual_rows`` and ``residual_cols`` sum over the degrees."""
     counts = cx.f_vector()
     top = len(counts) - 1
     critical, pairs, cofaces = _coreduce(cx)
-    obs.add("homology", critical=sum(map(len, critical)), matched=sum(map(len, pairs)))
-    factors: list[list[int]] = [[] for _ in range(top + 2)]
-    cleared: set[int] = set()
+    factors: list[tuple[int, ...]] = [() for _ in range(top + 2)]
+    residual_rows = residual_cols = 0
     for d in range(top, 0, -1):
-        columns: list[Iterable[tuple[int, int]]] = []
         if critical[d] and critical[d - 1]:
             if len(critical[d]) < len(critical[d - 1]):
                 columns = _coimage_columns(
@@ -639,7 +508,19 @@ def homology(cx: "RegularComplex | SimplicialComplex") -> HomologyResult:
                 )
             else:
                 columns = _image_columns(cx.cells(d), pairs[d], critical[d], critical[d - 1])
-        factors[d], cleared = _sparse_reduce(columns, cleared)
+            nonzero = [dict(column) for column in columns if column]
+            rows = sorted(set().union(*nonzero))
+            dense = [[column.get(r, 0) for column in nonzero] for r in rows]
+            factors[d], _ = smith_normal_form(dense)
+            residual_rows += len(rows)
+            residual_cols += len(nonzero)
+    obs.add(
+        "homology",
+        critical=sum(map(len, critical)),
+        matched=sum(map(len, pairs)),
+        residual_rows=residual_rows,
+        residual_cols=residual_cols,
+    )
     betti = tuple(
         len(critical[d]) - len(factors[d]) - len(factors[d + 1]) for d in range(top + 1)
     )

@@ -87,13 +87,17 @@ def _load_json(path: Path) -> dict:
     if not path.is_file():
         raise CliError(f"{path}: no such file")
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as e:
         raise CliError(f"{path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise CliError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from e
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise CliError(f"{path}:{e.lineno}:{e.colno}: malformed JSON: {e.msg}") from e
+    except ValueError as e:  # an integer literal over the digit limit of int()
+        raise CliError(f"{path}: {str(e).split(';')[0]}") from e
     except RecursionError as e:
         raise CliError(f"{path}: JSON nested too deeply") from e
     if not isinstance(doc, dict):

@@ -178,33 +178,7 @@ class SymMatrix:
         i, j = ij
         return Fraction(self.num[i][j], self.den)
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        den = lcm(self.den, other.den)
-        p, q = den // self.den, den // other.den
-        return SymMatrix._over(
-            [[p * a + q * b for a, b in zip(ra, rb)] for ra, rb in zip(self.num, other.num)],
-            den,
-        )
-
-    def __sub__(self, other: "SymMatrix") -> "SymMatrix":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "SymMatrix":
-        c = _frac(c)
-        p = c.numerator
-        return SymMatrix._over([[p * x for x in row] for row in self.num], self.den * c.denominator)
-
-    def evaluate(self, v: Sequence) -> Fraction:
-        """The value v^T A v."""
-        total = 0
-        for vi, row in zip(v, self.num):
-            if vi:
-                total += vi * sum(map(mul, row, v))
-        return Fraction(total, self.den)
+    # -- normalization -------------------------------------------------------
 
     def integral_multiple(self) -> "SymMatrix":
         """The smallest positive rational multiple with integer entries

@@ -1,15 +1,45 @@
-"""``SymMatrix`` operations that only the tests use: the identity, the
-trace pairing, the upper-triangle coordinates and congruence by an
-integer matrix."""
+"""``SymMatrix`` operations that only the tests use: the identity,
+sums, rational multiples, the value at a vector, the trace pairing, the
+upper-triangle coordinates and congruence by an integer matrix."""
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
-from vorocell.linalg import SymMatrix, mat_mul, transpose
+from vorocell.linalg import SymMatrix, _frac, mat_mul, transpose
 
 
 def identity(n: int) -> SymMatrix:
     return SymMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def add(a: SymMatrix, b: SymMatrix) -> SymMatrix:
+    if a.n != b.n:
+        raise ValueError("dimension mismatch")
+    den = lcm(a.den, b.den)
+    p, q = den // a.den, den // b.den
+    return SymMatrix._over(
+        [[p * x + q * y for x, y in zip(ra, rb)] for ra, rb in zip(a.num, b.num)], den
+    )
+
+
+def sub(a: SymMatrix, b: SymMatrix) -> SymMatrix:
+    return add(a, scale(b, -1))
+
+
+def scale(a: SymMatrix, c) -> SymMatrix:
+    """c A for a rational c, given as anything ``SymMatrix`` reads."""
+    c = _frac(c)
+    return SymMatrix._over([[c.numerator * x for x in row] for row in a.num], a.den * c.denominator)
+
+
+def evaluate(a: SymMatrix, v) -> Fraction:
+    """The value v^T A v."""
+    total = 0
+    for vi, row in zip(v, a.num):
+        if vi:
+            total += vi * sum(map(mul, row, v))
+    return Fraction(total, a.den)
 
 
 def pair(a: SymMatrix, b: SymMatrix) -> Fraction:

@@ -4,19 +4,21 @@ The homology oracle builds chain boundary matrices straight from the
 textbook definition (alternating-sign faces of sorted simplices) and
 reduces them with sympy — nothing from the module's reduction code is
 reused.  A second reference, ``reference_homology``, goes through the
-string-id cells of ``to_regular`` and reduces every boundary in full,
-without the clearing across degrees that ``homology`` does.  A third,
+string-id cells of ``to_regular`` (in ``cell_helpers``) and reduces
+every boundary in full, each degree on its own, by the sparse
+unit-pivot elimination of ``sparse_reference``.  A third,
 ``rational_betti``, takes the ranks of the dense boundary matrices over
 the rationals; by universal coefficients its Betti numbers are the
 integer ones.  A fourth, ``cleared_homology``, is ``homology`` without
-its coreduction matching: every ``cells(d)`` reduced from the top down
-with clearing; beside it, ``assert_matching_agrees`` computes every
-Morse boundary from both sides, the images and the coimages, and
-requires the same matrix.  The integer cells a simplicial complex
-builds itself are compared with the textbook boundary in
-``test_simplicial_cells_match_textbook_boundary``.  The projective
-spaces built by ``antipodal_quotient`` are the regular complexes that
-carry torsion.
+its coreduction matching: every ``cells(d)`` reduced by that
+elimination from the top down, with clearing across degrees; beside it,
+``assert_matching_agrees`` computes every Morse boundary from both
+sides, the images and the coimages, and requires the same matrix.  The
+integer cells a simplicial complex builds itself are compared with the
+textbook boundary in ``test_simplicial_cells_match_textbook_boundary``.
+The projective spaces built by ``antipodal_quotient`` are the regular
+complexes that carry torsion, and an edge on a single vertex is the one
+input whose Morse boundary holds a unit entry.
 """
 
 import contextlib
@@ -28,8 +30,10 @@ import re
 
 import pytest
 import sympy
+from cell_helpers import to_regular
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sparse_reference import _sparse_reduce
 
 from vorocell import cells, cli, obs
 from vorocell.cells import (
@@ -38,7 +42,6 @@ from vorocell.cells import (
     _coimage_columns,
     _coreduce,
     _image_columns,
-    _sparse_reduce,
     homology,
 )
 from vorocell.linalg import smith_normal_form
@@ -90,7 +93,7 @@ def simplicial_homology_oracle(maximal_faces):
 def reference_homology(cx):
     """Betti numbers and torsion with each degree reduced on its own."""
     if isinstance(cx, SimplicialComplex):
-        cx = cx.to_regular()
+        cx = to_regular(cx)
     counts = cx.f_vector()
     top = len(counts) - 1
     factors = [[] for _ in range(top + 2)]
@@ -205,7 +208,7 @@ def test_check_rejects_bad_integer_cells(ids, faces, message):
 
 
 def test_regular_complex_json_round_trip():
-    cx = SimplicialComplex(OCTAHEDRON).to_regular()
+    cx = to_regular(SimplicialComplex(OCTAHEDRON))
     doc = cx.to_json_dict()
     again = RegularComplex.from_json_dict(doc)
     assert again.to_json_dict() == doc
@@ -252,7 +255,7 @@ def test_faces_match_the_union_over_maximal_faces(raw):
 
 
 def test_to_regular_builds_valid_chain_complex():
-    reg = SimplicialComplex(RP2).to_regular()
+    reg = to_regular(SimplicialComplex(RP2))
     assert reg.f_vector() == (6, 15, 10)
 
 
@@ -288,10 +291,10 @@ def test_to_regular_and_subdivision_pass_check(base, digest):
     # the criterion-6 bases, the octahedron and RP2, each subdivided once;
     # the subdivision of a regular complex is read back as regular cells
     sc = SimplicialComplex(base)
-    reg = sc.to_regular()
+    reg = to_regular(sc)
     reg.check()
     sd = sc.subdivide()
-    sd.to_regular().check()
+    to_regular(sd).check()
     assert sd.f_vector()[0] == sum(reg.f_vector())
     assert hashlib.sha256(json.dumps(sd.to_json_dict()).encode()).hexdigest() == digest
 
@@ -312,7 +315,7 @@ def test_simplicial_boundary_matches_to_regular(raw):
     # the integer faces sort as tuples and the cells by id, where "1.10"
     # comes before "1.2"; both boundaries are compared on simplex ids
     sc = SimplicialComplex([tuple(sorted(f)) for f in raw])
-    reg = sc.to_regular()
+    reg = to_regular(sc)
     faces = sc.faces()
     for d in range(1, sc.dim + 1):
         got = {
@@ -431,7 +434,7 @@ def test_homology_matches_oracle_random(raw):
     assert h.torsion == expect_torsion
 
 
-def assert_clearing_agrees(cx):
+def assert_full_reduction_agrees(cx):
     h = homology(cx)
     assert (h.betti, h.torsion) == reference_homology(cx)
     assert h.betti == rational_betti(cx)
@@ -446,7 +449,7 @@ def assert_clearing_agrees(cx):
 )
 @settings(max_examples=60, deadline=None)
 def test_clearing_matches_full_reduction_random(raw):
-    assert_clearing_agrees(SimplicialComplex([tuple(sorted(f)) for f in raw]))
+    assert_full_reduction_agrees(SimplicialComplex([tuple(sorted(f)) for f in raw]))
 
 
 def antipodal_quotient(dim):
@@ -490,7 +493,7 @@ def test_clearing_keeps_torsion_of_projective_spaces(dim, betti, torsion):
     cx = antipodal_quotient(dim)
     # half the cross-polytope's faces in every dimension
     assert cx.f_vector() == {2: (3, 6, 4), 3: (4, 12, 16, 8)}[dim]
-    assert_clearing_agrees(cx)
+    assert_full_reduction_agrees(cx)
     h = homology(cx)
     assert (h.betti, h.torsion) == (betti, torsion)
 
@@ -498,8 +501,8 @@ def test_clearing_keeps_torsion_of_projective_spaces(dim, betti, torsion):
 @pytest.mark.parametrize("level", [3, 5, 7, 12])
 def test_clearing_matches_full_reduction_on_sl2_complexes(level):
     t = QuotientTessellation(level)
-    assert_clearing_agrees(t.surface_complex())
-    assert_clearing_agrees(t.dual_graph())
+    assert_full_reduction_agrees(t.surface_complex())
+    assert_full_reduction_agrees(t.dual_graph())
 
 
 # -- coreduction matching ------------------------------------------------------
@@ -507,7 +510,7 @@ def test_clearing_matches_full_reduction_on_sl2_complexes(level):
 
 def cleared_homology(cx):
     """Betti numbers and torsion with no matching: every ``cells(d)``
-    reduced from the top down, with the clearing ``homology`` does."""
+    reduced from the top down, with clearing across degrees."""
     counts = cx.f_vector()
     top = len(counts) - 1
     factors = [[] for _ in range(top + 2)]
@@ -588,7 +591,7 @@ def cubical_complex(cubes):
 def test_matching_matches_cleared_reduction_on_random_simplicial_complexes(raw):
     sc = SimplicialComplex([tuple(sorted(f)) for f in raw])
     assert_matching_agrees(sc)
-    assert_matching_agrees(sc.to_regular())  # the same cells in string-id order
+    assert_matching_agrees(to_regular(sc))  # the same cells in string-id order
 
 
 @given(
@@ -622,7 +625,12 @@ def test_matching_on_a_cell_with_one_vertex():
     # pairs them off
     cx = RegularComplex.from_json_dict(regular(("v", 0, []), ("e", 1, [("v", 1)])))
     assert_matching_agrees(cx)
-    assert homology(cx).betti == (0, 0)
+    # that boundary is the 1 x 1 matrix (1), handed to the Smith form
+    with obs.collecting() as book:
+        assert homology(cx).betti == (0, 0)
+    assert book == {"homology": {
+        "critical": 2, "matched": 0, "residual_rows": 1, "residual_cols": 1,
+    }}
 
 
 @pytest.mark.parametrize(
@@ -632,7 +640,7 @@ def test_matching_on_a_cell_with_one_vertex():
         (antipodal_quotient(2), ((), (2,), ())),
         (antipodal_quotient(3), ((), (2,), (), ())),
         (SimplicialComplex(RP2_WEDGE_CIRCLE), ((), (2,), ())),
-        (SimplicialComplex(RP2_WEDGE_CIRCLE).to_regular(), ((), (2,), ())),
+        (to_regular(SimplicialComplex(RP2_WEDGE_CIRCLE)), ((), (2,), ())),
     ],
     ids=["rp2-simplicial", "rp2", "rp3", "rp2-wedge-circle", "rp2-wedge-circle-regular"],
 )
@@ -684,14 +692,12 @@ def test_matching_matches_cleared_reduction_on_sl2_surfaces(level):
     ids=["subdivided-boundary-4-simplex", "twice-subdivided-octahedron"],
 )
 def test_matching_leaves_one_critical_cell_per_sphere_betti_number(cx, counters):
-    # a critical vertex and a critical top cell, and no elimination:
-    # every other cell is matched
+    # a critical vertex and a critical top cell, and nothing for the
+    # Smith form: every other cell is matched
     with obs.collecting() as book:
         h = homology(cx)
     assert sum(h.betti) == 2
-    assert book == {"homology": {
-        **counters, "unit_pivots": 0, "row_updates": 0, "residual_rows": 0, "residual_cols": 0,
-    }}
+    assert book == {"homology": {**counters, "residual_rows": 0, "residual_cols": 0}}
     assert 2 * counters["matched"] + counters["critical"] == sum(cx.f_vector())
 
 

@@ -15,11 +15,12 @@ import sys
 import time
 
 import pytest
+from cell_helpers import to_regular
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vorocell.cells import RegularComplex, SimplicialComplex
-from vorocell.perfect import Catalog
+from vorocell.perfect import Catalog, enumerate_perfect_forms
 
 CLI = [sys.executable, "-m", "vorocell.cli"]
 
@@ -168,6 +169,37 @@ def test_non_object_json_is_exit_two(tmp_path, which):
         r = run("reduce", "--form", str(form), "--catalog", str(bad))
     assert r.returncode == 2
     assert f"{bad}: expected a JSON object" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("fault", ["long-integer", "not-utf8"])
+@pytest.mark.parametrize(
+    "command", ["homology", "shell", "reduce-form", "reduce-catalog", "enumerate-resume"]
+)
+def test_unreadable_json_is_exit_two(tmp_path, command, fault):
+    # an integer literal past the digit limit of int(), or bytes that
+    # are not UTF-8: each loader names the file in one line
+    bad = tmp_path / "bad.json"
+    if fault == "long-integer":
+        bad.write_text('{"n": ' + "9" * 5000 + "}")
+    else:
+        bad.write_bytes(b'{"n": "\xff"}')
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"n": 2, "rows": [["2", "1"], ["1", "2"]]}))
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(enumerate_perfect_forms(2).to_json_dict()))
+    args = {
+        "homology": ("homology", "--complex", bad),
+        "shell": ("shell", "--complex", bad),
+        "reduce-form": ("reduce", "--form", bad, "--catalog", catalog),
+        "reduce-catalog": ("reduce", "--form", form, "--catalog", bad),
+        "enumerate-resume": ("perfect", "enumerate", "--resume", bad),
+    }[command]
+    r = run(*map(str, args))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith(f"error: {bad}: ") and len(r.stderr.splitlines()) == 1
+    assert ("5000 digits" if fault == "long-integer" else "not UTF-8") in r.stderr
     assert "Traceback" not in r.stderr
 
 
@@ -376,7 +408,7 @@ def test_catalog_record_that_is_not_perfect_is_refused(tmp_path):
 
 
 def test_complex_cell_without_sign_names_the_field(tmp_path):
-    doc = SimplicialComplex([(0, 1)]).to_regular().to_json_dict()
+    doc = to_regular(SimplicialComplex([(0, 1)])).to_json_dict()
     del doc["cells"][-1]["faces"][0]["sign"]
     path = tmp_path / "edge.json"
     path.write_text(json.dumps(doc))
@@ -516,7 +548,7 @@ def test_complex_loaders_still_convert_entries(tmp_path):
     path = tmp_path / "edge.json"
     path.write_text(json.dumps({"format": 1, "maximal_faces": [["0", 1.0]]}))
     assert json.loads(run("homology", "--complex", str(path)).stdout)["betti"] == [1, 0]
-    doc = SimplicialComplex([(0, 1)]).to_regular().to_json_dict()
+    doc = to_regular(SimplicialComplex([(0, 1)])).to_json_dict()
     for face in doc["cells"][-1]["faces"]:
         face["sign"] = str(face["sign"])
     doc["cells"][0]["dim"] = "0"
@@ -731,7 +763,7 @@ def test_verbose_reports_homology_counters(tmp_path):
     assert json.loads(line) == {
         "homology": {
             "critical": 3, "matched": 14,
-            "residual_cols": 1, "residual_rows": 1, "row_updates": 0, "unit_pivots": 0,
+            "residual_cols": 1, "residual_rows": 1,
         }
     }
     assert json.loads(plain.stdout)["torsion"] == [[], [2], []]
@@ -752,7 +784,7 @@ def test_verbose_homology_counters_on_subdivided_rp2(tmp_path):
     assert json.loads(line) == {
         "homology": {
             "critical": 3, "matched": 89,
-            "residual_cols": 1, "residual_rows": 1, "row_updates": 0, "unit_pivots": 0,
+            "residual_cols": 1, "residual_rows": 1,
         }
     }
     assert json.loads(plain.stdout)["torsion"] == [[], [2], []]
@@ -760,7 +792,8 @@ def test_verbose_homology_counters_on_subdivided_rp2(tmp_path):
 
 def test_verbose_homology_counters_on_the_level_31_surface(tmp_path):
     # genus 1001: the matching leaves a minimal Morse complex, 1 + 2002
-    # + 1 critical cells with a zero boundary, so nothing is eliminated
+    # + 1 critical cells with a zero boundary, so the Smith form gets
+    # nothing
     path = tmp_path / "surface31.json"
     assert run("sl2", "--level", "31", "--emit", str(path)).returncode == 0
     flagged = run("-v", "homology", "--complex", str(path), "--integer")
@@ -769,7 +802,7 @@ def test_verbose_homology_counters_on_the_level_31_surface(tmp_path):
     assert json.loads(line) == {
         "homology": {
             "critical": 2004, "matched": 5438,
-            "residual_cols": 0, "residual_rows": 0, "row_updates": 0, "unit_pivots": 0,
+            "residual_cols": 0, "residual_rows": 0,
         }
     }
 
@@ -779,16 +812,16 @@ def test_verbose_homology_counters_on_the_level_31_surface(tmp_path):
     [
         (SimplicialComplex(itertools.combinations(range(5), 4)).subdivide().maximal_faces,
          {"critical": 2, "matched": 269,
-          "unit_pivots": 0, "row_updates": 0, "residual_rows": 0, "residual_cols": 0}),
+          "residual_rows": 0, "residual_cols": 0}),
         (SimplicialComplex(OCTAHEDRON).subdivide().subdivide().maximal_faces,
          {"critical": 2, "matched": 432,
-          "unit_pivots": 0, "row_updates": 0, "residual_rows": 0, "residual_cols": 0}),
+          "residual_rows": 0, "residual_cols": 0}),
     ],
     ids=["subdivided-boundary-4-simplex", "twice-subdivided-octahedron"],
 )
 def test_verbose_homology_counters_on_spheres(tmp_path, maximal_faces, counters):
     # the matching leaves a critical vertex and a critical top cell, whose
-    # Morse boundary is zero, so nothing is left to eliminate
+    # Morse boundary is zero, so the Smith form gets nothing
     path = write_complex(tmp_path / "sphere.json", maximal_faces)
     flagged = run("-v", "homology", "--complex", path, "--integer")
     assert flagged.returncode == 0
@@ -881,14 +914,14 @@ CELL_IDS = st.text(
 
 @st.composite
 def regular_complexes(draw):
-    """``to_regular()`` of a random simplicial complex with every id
+    """``to_regular`` of a random simplicial complex with every id
     behind one drawn prefix, which keeps the ids sorted; or a path of
     drawn vertex ids joined by drawn edge ids."""
     if draw(st.booleans()):
         raw = draw(st.lists(
             st.frozensets(st.integers(0, 8), min_size=1, max_size=4), min_size=1, max_size=10,
         ))
-        cx = SimplicialComplex([tuple(sorted(f)) for f in raw]).to_regular()
+        cx = to_regular(SimplicialComplex([tuple(sorted(f)) for f in raw]))
         prefix = draw(CELL_IDS)
         return RegularComplex([[prefix + cid for cid in group] for group in cx.ids], cx.faces)
     vertices = sorted(draw(st.sets(CELL_IDS, min_size=1, max_size=6)))

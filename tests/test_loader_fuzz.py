@@ -15,6 +15,7 @@ import json
 import math
 
 import pytest
+from cell_helpers import to_regular
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -88,7 +89,7 @@ def documents(tmp_path_factory):
         "catalog": catalog,
         "partial": partial,
         "simplicial": SimplicialComplex(OCTAHEDRON).to_json_dict(),
-        "regular": SimplicialComplex([(0, 1, 2)]).to_regular().to_json_dict(),
+        "regular": to_regular(SimplicialComplex([(0, 1, 2)])).to_json_dict(),
     }
 
 

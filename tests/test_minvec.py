@@ -11,7 +11,7 @@ import vorocell.perfect
 from vorocell.linalg import SymMatrix, is_positive_definite
 from vorocell.minvec import canonical_sign, is_primitive, minimal_vectors, vectors_below
 from vorocell.perfect import PerfectFormRecord, a_root_form, are_equivalent, neighbor
-from sym_helpers import conjugate, identity
+from sym_helpers import conjugate, evaluate, identity
 
 
 def signed_count(md) -> int:
@@ -35,7 +35,7 @@ def brute_minimum(q: SymMatrix, box: int = 12):
             v = tuple(prefix)
             if all(x == 0 for x in v) or not is_primitive(v):
                 return
-            val = q.evaluate(v)
+            val = evaluate(q, v)
             if best is None or val < best:
                 best = val
                 found = [canonical_sign(v)]

@@ -23,16 +23,16 @@ from vorocell.reduction import (
     reduce_with_trace,
     voronoi_reduce,
 )
-from sym_helpers import conjugate, identity
+from sym_helpers import add, conjugate, identity, scale
 
 
 def reconstructs(x: SymMatrix, result, catalog) -> bool:
     rays = result.translated_rays(catalog)
-    total = identity(x.n).scale(0)
+    total = scale(identity(x.n), 0)
     for c, r in zip(result.coefficients, rays):
         if c <= 0:
             return False
-        total = total + r.scale(c)
+        total = add(total, scale(r, c))
     return total.rows == x.rows
 
 
@@ -125,10 +125,10 @@ def test_translation_equivariance(cat2):
 def interior_form(record, rng):
     """A positive combination of every ray of the class's domain cone
     with generic weights, so the form lies in the open cone."""
-    total = identity(record.n).scale(0)
+    total = scale(identity(record.n), 0)
     for m in record.min_data.vectors:
         ray = SymMatrix.rank_one(m)
-        total = total + ray.scale(Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+        total = add(total, scale(ray, Fraction(rng.randint(1, 9), rng.randint(1, 4))))
     return total
 
 
@@ -219,9 +219,9 @@ def halving_certificate(vectors, y, den):
 def certificate_case(record, support, weights):
     """The arguments of ``_positive_certificate`` for the target
     sum_i weights[i] q(v_i) over the rays of ``support``."""
-    x = identity(record.n).scale(0)
+    x = scale(identity(record.n), 0)
     for i, w in zip(support, weights):
-        x = x + SymMatrix.rank_one(record.min_data.vectors[i]).scale(w)
+        x = add(x, scale(SymMatrix.rank_one(record.min_data.vectors[i]), w))
     coords = _pairing_coordinates(x.num)
     values = [sum(map(mul, f.normal, coords)) for f in record.facets]
     return record, support, x.num, x.den, values
@@ -243,9 +243,9 @@ def random_positive_form(n, rng):
         while not any(v):
             v = [rng.randint(-1, 1) for _ in range(n)]
         vectors.append(tuple(v))
-    x = identity(n).scale(0)
+    x = scale(identity(n), 0)
     for v in vectors:
-        x = x + SymMatrix.rank_one(v).scale(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        x = add(x, scale(SymMatrix.rank_one(v), Fraction(rng.randint(1, 9), rng.randint(1, 9))))
     return conjugate(x, random_unimodular(n, rng, rng.randint(0, 6)))
 
 
