@@ -15,12 +15,13 @@ Homology works over the integers in two steps.  An acyclic matching by
 coreductions first pairs off nearly every cell: a cell with exactly one
 live face is matched with that face, and when no such cell is queued,
 the lowest live cell, which has no live face, is critical.  The Morse
-boundary of a degree with critical cells on both sides comes from a memo
-on the side with fewer of them: the images of the cells one dimension
-down on the critical cells there, computed in removal order, or the
-coimages of the cells of the degree on its critical cells, computed in
-reverse removal order.  Both give the same matrix, so the side only
-sets the memo's size.  The result is exact over the integers, because
+boundary of a degree with critical cells on both sides comes from one
+routine, a memo of the images of the cells one dimension down on the
+critical cells there, computed in removal order.  Where the degree
+itself has fewer critical cells, the routine runs on the coboundary,
+with the pairs in reverse removal order, and gives the transpose, which
+has the same Smith form; so the side only sets the memo's size.  The
+result is exact over the integers, because
 every pairing has incidence +-1 and the removal order makes the
 matching acyclic (the arguments are in ``homology``).  The matching
 has taken the free faces, so the Smith form gets only the nonzero
@@ -33,7 +34,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, repeat
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import obs
 from .linalg import _check_format, _integer, smith_normal_form
@@ -389,7 +390,7 @@ def _chain(cell: Iterable[tuple[int, int]], known: dict[int, dict[int, int]],
 
 
 def _image_columns(
-    faces: Sequence[Sequence[tuple[int, int]]],
+    faces: Sequence[Sequence[tuple[int, int]]] | Mapping[int, Sequence[tuple[int, int]]],
     pairs: Sequence[tuple[int, int]],
     critical: Sequence[int],
     below: Sequence[int],
@@ -397,8 +398,10 @@ def _image_columns(
     """The Morse boundary of the critical d-cells ``critical`` on the
     critical (d-1)-cells ``below``, one column of ``(row, value)`` pairs
     without zeros per critical d-cell, from the images of the
-    (d-1)-cells: ``faces`` is ``cells(d)`` and ``pairs`` the d-cells'
-    pairs in removal order."""
+    (d-1)-cells: ``faces`` maps a d-cell to its signed faces, as
+    ``cells(d)`` does, and ``pairs`` lists the d-cells' pairs in
+    removal order.  Run on the signed cofaces of the (d-1)-cells with
+    the pairs reversed, it gives the transpose (see ``homology``)."""
     image = {c: {p: 1} for p, c in enumerate(below)}
     for a, b in pairs:
         cell = faces[a]
@@ -407,33 +410,6 @@ def _image_columns(
         if img:
             image[b] = img
     return [_chain(faces[c], image).items() for c in critical]
-
-
-def _coimage_columns(
-    faces: Sequence[Sequence[tuple[int, int]]],
-    cofaces: Sequence[Sequence[int]],
-    pairs: Sequence[tuple[int, int]],
-    critical: Sequence[int],
-    below: Sequence[int],
-) -> list[list[tuple[int, int]]]:
-    """The same columns as ``_image_columns``, from the coimages of the
-    d-cells on the critical d-cells; ``cofaces`` lists the d-cells on
-    each (d-1)-cell."""
-
-    def signed_cofaces(k: int) -> list[tuple[int, int]]:
-        return [(x, s) for x in cofaces[k] for f, s in faces[x] if f == k]
-
-    coimage = {c: {p: 1} for p, c in enumerate(critical)}
-    for a, b in reversed(pairs):
-        sign = next(s for f, s in faces[a] if f == b)
-        img = _chain(signed_cofaces(b), coimage, -sign)  # a has no coimage yet
-        if img:
-            coimage[a] = img
-    columns: list[list[tuple[int, int]]] = [[] for _ in critical]
-    for q, c in enumerate(below):
-        for p, v in _chain(signed_cofaces(c), coimage).items():
-            columns[p].append((q, v))
-    return columns
 
 
 def homology(cx: "RegularComplex | SimplicialComplex") -> HomologyResult:
@@ -460,41 +436,30 @@ def homology(cx: "RegularComplex | SimplicialComplex") -> HomologyResult:
 
     The Morse boundary of degree d is computed only where there are
     critical cells in both d and d - 1, and only those degrees read
-    ``cx.cells(d)`` again.  Its memo holds chains on the critical cells
-    of one side, so it is kept on the side with fewer of them; a tie
-    keeps the images.
-
-    - Images (``_image_columns``) are chains on the critical
-      (d-1)-cells.  A critical cell is its own image, the upper cell of
-      a pair has none, and the lower cell b of a pair (a, b) has the
-      image -[a:b] * sum of [a:f] * image(f) over the other faces f of
-      a.  Each is computed once, in removal order, when those faces'
-      images are known.  The boundary of a critical c is the sum of
-      [c:f] * image(f) over its faces.
-    - Coimages (``_coimage_columns``) are chains on the critical
-      d-cells.  A critical cell is its own coimage, a cell matched
-      upward has none, and the upper cell a of a pair (a, b) has the
-      coimage -[a:b] * sum of [x:b] * coimage(x) over the other
-      cofaces x of b.  Each of those that has a coimage left the
-      matching after b, so in reverse removal order it is known.  The
-      entry at a critical face c' and a critical c is the sum of
-      [x:c'] * coimage(x)[c] over the cofaces x of c'.
-
-    Both give the same matrix.  Let P send a (d-1)-chain to the sum of
-    its coefficients times the images, and let i(c) be the sum of
-    coimage(x)[c] * x.  The image rule says P vanishes on the boundary
-    of every upper cell, and i(c) - c is a sum of such cells, so
-    P(d c) = P(d i(c)).  The coimage rule says d i(c) has no term on a
-    lower cell, and P is the identity on critical cells and zero on
-    upper ones, so P(d i(c)) is the part of d i(c) on the critical
-    (d-1)-cells, which is the coimage side's column.  On the level-N
-    surfaces the one critical triangle takes the coimage side, and the
-    memo holds at most one entry per triangle.
+    ``cx.cells(d)`` again.  ``_image_columns`` builds it from images,
+    chains on the critical (d-1)-cells.  A critical cell is its own
+    image, the upper cell of a pair has none, and the lower cell b of a
+    pair (a, b) has the image -[a:b] * sum of [a:f] * image(f) over the
+    other faces f of a.  Each is computed once, in removal order, when
+    those faces' images are known.  The boundary of a critical c is the
+    sum of [c:f] * image(f) over its faces.  The memo holds chains on
+    the critical cells of one side, so where there are fewer critical
+    d-cells than (d-1)-cells the same routine runs on the coboundary:
+    each (d-1)-cell's signed cofaces are taken as its faces, and each
+    pair (a, b), read in reverse removal order, as the pair (b, a).
+    The other cofaces of b left the matching after b or were matched
+    upward, which gives them no chain, so in that order every chain the
+    rule reads is known.  That is the image rule of the dual chain
+    complex, whose gradient paths are the reversed ones, so it gives the
+    transpose of the Morse boundary, with the same Smith form.  On the
+    level-N surfaces the one critical triangle takes the coboundary,
+    and the memo holds at most one entry per triangle.
 
     The matching has taken the free faces, so each Morse boundary goes
     to ``smith_normal_form`` as its nonzero support alone: the rows and
-    columns that hold an entry, whose count the ``-v`` counters
-    ``residual_rows`` and ``residual_cols`` sum over the degrees."""
+    columns that hold an entry.  The ``-v`` counters ``residual_rows``
+    and ``residual_cols`` sum, over the degrees, the critical (d-1)- and
+    d-cells in that support, whichever side was taken."""
     counts = cx.f_vector()
     top = len(counts) - 1
     critical, pairs, cofaces = _coreduce(cx)
@@ -502,18 +467,25 @@ def homology(cx: "RegularComplex | SimplicialComplex") -> HomologyResult:
     residual_rows = residual_cols = 0
     for d in range(top, 0, -1):
         if critical[d] and critical[d - 1]:
-            if len(critical[d]) < len(critical[d - 1]):
-                columns = _coimage_columns(
-                    cx.cells(d), cofaces[d - 1], pairs[d], critical[d], critical[d - 1]
-                )
+            cells = cx.cells(d)
+            transpose = len(critical[d]) < len(critical[d - 1])
+            if transpose:
+                coboundary = {
+                    k: [(x, s) for x in cofaces[d - 1][k] for f, s in cells[x] if f == k]
+                    for k in chain((b for _, b in pairs[d]), critical[d - 1])
+                }
+                reverse = [(b, a) for a, b in reversed(pairs[d])]
+                columns = _image_columns(coboundary, reverse, critical[d - 1], critical[d])
             else:
-                columns = _image_columns(cx.cells(d), pairs[d], critical[d], critical[d - 1])
+                columns = _image_columns(cells, pairs[d], critical[d], critical[d - 1])
             nonzero = [dict(column) for column in columns if column]
             rows = sorted(set().union(*nonzero))
             dense = [[column.get(r, 0) for column in nonzero] for r in rows]
-            factors[d], _ = smith_normal_form(dense)
-            residual_rows += len(rows)
-            residual_cols += len(nonzero)
+            factors[d] = smith_normal_form(dense)
+            shape = (len(rows), len(nonzero))
+            lower, upper = shape[::-1] if transpose else shape
+            residual_rows += lower
+            residual_cols += upper
     obs.add(
         "homology",
         critical=sum(map(len, critical)),

@@ -345,8 +345,9 @@ def _null_space(reduced: list[list[int]], pivots: list[int], ncols: int) -> tupl
 # -- Smith normal form ---------------------------------------------------------
 
 
-def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
-    """Invariant factors (positive, each dividing the next) and rank.
+def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Invariant factors, positive and each dividing the next; there are
+    as many as the rank.
 
     Pivot choice: the nonzero entry of minimal absolute value, ties
     broken by smallest row then column index, which keeps runs
@@ -420,7 +421,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], i
         top += 1
         if top == nrows or top == ncols:
             break
-    return tuple(factors), len(factors)
+    return tuple(factors)
 
 
 # -- exact LP: membership in a finitely generated cone ------------------------

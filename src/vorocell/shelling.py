@@ -98,10 +98,11 @@ class _SearchState:
     all of it.  The glue sets and the facets, as frozensets, stay sets,
     for that containment test.
 
-    The frontier is a lazy heap of ``(-len(glue[i]), sorted facet, i)``
-    entries, with a ``parked`` list beside it.  Every live facet --
-    unused, with nonempty glue -- has an entry carrying its current key
-    either on the heap or parked, and the parked ones are invalid steps.
+    The facets come in ``maximal_faces`` order, which is sorted.  The
+    frontier is a lazy heap of ``(-len(glue[i]), i)`` entries, with a
+    ``parked`` list beside it.  Every live facet -- unused, with
+    nonempty glue -- has an entry carrying its current key either on
+    the heap or parked, and the parked ones are invalid steps.
     ``place`` pushes a fresh entry for every facet in its glue log;
     ``unplace`` does the same, plus one for the facet it returns to the
     pool, and moves the parked entries back onto the heap.  An entry
@@ -111,12 +112,13 @@ class _SearchState:
     it again.  Entries of used facets, with an outdated glue size, or
     repeating the entry just popped are stale and dropped when popped.
     Popping in heap order therefore visits the live facets most-glued
-    first, ties broken by the sorted facet, the order a full rescan and
-    sort would give; a step costs the entries it pops instead of a pass
-    over all facets.  A level of the search descends by popping from
-    the heap (``next_step``) and, once backtracked into, resumes from a
-    sorted snapshot of the heap and the parked entries (``candidates``).
-    With nothing placed, every facet is a legal start, in sorted order.
+    first, ties broken by index, which is sorted-facet order: the order
+    a full rescan and sort would give.  A step costs the entries it
+    pops instead of a pass over all facets.  A level of the search
+    descends by popping from the heap (``next_step``) and, once
+    backtracked into, resumes from a sorted snapshot of the heap and
+    the parked entries (``candidates``).  With nothing placed, every
+    facet is a legal start, in index order.
     """
 
     def __init__(self, facets: list[frozenset[int]]) -> None:
@@ -128,16 +130,16 @@ class _SearchState:
         self.used_by_vertex: dict[int, set[int]] = {}
         self.ridge_count: list[int] = [0] * len(self.ridges)
         self.order: list[int] = []
-        self.frontier: list[tuple[int, tuple[int, ...], int]] = []
-        self.parked: list[tuple[int, tuple[int, ...], int]] = []
+        self.frontier: list[tuple[int, int]] = []
+        self.parked: list[tuple[int, int]] = []
 
     def _push(self, j: int) -> None:
         glue = self.glue[j]
         if glue and not self.used[j]:
-            heapq.heappush(self.frontier, (-len(glue), self.sorted_facets[j], j))
+            heapq.heappush(self.frontier, (-len(glue), j))
 
-    def _is_current(self, entry: tuple[int, tuple[int, ...], int]) -> bool:
-        j = entry[2]
+    def _is_current(self, entry: tuple[int, int]) -> bool:
+        j = entry[1]
         return not self.used[j] and len(self.glue[j]) == -entry[0] > 0
 
     def place(self, idx: int) -> list[tuple[int, int]]:
@@ -192,7 +194,7 @@ class _SearchState:
         places it.  The invalid current entries popped on the way are
         parked."""
         if not self.order:
-            return min(range(len(self.facets)), key=lambda i: self.sorted_facets[i])
+            return 0
         heap = self.frontier
         last = None
         while heap:
@@ -200,8 +202,8 @@ class _SearchState:
             if entry == last or not self._is_current(entry):
                 continue
             last = entry
-            if self.is_valid_step(entry[2]):
-                return entry[2]
+            if self.is_valid_step(entry[1]):
+                return entry[1]
             self.parked.append(entry)
         return None
 
@@ -209,11 +211,11 @@ class _SearchState:
         """Every live facet in frontier order; compacts the heap and the
         parked entries to them, on the heap."""
         if not self.order:
-            return sorted(range(len(self.facets)), key=lambda i: self.sorted_facets[i])
+            return list(range(len(self.facets)))
         live = sorted(set(filter(self._is_current, self.frontier + self.parked)))
         self.frontier = live  # a sorted list is a heap
         self.parked = []
-        return [entry[2] for entry in live]
+        return [entry[1] for entry in live]
 
     def attachment(self, idx: int) -> tuple[tuple[int, ...], ...]:
         glue, ridges = self.glue[idx], self.ridges

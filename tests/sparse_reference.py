@@ -124,5 +124,4 @@ def _sparse_reduce(
     for i, r in enumerate(live_rows):
         for c, v in rows[r].items():
             dense[i][cmap[c]] = v
-    factors, _ = smith_normal_form(dense)
-    return units + list(factors), pivot_rows
+    return units + list(smith_normal_form(dense)), pivot_rows

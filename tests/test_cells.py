@@ -13,7 +13,8 @@ integer ones.  A fourth, ``cleared_homology``, is ``homology`` without
 its coreduction matching: every ``cells(d)`` reduced by that
 elimination from the top down, with clearing across degrees; beside it,
 ``assert_matching_agrees`` computes every Morse boundary from both
-sides, the images and the coimages, and requires the same matrix.  The
+sides, by ``_image_columns`` on the boundary and, transposed, on the
+signed coboundary, and requires the same matrix.  The
 integer cells a simplicial complex builds itself are compared with the
 textbook boundary in ``test_simplicial_cells_match_textbook_boundary``.
 The projective spaces built by ``antipodal_quotient`` are the regular
@@ -39,7 +40,6 @@ from vorocell import cells, cli, obs
 from vorocell.cells import (
     RegularComplex,
     SimplicialComplex,
-    _coimage_columns,
     _coreduce,
     _image_columns,
     homology,
@@ -526,20 +526,25 @@ def cleared_homology(cx):
 
 def morse_sides(cx):
     """Per degree with critical cells in both d and d - 1, the Morse
-    boundary from the images and from the coimages, each as
+    boundary from the images of the boundary and, transposed, from the
+    images of the signed coboundary with the pairs reversed, each as
     {(row, column): value} without zeros."""
     critical, pairs, cofaces = _coreduce(cx)
     sides = {}
     for d in range(1, len(critical)):
         if critical[d] and critical[d - 1]:
             faces = cx.cells(d)
-            both = (
-                _image_columns(faces, pairs[d], critical[d], critical[d - 1]),
-                _coimage_columns(faces, cofaces[d - 1], pairs[d], critical[d], critical[d - 1]),
+            coboundary = [
+                [(x, s) for x in up for f, s in faces[x] if f == k]
+                for k, up in enumerate(cofaces[d - 1])
+            ]
+            by_image = _image_columns(faces, pairs[d], critical[d], critical[d - 1])
+            by_coboundary = _image_columns(
+                coboundary, [(b, a) for a, b in reversed(pairs[d])], critical[d - 1], critical[d]
             )
-            sides[d] = tuple(
-                {(r, c): v for c, column in enumerate(columns) for r, v in column if v}
-                for columns in both
+            sides[d] = (
+                {(r, c): v for c, column in enumerate(by_image) for r, v in column if v},
+                {(r, c): v for r, row in enumerate(by_coboundary) for c, v in row if v},
             )
     return sides
 
@@ -718,12 +723,26 @@ def test_matching_leaves_one_critical_cell_per_sphere_betti_number(cx, counters)
     ids=["surface31", "rp2-wedge-circle", "rp3", "surface5"],
 )
 def test_morse_boundary_takes_the_side_with_fewer_critical_cells(monkeypatch, cx, sides):
+    """The side is read off the arguments ``_image_columns`` receives:
+    the boundary's pairs with columns on the critical d-cells, or the
+    coboundary's reversed pairs with columns on the critical
+    (d-1)-cells."""
+    critical, pairs, _ = _coreduce(cx)
+    degrees = iter(d for d in range(len(critical) - 1, 0, -1) if critical[d] and critical[d - 1])
     taken = []
-    for name, side in (("_image_columns", "image"), ("_coimage_columns", "coimage")):
-        def record(*args, _side=side, _real=getattr(cells, name)):
-            taken.append(_side)
-            return _real(*args)
-        monkeypatch.setattr(cells, name, record)
+
+    def record(faces, given, columns, rows, _real=cells._image_columns):
+        d = next(degrees)
+        reverse = [(b, a) for a, b in reversed(pairs[d])]
+        if (given, columns, rows) == (pairs[d], critical[d], critical[d - 1]):
+            taken.append("image")
+        elif (given, columns, rows) == (reverse, critical[d - 1], critical[d]):
+            taken.append("coimage")
+        else:
+            taken.append("neither")
+        return _real(faces, given, columns, rows)
+
+    monkeypatch.setattr(cells, "_image_columns", record)
     homology(cx)
     assert taken == sides  # degrees from the top down
 
@@ -753,7 +772,7 @@ def test_sparse_reduce_matches_dense_smith_form_random(entries, cleared):
     for (r, c), v in entries.items():
         columns[c].append((r, v))
     factors, _ = _sparse_reduce(columns, cleared)
-    assert factors == list(smith_normal_form(dense)[0])
+    assert factors == list(smith_normal_form(dense))
 
 
 # -- barycentric subdivision ---------------------------------------------------

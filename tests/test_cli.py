@@ -807,6 +807,30 @@ def test_verbose_homology_counters_on_the_level_31_surface(tmp_path):
     }
 
 
+def test_verbose_homology_counters_on_a_non_square_morse_boundary(tmp_path):
+    # critical (1, 3, 1): degree 2 has fewer critical cells, so its Morse
+    # boundary comes from the coboundary, and its support is 2 edges by 1
+    # triangle; the counters count it untransposed
+    triangles = [
+        (0, 1, 6), (0, 2, 3), (0, 2, 6), (0, 4, 6), (0, 4, 7), (1, 2, 4),
+        (1, 2, 5), (1, 3, 4), (1, 3, 5), (2, 3, 4), (2, 3, 6), (4, 6, 7),
+    ]
+    path = write_complex(tmp_path / "cx.json", triangles)
+    plain = run("homology", "--complex", path, "--integer")
+    flagged = run("-v", "homology", "--complex", path, "--integer")
+    assert flagged.returncode == 0
+    assert flagged.stdout == plain.stdout
+    (line,) = flagged.stderr.splitlines()
+    assert json.loads(line) == {
+        "homology": {
+            "critical": 5, "matched": 18,
+            "residual_rows": 2, "residual_cols": 1,
+        }
+    }
+    report = json.loads(plain.stdout)
+    assert (report["betti"], report["torsion"]) == ([1, 2, 0], [[], [], []])
+
+
 @pytest.mark.parametrize(
     "maximal_faces, counters",
     [

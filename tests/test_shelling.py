@@ -442,7 +442,7 @@ def test_snapshot_includes_parked_facets(c):
         state.place(idx)
         ref.place(idx)
     assert state.parked
-    assert not any(state.is_valid_step(entry[2]) for entry in state.parked)
+    assert not any(state.is_valid_step(entry[-1]) for entry in state.parked)
     assert state.candidates() == ref.candidates()
 
 
