@@ -179,6 +179,8 @@ def _cmd_perfect_enumerate(ns: argparse.Namespace) -> int:
                 f"--n {n} conflicts with resumed catalog dimension {resume_catalog.n}"
             )
         n = resume_catalog.n
+        if n < 2:
+            raise CliError(f"{resume}: catalog has dimension {n}; enumeration needs at least 2")
     if n is None:
         raise CliError("one of --n or --resume is required")
     if n < 2:

@@ -22,8 +22,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
 from math import gcd
-from operator import mul
+from operator import and_, itemgetter, mul
 from typing import Optional, Sequence
 
 from .linalg import (
@@ -101,29 +103,36 @@ class Facet:
     ``normal`` is the inward normal R as upper-triangle integers of
     content 1; dotted with the value row of a ray m m^T it gives m^T R m,
     zero exactly on the supporting rays and positive on the rest.
+    ``ray_support`` lists those rays' indices in increasing order, and
+    ``mask`` is the same set as an ``int`` with bit i set for ray i.
     """
 
     normal: tuple[int, ...]
     ray_support: tuple[int, ...]
+    mask: int
 
 
-def _reduce_content(vec: list[int]) -> tuple[int, ...]:
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
+    """``vec`` divided by the gcd of its entries, signs kept;
+    ValueError for the zero vector."""
+    g = gcd(*vec)
     if g == 0:
         raise ValueError("zero vector")
-    return tuple(x // g for x in vec)
+    return tuple(vec) if g == 1 else tuple(x // g for x in vec)
 
 
-def _bit_indices(mask: int) -> list[int]:
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _digits(mask: int) -> bytes:
+    """The binary digits of a mask, lowest first, as bytes 0 and 1: a
+    selector for :func:`itertools.compress`."""
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
+
+
+def _set_bits(mask: int) -> tuple[int, ...]:
     """The indices of the set bits of a mask, in increasing order."""
-    indices = []
-    while mask:
-        low = mask & -mask
-        indices.append(low.bit_length() - 1)
-        mask ^= low
-    return indices
+    return tuple(compress(range(mask.bit_length()), _digits(mask)))
 
 
 def facets_of_cone(halfspaces: Sequence[Sequence[int]]) -> list[Facet]:
@@ -160,11 +169,17 @@ def facets_of_cone(halfspaces: Sequence[Sequence[int]]) -> list[Facet]:
     mask contains ``common`` (the combinatorial test, Fukuda–Prodon
     1996).  Adjacent rays span a 2-face, so their common tight rows
     have rank dim - 2 and ``common`` at least dim - 2 bits; a pair
-    with fewer is dropped before the test.  The test itself ANDs, over
-    the bits of ``common``, the masks over generator indices of the
-    generators tight on each row, and passes when only gp and gm are
-    left.  The facet normals are the final generators and their
-    supports the bits of the final masks.
+    with fewer is dropped before the test.  The test ANDs, over the
+    bits of ``common``, the per-row masks ``holders`` of the generators
+    tight on that row, and passes when only gp and gm are left.
+    ``holders`` is the transpose of the tight masks, built once per
+    halfspace for the first pair that passes the bit count: written as
+    binary strings of one width, last generator first, the tight masks
+    have the rows' masks as their columns, last row first.
+
+    The facet normals are the final generators, sorted by support; each
+    facet keeps its final tight mask as ``mask`` and that mask's bits as
+    ``ray_support``, so later layers need not rebuild either.
     """
     if not halfspaces:
         raise ValueError("need at least one ray")
@@ -177,14 +192,13 @@ def facets_of_cone(halfspaces: Sequence[Sequence[int]]) -> list[Facet]:
     if pivots[-1] >= count:  # a pivot in I: the rows do not span
         raise ValueError("ray set is not full-dimensional")
     generators = [
-        _reduce_content(row[count:] if row[i] > 0 else [-x for x in row[count:]])
+        _primitive(row[count:] if row[i] > 0 else [-x for x in row[count:]])
         for row, i in zip(reduced, pivots)
     ]
-    start = 0
-    for i in pivots:
-        start |= 1 << i
+    start = sum(1 << i for i in pivots)
     tight = [start ^ (1 << i) for i in pivots]
 
+    need = dim - 2
     pairs = survivors = made = 0
     peak = dim
     for idx, h in enumerate(halfspaces):
@@ -197,37 +211,35 @@ def facets_of_cone(halfspaces: Sequence[Sequence[int]]) -> list[Facet]:
         kept_gens = [g for g, v in zip(generators, vals) if v >= 0]
         kept_tight = [t | bit if v == 0 else t for t, v in zip(tight, vals) if v >= 0]
         pairs += len(pos) * len(neg)
-        # per halfspace, the mask of the generators tight on it; built for
-        # the first pair that passes the popcount prefilter
+        negs = [(km, tight[km]) for km in neg]
         holders: Optional[list[int]] = None
         everyone = (1 << len(tight)) - 1
         for kp in pos:
             gp, tp, vp = generators[kp], tight[kp], vals[kp]
-            for km in neg:
-                common = tp & tight[km]
-                if common.bit_count() < dim - 2:
+            for km, tm in negs:
+                common = tp & tm
+                if common.bit_count() < need:
                     continue
                 survivors += 1
                 if holders is None:
-                    holders = [0] * count
-                    for k, t in enumerate(tight):
-                        for i in _bit_indices(t):
-                            holders[i] |= 1 << k
-                containing = everyone
-                for i in _bit_indices(common):
-                    containing &= holders[i]
+                    width = f"0{count}b"
+                    columns = zip(*[format(t, width) for t in reversed(tight)])
+                    holders = [int("".join(c), 2) for c in columns][::-1]
+                containing = reduce(and_, compress(holders, _digits(common)), everyone)
                 if containing == (1 << kp) | (1 << km):
                     vm = vals[km]
                     combo = [vp * a - vm * b for a, b in zip(generators[km], gp)]
-                    kept_gens.append(_reduce_content(combo))
+                    kept_gens.append(_primitive(combo))
                     kept_tight.append(common | bit)
                     made += 1
         generators, tight = kept_gens, kept_tight
         peak = max(peak, len(generators))
-    facets = sorted(
-        (Facet(normal=g, ray_support=tuple(_bit_indices(t))) for g, t in zip(generators, tight)),
-        key=lambda f: f.ray_support,
-    )
+    facets = [
+        Facet(normal=g, ray_support=support, mask=t)
+        for support, g, t in sorted(
+            zip(map(_set_bits, tight), generators, tight), key=itemgetter(0)
+        )
+    ]
     obs.add(
         "dd",
         cones=1,
@@ -594,12 +606,13 @@ def facet_orbits(
     the canonical representatives), and so the rays and the facets of
     the domain cone.  The facets are visited in index order, and each
     one not yet reached roots an orbit, which a traversal under the
-    generators fills in; ray supports are compared as bitmasks.  A
-    permuted support that is not a facet's raises RuntimeError.  Fewer
-    generators give finer orbits, never wrong ones.
+    generators fills in.  A facet is found by its support mask
+    (:attr:`Facet.mask`): the image of a support is the sum of its rays'
+    image bits.  A permuted support that is not a facet's raises
+    RuntimeError.  Fewer generators give finer orbits, never wrong ones.
     """
     index = {v: i for i, v in enumerate(vectors)}
-    by_mask = {sum(1 << x for x in f.ray_support): i for i, f in enumerate(facets)}
+    by_mask = {f.mask: i for i, f in enumerate(facets)}
     images = [[1 << index[canonical_sign(_apply(u, v))] for v in vectors] for u in generators]
     roots = [-1] * len(facets)
     for root in range(len(facets)):

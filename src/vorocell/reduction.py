@@ -34,7 +34,7 @@ from .linalg import (
     transpose,
     unimodular_inverse,
 )
-from .perfect import Catalog, CatalogError, PerfectFormRecord
+from .perfect import Catalog, CatalogError, PerfectFormRecord, _set_bits
 
 MAX_STEPS = 10_000
 
@@ -175,16 +175,14 @@ def reduce_with_trace(
         record = catalog.records[j]
         facets = record.facets
         values = [sum(map(mul, f.normal, coords)) for f in facets]
-        worst = min(range(len(facets)), key=lambda i: values[i])
+        worst = min(range(len(facets)), key=values.__getitem__)
         if values[worst] >= 0:
-            active = [i for i, v in enumerate(values) if v == 0]
-            if active:
-                support = frozenset(facets[active[0]].ray_support)
-                for i in active[1:]:
-                    support &= frozenset(facets[i].ray_support)
-            else:
-                support = frozenset(range(len(record.min_data.vectors)))
-            support_idx = tuple(sorted(support))
+            # the face's rays: those on every facet the form lies on
+            support = (1 << len(record.min_data.vectors)) - 1
+            for facet, value in zip(facets, values):
+                if value == 0:
+                    support &= facet.mask
+            support_idx = _set_bits(support)
             if not support_idx:
                 raise WalkDivergenceError("empty face support for a nonzero form")
             coeffs, k = _positive_certificate(record, support_idx, y, den, values)

@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vorocell.cells import RegularComplex, SimplicialComplex
-from vorocell.perfect import Catalog, enumerate_perfect_forms
+from vorocell.linalg import SymMatrix
+from vorocell.perfect import Catalog, PerfectFormRecord, enumerate_perfect_forms
 
 CLI = [sys.executable, "-m", "vorocell.cli"]
 
@@ -231,6 +232,18 @@ def test_enumerate_dimension_one_is_exit_two():
     assert r.returncode == 2
     assert "--n must be at least 2" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_enumerate_resuming_a_dimension_one_catalog_names_the_file(tmp_path):
+    cat = Catalog(1)
+    cat.add(PerfectFormRecord(SymMatrix([[1]])))
+    path = tmp_path / "cat1.json"
+    path.write_text(json.dumps(cat.to_json_dict()))
+    r = run("perfect", "enumerate", "--resume", str(path))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert f"{path}: catalog has dimension 1; enumeration needs at least 2" in r.stderr
+    assert "--n" not in r.stderr
 
 
 @pytest.mark.parametrize(

@@ -45,6 +45,7 @@ from vorocell.perfect import (
     is_perfect,
     neighbor,
 )
+from dd_reference import reference_facets_of_cone
 from sym_helpers import add, conjugate, evaluate, identity, pair, scale
 
 
@@ -233,6 +234,50 @@ def test_d6_facets_are_pinned():
         [[list(f.ray_support), list(f.normal)] for f in facets], separators=(",", ":")
     )
     assert hashlib.sha256(blob.encode()).hexdigest() == D6_FACETS_SHA256
+
+
+def assert_same_as_reference(rows):
+    """facets_of_cone gives the reference's facets (normal, support, mask
+    and order) and ``dd`` counters, and each mask holds its support."""
+    with obs.collecting() as got_counters:
+        got = facets_of_cone(rows)
+    with obs.collecting() as want_counters:
+        want = reference_facets_of_cone(rows)
+    assert got == want
+    for facet in got:
+        assert facet.mask == sum(1 << i for i in facet.ray_support)
+    assert got_counters == want_counters
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_facets_of_cone_match_the_reference_on_every_class_cone(n):
+    for record in enumerate_perfect_forms(n).records:
+        assert_same_as_reference([value_row(v) for v in record.min_data.vectors])
+
+
+def test_facets_of_cone_match_the_reference_on_d6():
+    record = PerfectFormRecord(SymMatrix(D6))
+    assert_same_as_reference([value_row(v) for v in record.min_data.vectors])
+
+
+@given(degenerate_ray_sets())
+@settings(max_examples=60, deadline=None)
+def test_facets_of_cone_match_the_reference_on_degenerate_rays(rows):
+    assert_same_as_reference(rows)
+
+
+def test_set_bits_reads_the_binary_digits():
+    assert vorocell.perfect._set_bits(0) == ()
+    assert vorocell.perfect._set_bits(1 << 7) == (7,)
+    assert vorocell.perfect._set_bits(1 << 203 | 0b101) == (0, 2, 203)
+    assert vorocell.perfect._digits(0b1101) == bytes([1, 0, 1, 1])
+
+
+def test_primitive_divides_by_the_content_and_keeps_signs():
+    assert vorocell.perfect._primitive([-3, 2, 0]) == (-3, 2, 0)
+    assert vorocell.perfect._primitive([0, -6, 4]) == (0, -3, 2)
+    with pytest.raises(ValueError, match="zero vector"):
+        vorocell.perfect._primitive([0, 0, 0])
 
 
 def test_facet_normals_are_supporting():
