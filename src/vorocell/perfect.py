@@ -18,7 +18,6 @@ kept as integer vectors.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -569,6 +568,12 @@ def automorphism_group(q: SymMatrix) -> AutomorphismGroup:
     whose stabilizer of e_k is G_{k+1}, so the generators generate G_k
     and |G_k| = |orbit| |G_{k+1}|.  Every generator is checked, as every
     witness of the search is, to satisfy U^T Q U = Q.
+
+    An element of G_k fixes e_0..e_{k-1} and keeps inner products, so
+    it sends e_k only to a v with (Q v)_i = q_ik for every i < k.  Any
+    other candidate is skipped and counted as ``candidates_cut``: its
+    search would fail in a forward check and change nothing, so the
+    generators, their order and |Aut| are the unfiltered chain's.
     """
     n = q.n
     diagonal = [q.num[k][k] for k in range(n)]
@@ -577,11 +582,15 @@ def automorphism_group(q: SymMatrix) -> AutomorphismGroup:
     fixed = [[(e, _apply(q.num, e))] for e in basis]
     generators: list[list[list[int]]] = []
     order = 1
-    searches = 0
+    searches = cut = 0
     for k in range(n - 1, -1, -1):
         orbit = {basis[k]}
+        inner = q.num[k][:k]
         for v, av in pools[diagonal[k]]:
             if v in orbit:
+                continue
+            if av[:k] != inner:
+                cut += 1
                 continue
             searches += 1
             columns = fixed[:k] + [[(v, av)]] + [pools[t] for t in diagonal[k + 1:]]
@@ -590,7 +599,7 @@ def automorphism_group(q: SymMatrix) -> AutomorphismGroup:
                 generators.append(u)
                 orbit = _orbit(basis[k], generators)
         order *= len(orbit)
-    obs.add("aut", searches=searches, generators=len(generators))
+    obs.add("aut", searches=searches, candidates_cut=cut, generators=len(generators))
     return AutomorphismGroup(generators=tuple(generators), order=order)
 
 
@@ -715,6 +724,8 @@ class Catalog:
 
     @staticmethod
     def _record_hash(core: dict) -> str:
+        import hashlib  # here, so that the commands that never hash skip loading OpenSSL
+
         blob = json.dumps(core, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -15,6 +15,7 @@ import sys
 import time
 
 import pytest
+from aut_reference import reference_automorphism_group
 from cell_helpers import to_regular
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -600,7 +601,9 @@ def test_enumerate_n6_finds_the_seven_classes_of_barnes(tmp_path):
     assert r.returncode == 0
     # one contiguity step per facet orbit: 32 orbits of 45190 facets
     counters = json.loads(r.stderr)
-    assert counters["aut"]["orbits"] == 32
+    assert counters["aut"] == {
+        "searches": 133, "candidates_cut": 1624, "generators": 37, "orbits": 32
+    }
     assert counters["neighbor"]["steps"] == 32
     assert counters["dd"]["facets"] == 45190
     summary = json.loads(r.stdout)
@@ -620,6 +623,9 @@ def test_enumerate_n6_finds_the_seven_classes_of_barnes(tmp_path):
     assert [r.automorphisms().order for r in records] == [
         10080, 46080, 103680, 96, 288, 103680, 672
     ]
+    # the same generators, in the same order, as the unfiltered chain
+    for r in records:
+        assert r.automorphisms() == reference_automorphism_group(r.integral_form)
     orbits = [sorted(collections.Counter(r.facet_orbits()).values()) for r in records]
     assert orbits == [
         [21],
@@ -746,9 +752,10 @@ def test_verbose_reports_dd_counters():
     assert dd["pairs"] >= dd["pairs_cut_popcount"] + dd["pairs_cut_adjacency"]
     assert counters["enumerate"] == {"classes": 2}
     # the stabilizer chains of A4 (|Aut| 240) and D4 (1152) find 8
-    # generators in 118 searches; under them the 10 facets of A4 form one
-    # orbit and the 64 of D4 two
-    assert counters["aut"] == {"searches": 118, "generators": 8, "orbits": 3}
+    # generators in 8 searches, after the inner-product test cut 110 of
+    # the 118 candidates; under them the 10 facets of A4 form one orbit
+    # and the 64 of D4 two
+    assert counters["aut"] == {"searches": 8, "candidates_cut": 110, "generators": 8, "orbits": 3}
     # one contiguity step per facet orbit, each settled by its first
     # LDL^T probe
     assert counters["neighbor"] == {"steps": 3, "ldlt_probes": 3}
@@ -939,6 +946,26 @@ def test_cached_parser_matches_a_fresh_one(tmp_path, monkeypatch, capsys):
     fresh = [outcome(argv) for argv in calls]
     assert shared == fresh
     assert [code for code, _, _ in shared] == [0, 2, 2, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [(["sl2", "--level", "7"], False), (["perfect", "enumerate", "--n", "3"], True)],
+    ids=["sl2", "enumerate"],
+)
+def test_only_the_catalog_loads_hashlib(argv, loaded):
+    """hashlib, and with it OpenSSL, is imported only to hash catalog
+    records, so a command that writes no catalog never loads it."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from vorocell import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        "print('hashlib' in sys.modules)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == f"{loaded}\n"
 
 
 # -- the JSON writer -----------------------------------------------------------------

@@ -39,12 +39,14 @@ from vorocell.perfect import (
     PerfectFormRecord,
     a_root_form,
     are_equivalent,
+    automorphism_group,
     enumerate_perfect_forms,
     facet_orbits,
     facets_of_cone,
     is_perfect,
     neighbor,
 )
+from aut_reference import reference_automorphism_group
 from dd_reference import reference_facets_of_cone
 from sym_helpers import add, conjugate, evaluate, identity, pair, scale
 
@@ -687,6 +689,23 @@ def test_automorphism_groups_of_the_classes(n):
         roots = record.facet_orbits()
         assert sum(Counter(roots).values()) == len(record.facets)
         assert all(roots[root] == root <= i for i, root in enumerate(roots))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_automorphism_group_matches_the_unfiltered_chain(n):
+    """The inner-product test skips only candidates whose search fails:
+    the generators, their order and |Aut| are the reference chain's, and
+    the searches it skips are the ones counted as cut."""
+    for record in enumerate_perfect_forms(n).records:
+        q = record.integral_form
+        with obs.collecting() as got_counters:
+            got = automorphism_group(q)
+        with obs.collecting() as want_counters:
+            want = reference_automorphism_group(q)
+        assert got == want
+        aut, ref = got_counters["aut"], want_counters["aut"]
+        assert aut["searches"] + aut["candidates_cut"] == ref["searches"]
+        assert aut["generators"] == ref["generators"]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
