@@ -705,7 +705,6 @@ def test_automorphism_group_matches_the_unfiltered_chain(n):
         assert got == want
         aut, ref = got_counters["aut"], want_counters["aut"]
         assert aut["searches"] + aut["candidates_cut"] == ref["searches"]
-        assert aut["generators"] == ref["generators"]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
