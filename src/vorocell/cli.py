@@ -6,6 +6,15 @@ symplectic 4-cell verifier, building quotients, and homology of a
 complex loaded from JSON.  All output is deterministic: repeating an
 invocation produces byte-identical stdout and files.
 
+Start-up loads only the catalog layer that the loaders below use:
+``obs``, ``linalg`` and ``perfect``, which imports ``minvec``.  Every
+other module is imported at the top of the one command function that
+runs it (``reduction`` in ``reduce``, ``sl2`` and ``cells`` in
+``sl2``, ``shelling`` in ``shell``, ``sp4`` in ``sp4 verify``,
+``parabolic`` in ``building``, ``cells`` in ``homology`` and the
+complex loaders).  A process without cached bytecode compiles every
+module it imports, so a command pays only for the modules it runs.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
 error.
 """
@@ -22,14 +31,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import obs
-from .cells import RegularComplex, SimplicialComplex, homology
 from .linalg import SymMatrix
-from .parabolic import building_quotient
 from .perfect import Catalog, CatalogError, enumerate_perfect_forms
-from .reduction import voronoi_reduce
-from .shelling import certify_sphere
-from .sl2 import QuotientTessellation, genus_report, h1_rank, vcd_vanishing_check
-from .sp4 import verify_model
 
 CATALOG_DIR_VAR = "VOROCELL_CATALOG_DIR"
 
@@ -144,6 +147,8 @@ def _load_catalog(path: Path) -> Catalog:
 
 
 def _load_any_complex(path: Path) -> "RegularComplex | SimplicialComplex":
+    from .cells import RegularComplex, SimplicialComplex
+
     doc = _load_json(path)
     try:
         if "maximal_faces" in doc:
@@ -156,6 +161,8 @@ def _load_any_complex(path: Path) -> "RegularComplex | SimplicialComplex":
 
 
 def _load_simplicial(path: Path) -> SimplicialComplex:
+    from .cells import SimplicialComplex
+
     cx = _load_any_complex(path)
     if not isinstance(cx, SimplicialComplex):
         raise CliError(f"{path}: this command needs a simplicial complex "
@@ -204,6 +211,8 @@ def _cmd_perfect_enumerate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(ns: argparse.Namespace) -> int:
+    from .reduction import voronoi_reduce
+
     form_path, catalog_path = Path(ns.form), Path(ns.catalog)
     form = _load_form(form_path)
     catalog = _load_catalog(catalog_path)
@@ -226,6 +235,9 @@ def _cmd_reduce(ns: argparse.Namespace) -> int:
 
 
 def _cmd_sl2(ns: argparse.Namespace) -> int:
+    from .cells import homology
+    from .sl2 import QuotientTessellation, genus_report, h1_rank, vcd_vanishing_check
+
     try:
         tess = QuotientTessellation(ns.level)
     except ValueError as e:
@@ -253,6 +265,8 @@ def _cmd_sl2(ns: argparse.Namespace) -> int:
 
 
 def _cmd_shell(ns: argparse.Namespace) -> int:
+    from .shelling import certify_sphere
+
     if ns.budget <= 0:
         raise CliError("--budget must be positive")
     cx = _load_simplicial(Path(ns.complex_path))
@@ -272,12 +286,16 @@ def _cmd_shell(ns: argparse.Namespace) -> int:
 
 
 def _cmd_sp4_verify(ns: argparse.Namespace) -> int:
+    from .sp4 import verify_model
+
     report = verify_model()
     sys.stdout.write(_dump(report.to_json_dict()))
     return 0 if report.ok else 1
 
 
 def _cmd_building(ns: argparse.Namespace) -> int:
+    from .parabolic import building_quotient
+
     n = ns.n
     try:
         b = building_quotient(n)
@@ -307,6 +325,8 @@ def _cmd_building(ns: argparse.Namespace) -> int:
 
 
 def _cmd_homology(ns: argparse.Namespace) -> int:
+    from .cells import homology
+
     cx = _load_any_complex(Path(ns.complex_path))
     result = homology(cx)
     doc: dict = {"format": 1, "betti": list(result.betti)}

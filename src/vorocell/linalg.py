@@ -4,8 +4,8 @@ Everything in this module is exact, with no floating point: the kernels
 (elimination, LDL^T, Smith form and the simplex tableau of the cone
 membership LP) and the arithmetic of symmetric matrices run in
 ``int``, and rational results are ``fractions.Fraction``.  Each job
-has one kernel: Gauss-Jordan elimination of integer rows gives pivots
-and kernels, and the fraction-free LDL^T of a form, computed once per
+has one kernel: Gauss-Jordan elimination of integer rows gives ranks
+and pivots, and the fraction-free LDL^T of a form, computed once per
 matrix and kept on it, decides positive definiteness, drives the
 minimal-vector sweep and gives the determinant as its last pivot.  The
 matrices that show up downstream live in spaces of dimension n(n+1)/2
@@ -154,19 +154,6 @@ class SymMatrix:
         """The rank-one form v v^T of an integer vector."""
         return SymMatrix._over([[a * b for b in v] for a in v], 1)
 
-    @staticmethod
-    def from_upper(n: int, coords: Sequence) -> "SymMatrix":
-        """The symmetric matrix with these upper-triangle entries, row
-        by row."""
-        coords = [_frac(x) for x in coords]
-        den = lcm(*(x.denominator for x in coords))
-        it = iter(x.numerator * (den // x.denominator) for x in coords)
-        num = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                num[i][j] = num[j][i] = next(it)
-        return SymMatrix._over(num, den)
-
     # -- read-only Fraction views ----------------------------------------------
 
     @property
@@ -229,7 +216,7 @@ def transpose(a: Sequence[Sequence]) -> list:
 
 def _eliminate(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     """Gauss-Jordan elimination of integer rows; the module's one
-    elimination loop, behind the perfection kernel, the start of double
+    elimination loop, behind the perfection test, the start of double
     description and :func:`unimodular_inverse`.
 
     Each row is first divided by its content, and each updated row
@@ -324,22 +311,6 @@ def integer_ldlt(a: SymMatrix) -> Optional[tuple[tuple[int, ...], ...]]:
 
 def is_positive_definite(a: SymMatrix) -> bool:
     return integer_ldlt(a) is not None
-
-
-def _null_space(reduced: list[list[int]], pivots: list[int], ncols: int) -> tuple:
-    """A basis of the solutions of the homogeneous system on the first
-    ``ncols`` columns of an :func:`_eliminate` result: one vector per
-    free column, 1 there, 0 on the other free columns."""
-    kernel = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row, col in zip(reduced, pivots):
-            vec[col] = Fraction(-row[f], row[col])
-        kernel.append(tuple(vec))
-    return tuple(kernel)
 
 
 # -- Smith normal form ---------------------------------------------------------

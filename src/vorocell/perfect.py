@@ -32,7 +32,6 @@ from .linalg import (
     _check_format,
     _eliminate,
     _integer,
-    _null_space,
     integer_ldlt,
 )
 from . import obs
@@ -50,15 +49,6 @@ class CatalogError(ValueError):
 # -- perfection ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PerfectionResult:
-    perfect: bool
-    kernel: tuple[SymMatrix, ...]  # directions left free when not perfect
-
-    def __bool__(self) -> bool:
-        return self.perfect
-
-
 def _value_row(m: Sequence[int], n: int) -> list[int]:
     """Coefficients of z -> m^T Z m in the upper-triangle coordinates."""
     row = []
@@ -68,12 +58,11 @@ def _value_row(m: Sequence[int], n: int) -> list[int]:
     return row
 
 
-def is_perfect(q: SymMatrix, min_data: Optional[MinData] = None) -> PerfectionResult:
-    """Rank test of the minimal-vector value system, with kernel certificate.
+def is_perfect(q: SymMatrix, min_data: Optional[MinData] = None) -> bool:
+    """Rank test of the minimal-vector value system.
 
     One elimination of the augmented system [value rows | mu] decides
-    it: q is perfect when the value rows have full rank n(n+1)/2.  The
-    kernel, the directions left free, is built only when they do not.
+    it: q is perfect when the value rows have full rank n(n+1)/2.
 
     ``min_data``, when given, must be :func:`minimal_vectors` of q, whose
     enumeration already proved q positive definite; without it that
@@ -82,14 +71,9 @@ def is_perfect(q: SymMatrix, min_data: Optional[MinData] = None) -> PerfectionRe
     md = min_data if min_data is not None else minimal_vectors(q)
     dim = q.n * (q.n + 1) // 2
     p, d = md.mu.numerator, md.mu.denominator  # rows scaled by d: (d * row) . z = p
-    reduced, pivots = _eliminate(
-        [d * x for x in _value_row(m, q.n)] + [p] for m in md.vectors
-    )
+    _, pivots = _eliminate([d * x for x in _value_row(m, q.n)] + [p] for m in md.vectors)
     assert dim not in pivots  # q itself always solves its own system
-    if len(pivots) == dim:
-        return PerfectionResult(perfect=True, kernel=())
-    kernel = tuple(SymMatrix.from_upper(q.n, vec) for vec in _null_space(reduced, pivots, dim))
-    return PerfectionResult(perfect=False, kernel=kernel)
+    return len(pivots) == dim
 
 
 # -- domain cones and their facets ---------------------------------------------
@@ -288,7 +272,7 @@ class PerfectFormRecord:
         if self._perfect:
             return
         obs.add("classify", perfection_tests=1)
-        if not is_perfect(self.integral_form, self.min_data).perfect:
+        if not is_perfect(self.integral_form, self.min_data):
             raise ValueError("form is not perfect")
         self._perfect = True
 

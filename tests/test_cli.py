@@ -948,24 +948,49 @@ def test_cached_parser_matches_a_fresh_one(tmp_path, monkeypatch, capsys):
     assert [code for code, _, _ in shared] == [0, 2, 2, 0, 0]
 
 
+# the modules that load with vorocell.cli: the catalog layer its loaders use
+CATALOG_LAYER = ["cli", "linalg", "minvec", "obs", "perfect"]
+
+
 @pytest.mark.parametrize(
-    "argv, loaded",
-    [(["sl2", "--level", "7"], False), (["perfect", "enumerate", "--n", "3"], True)],
-    ids=["sl2", "enumerate"],
+    "argv, hashed, modules",
+    [
+        (None, False, []),
+        (["perfect", "enumerate", "--n", "3"], True, []),
+        (["reduce", "--form", "{tmp}/form.json", "--catalog", "{tmp}/cat.json"], True,
+         ["reduction"]),
+        (["sl2", "--level", "7"], False, ["cells", "sl2"]),
+        (["shell", "--complex", "{tmp}/sphere.json"], False, ["cells", "shelling"]),
+        (["homology", "--complex", "{tmp}/sphere.json"], False, ["cells"]),
+        (["building", "--n", "3"], False, ["cells", "parabolic"]),
+        (["sp4", "verify"], False, ["sp4"]),
+    ],
+    ids=["import", "enumerate", "reduce", "sl2", "shell", "homology", "building", "sp4"],
 )
-def test_only_the_catalog_loads_hashlib(argv, loaded):
-    """hashlib, and with it OpenSSL, is imported only to hash catalog
-    records, so a command that writes no catalog never loads it."""
-    code = (
-        "import contextlib, io, sys\n"
-        "from vorocell import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.main({argv!r}) == 0\n"
+def test_only_the_catalog_loads_hashlib(tmp_path, argv, hashed, modules):
+    """A command loads only the modules it runs: start-up imports the
+    catalog layer, and each command imports the rest of what it needs.
+    hashlib, and with it OpenSSL, is imported only to hash catalog
+    records, so a command that reads or writes no catalog never loads
+    it."""
+    (tmp_path / "form.json").write_text(json.dumps({"n": 2, "rows": [["2", "1"], ["1", "2"]]}))
+    (tmp_path / "cat.json").write_text(json.dumps(enumerate_perfect_forms(2).to_json_dict()))
+    write_complex(tmp_path / "sphere.json", OCTAHEDRON)
+    code = "import contextlib, io, sys\nfrom vorocell import cli\n"
+    if argv is not None:
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code += (
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n"
+        )
+    code += (
         "print('hashlib' in sys.modules)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('vorocell.')))\n"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
     assert r.returncode == 0, r.stderr
-    assert r.stdout == f"{loaded}\n"
+    loaded = sorted(f"vorocell.{m}" for m in CATALOG_LAYER + modules)
+    assert r.stdout == f"{hashed}\n{loaded}\n"
 
 
 # -- the JSON writer -----------------------------------------------------------------

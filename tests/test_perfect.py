@@ -48,7 +48,16 @@ from vorocell.perfect import (
 )
 from aut_reference import reference_automorphism_group
 from dd_reference import reference_facets_of_cone
-from sym_helpers import add, conjugate, evaluate, identity, pair, scale
+from sym_helpers import (
+    add,
+    conjugate,
+    evaluate,
+    from_upper,
+    identity,
+    pair,
+    perfection_kernel,
+    scale,
+)
 
 
 # -- oracle 1: perfection as a rank condition -------------------------------
@@ -152,12 +161,13 @@ def test_perfection_matches_rank_oracle_on_scaled_forms():
 
 
 def test_perfection_result_kernel_spans_violations():
-    res = is_perfect(identity(2))
-    assert not res.perfect
-    assert res.kernel
+    assert is_perfect(identity(2)) is False
+    kernel = perfection_kernel(identity(2))
+    assert kernel
     md = minimal_vectors(identity(2))
-    for z in res.kernel:
+    for z in kernel:
         assert all(evaluate(z, m) == 0 for m in md.vectors)
+    assert perfection_kernel(a_root_form(2)) == ()
 
 
 # -- domain cones and facets ---------------------------------------------------
@@ -289,7 +299,7 @@ def test_facet_normals_are_supporting():
         for facet in record.facets:
             assert all(type(x) is int for x in facet.normal)
             assert gcd(*facet.normal) == 1
-            normal = SymMatrix.from_upper(record.n, facet.normal)
+            normal = from_upper(record.n, facet.normal)
             values = [pair(normal, r) for r in rays]
             assert all(v >= 0 for v in values)
             zero = frozenset(i for i, v in enumerate(values) if v == 0)
@@ -335,7 +345,7 @@ def reference_neighbor(record, facet):
     arithmetic on ``SymMatrix`` values: (form, LDL^T probes)."""
     q = record.integral_form
     mu = record.min_data.mu
-    r = SymMatrix.from_upper(q.n, facet.normal)
+    r = from_upper(q.n, facet.normal)
     old = set(record.min_data.vectors)
     lo, step = Fraction(0), Fraction(1)
     for probes in range(1, 201):
