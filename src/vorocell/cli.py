@@ -347,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "and arithmetic quotients.",
     )
     parser.add_argument(
-        "-v", "--verbose", action="count", default=0,
+        "-v", "--verbose", action="store_true",
         help="print the run's counters as one JSON line on stderr",
     )
     sub = parser.add_subparsers(dest="command", required=True)

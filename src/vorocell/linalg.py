@@ -5,12 +5,14 @@ Everything in this module is exact, with no floating point: the kernels
 membership LP) and the arithmetic of symmetric matrices run in
 ``int``, and rational results are ``fractions.Fraction``.  Each job
 has one kernel: Gauss-Jordan elimination of integer rows gives ranks
-and pivots, and the fraction-free LDL^T of a form, computed once per
+and pivots; the fraction-free LDL^T of a form, computed once per
 matrix and kept on it, decides positive definiteness, drives the
-minimal-vector sweep and gives the determinant as its last pivot.  The
-matrices that show up downstream live in spaces of dimension n(n+1)/2
-for n <= 8, so simple dense algorithms are fine and determinism matters
-more than speed.
+minimal-vector sweep and gives the determinant as its last pivot;
+least-entry pivoting gives the invariant factors of the Smith form;
+and a phase-1 simplex decides cone membership.  The matrices that show
+up downstream live in spaces of dimension n(n+1)/2 for n <= 8, so
+simple dense algorithms are fine and determinism matters more than
+speed.
 
 Conventions:
 
@@ -320,79 +322,45 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Invariant factors, positive and each dividing the next; there are
     as many as the rank.
 
-    Pivot choice: the nonzero entry of minimal absolute value, ties
-    broken by smallest row then column index, which keeps runs
-    reproducible and entry growth tame.
+    Least-entry pivoting (Munkres, *Elements of Algebraic Topology*,
+    section 11).  Each pass takes as pivot a nonzero entry of least
+    absolute value, ties broken by smallest row then column index, and
+    reduces every other row and column by it with the floor quotient.
+    A remainder left is smaller than the pivot, so the next pass picks
+    it.  Once the pivot's row and column are clear, a pivot that does
+    not divide some other entry gets the first row holding one added to
+    its own row; a pivot that divides every entry is the next factor,
+    and its row and column are deleted.
     """
     work = [[int(x) for x in row] for row in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
     factors: list[int] = []
-    top = 0
     while True:
-        best = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                v = abs(work[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-                    if v == 1:
-                        break
-            if best and best[0] == 1:
-                break
-        if best is None:
-            break
-        _, bi, bj = best
-        work[top], work[bi] = work[bi], work[top]
-        for row in work:
-            row[top], row[bj] = row[bj], row[top]
-        # clear the pivot row and column; restart if a remainder shrinks the pivot
-        while True:
-            pivot = work[top][top]
-            dirty = False
-            for i in range(top + 1, nrows):
-                if work[i][top]:
-                    q = work[i][top] // pivot
-                    if q:
-                        work[i] = [x - q * y for x, y in zip(work[i], work[top])]
-                    if work[i][top]:
-                        work[top], work[i] = work[i], work[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(top + 1, ncols):
-                if work[top][j]:
-                    q = work[top][j] // pivot
-                    if q:
-                        for row in work:
-                            row[j] -= q * row[top]
-                    if work[top][j]:
-                        for row in work:
-                            row[top], row[j] = row[j], row[top]
-                        dirty = True
-                        break
-            if not dirty:
-                break
-        # the pivot must divide everything below-right; if not, fold the
-        # offending row in and re-reduce
-        pivot = work[top][top]
-        offender = None
-        for i in range(top + 1, nrows):
-            for j in range(top + 1, ncols):
-                if work[i][j] % pivot:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            work[top] = [x + y for x, y in zip(work[top], work[offender])]
+        entries = [(abs(x), i, j) for i, row in enumerate(work) for j, x in enumerate(row) if x]
+        if not entries:
+            return tuple(factors)
+        _, pi, pj = min(entries)
+        prow = work[pi]
+        p = prow[pj]
+        others = work[:pi] + work[pi + 1 :]
+        for row in others:
+            q = row[pj] // p
+            if q:
+                row[:] = [x - q * y for x, y in zip(row, prow)]
+        for j, x in enumerate(prow):
+            q = x // p
+            if q and j != pj:
+                for row in work:
+                    row[j] -= q * row[pj]
+        if any(row[pj] for row in others) or any(prow[:pj] + prow[pj + 1 :]):
             continue
-        factors.append(abs(pivot))
-        top += 1
-        if top == nrows or top == ncols:
-            break
-    return tuple(factors)
+        offender = next((row for row in others if any(x % p for x in row)), None)
+        if offender is not None:
+            prow[:] = [x + y for x, y in zip(prow, offender)]
+            continue
+        factors.append(abs(p))
+        del work[pi]
+        for row in work:
+            del row[pj]
 
 
 # -- exact LP: membership in a finitely generated cone ------------------------

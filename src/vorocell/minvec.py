@@ -37,10 +37,7 @@ def canonical_sign(v: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def is_primitive(v: tuple[int, ...]) -> bool:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g == 1
+    return gcd(*v) == 1
 
 
 def vectors_below(q: SymMatrix, bound: int) -> list[tuple[tuple[int, ...], int]]:

@@ -7,13 +7,14 @@ elimination is checked against an independent implementation.
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from vorocell import linalg
 from vorocell.linalg import (
@@ -59,7 +60,7 @@ def sympy_det(rows):
 def sympy_smith_factors(rows):
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-    d = sympy_snf(sympy.Matrix(rows))
+    d = sympy_snf(sympy.Matrix(len(rows), len(rows[0]) if rows else 0, sum(rows, [])))
     diag = [abs(d[i, i]) for i in range(min(d.rows, d.cols))]
     return [int(x) for x in diag if x != 0]
 
@@ -292,10 +293,41 @@ def test_eliminate_and_null_space_match_sympy(rows):
         assert sympy_matrix(list(kernel) + expect_kernel).rank() == len(kernel)
 
 
-@given(int_matrix(4, 3))
-@settings(max_examples=60)
+@st.composite
+def smith_matrices(draw):
+    """Integer matrices of shape 0-8 x 0-8, with up to two rows and two
+    columns zeroed."""
+    nrows = draw(st.integers(min_value=0, max_value=8))
+    ncols = draw(st.integers(min_value=0, max_value=8))
+    rows = draw(int_matrix(nrows, ncols))
+    zero_rows = draw(st.sets(st.integers(min_value=0, max_value=7), max_size=2))
+    zero_cols = draw(st.sets(st.integers(min_value=0, max_value=7), max_size=2))
+    return [
+        [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+
+
+@given(smith_matrices())
+@settings(max_examples=150)
+@example([])
+@example([[], []])
+@example([[0, 0, 0], [0, 0, 0]])
 def test_smith_factors_match_sympy(rows):
     assert list(smith_normal_form(rows)) == sympy_smith_factors(rows)
+
+
+@pytest.mark.parametrize("seed", [6, 15])
+def test_smith_factors_of_dense_40x40(seed):
+    # full rank; all factors are 1 but the last, which has 35 or 36 digits
+    rng = random.Random(seed)
+    rows = [[rng.randint(-3, 3) for _ in range(40)] for _ in range(40)]
+    factors = smith_normal_form(rows)
+    matrix = sympy.Matrix(rows)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    # Matrix.rank() simplifies every pivot and takes minutes at this size
+    assert len(factors) == DomainMatrix.from_Matrix(matrix).rank()
+    assert prod(factors) == abs(matrix.det())
 
 
 def test_positive_definite_detection():
