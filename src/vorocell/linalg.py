@@ -9,10 +9,11 @@ and pivots; the fraction-free LDL^T of a form, computed once per
 matrix and kept on it, decides positive definiteness, drives the
 minimal-vector sweep and gives the determinant as its last pivot;
 least-entry pivoting gives the invariant factors of the Smith form;
-and a phase-1 simplex decides cone membership.  The matrices that show
-up downstream live in spaces of dimension n(n+1)/2 for n <= 8, so
-simple dense algorithms are fine and determinism matters more than
-speed.
+and a phase-1 simplex on integer columns and one integer right-hand
+side over one positive scale decides cone membership.  The matrices
+that show up downstream live in spaces of dimension n(n+1)/2 for
+n <= 8, so simple dense algorithms are fine and determinism matters
+more than speed.
 
 Conventions:
 
@@ -27,7 +28,6 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite, lcm
 from operator import mul
@@ -366,39 +366,31 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
 # -- exact LP: membership in a finitely generated cone ------------------------
 
 
-@dataclass(frozen=True)
-class ConeMembership:
-    """A certificate sum_i lambda_i ray_i = target with lambda >= 0."""
-
-    coefficients: tuple
-    support: frozenset
-
-
-def _simplex_phase1(
-    columns: list[list[int]], col_scale: list[int], rhs: list[int], rhs_scale: int
+def cone_membership(
+    columns: Sequence[Sequence[int]], rhs: Sequence[int], scale: int
 ) -> Optional[list[Fraction]]:
-    """Minimize the sum of artificial variables for A x = b, x >= 0,
-    where column j of A is ``columns[j] / col_scale[j]`` and b is
-    ``rhs / rhs_scale``, all scales positive.
+    """Decide whether b = ``rhs / scale``, for a positive ``scale``, lies
+    in the closed cone of the integer ``columns``: the phase-1 simplex of
+    A x = b, x >= 0, with column j of A equal to ``columns[j]``.
 
     Bland's smallest-index rule throughout (both entering and leaving),
-    starting from the all-artificial basis, so the run — and therefore
-    the certificate it produces — is canonical for a given input order.
-    Returns the structural solution x, or None when the optimum is
-    positive (the system has no nonnegative solution).
+    starting from the all-artificial basis, so the run -- and therefore
+    the certificate it produces -- is canonical for a given input order.
+    Returns the nonnegative solution x as ``Fraction``, or None when the
+    optimum is positive (b is outside the cone); the empty combination
+    certifies b = 0.
 
     The tableau is fraction-free (Edmonds, Bareiss): it starts from the
-    integer columns s_j A_j and the integer right-hand side t b, and the
-    integer rows T stand for the tableau T / d with d the last pivot
-    (initially 1).  Pivoting on p = T[l][e] > 0
-    replaces every other row r, the cost row included, by
-    (p T[r] - T[r][e] T[l]) / d, an exact division, and sets d = p; the
-    entries stay minors of the scaled system.  The scalings keep Bland's
-    pivots: a column scaled by s_j > 0 has its reduced cost scaled by
-    s_j, so the first negative one is the same column, and scaling b by
-    t and the entering column by s_e multiplies every ratio of the
-    ratio test by t / s_e > 0, which keeps their order and their ties.
-    x_j = s_j x'_j / t undoes the scaling of the solution x' found.
+    integer columns and the integer right-hand side t b, t = ``scale``,
+    and the integer rows T stand for the tableau T / d with d the last
+    pivot (initially 1).  Pivoting on p = T[l][e] > 0 replaces every
+    other row r, the cost row included, by (p T[r] - T[r][e] T[l]) / d,
+    an exact division, and sets d = p; the entries stay minors of the
+    scaled system.  The scale keeps Bland's pivots: no reduced cost
+    reads the right-hand side, and scaling it by t > 0 multiplies every
+    ratio of the ratio test by t, which keeps their order and their
+    ties.  So ``rhs`` and ``scale`` may share a factor, and x = x' / t
+    for the solution x' found.
     """
     m = len(rhs)
     nstruct = len(columns)
@@ -452,32 +444,5 @@ def _simplex_phase1(
     x = [Fraction(0)] * nstruct
     for r, var in enumerate(basis):
         if var < nstruct:
-            x[var] = Fraction(tableau[r][-1] * col_scale[var], d * rhs_scale)
+            x[var] = Fraction(tableau[r][-1], d * scale)
     return x
-
-
-def cone_membership(rays: Sequence[SymMatrix], target: SymMatrix) -> Optional[ConeMembership]:
-    """Decide target in cone(rays) inside the space of symmetric matrices.
-
-    Returns nonnegative rational coefficients with support (indices of
-    the strictly positive ones), or None when the target is outside.
-    Membership is meant in the closed cone; the empty combination
-    certifies the zero matrix.
-    """
-    if not rays:
-        raise ValueError("need at least one ray")
-    n = rays[0].n
-    if target.n != n or any(r.n != n for r in rays):
-        raise ValueError("all matrices must share a dimension")
-    upper = [(i, j) for i in range(n) for j in range(i, n)]
-    x = _simplex_phase1(
-        [[r.num[i][j] for i, j in upper] for r in rays],
-        [r.den for r in rays],
-        [target.num[i][j] for i, j in upper],
-        target.den,
-    )
-    if x is None:
-        return None
-    return ConeMembership(
-        coefficients=tuple(x), support=frozenset(i for i, v in enumerate(x) if v > 0)
-    )

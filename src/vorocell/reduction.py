@@ -15,7 +15,8 @@ leaves alone, so each crossing is an integer conjugation and each
 facet test an integer dot product.  The final certificate pushes the
 target toward the sum of its face's rays by 2^-k, with the least k read
 off the facet values the walk already holds, and solves one
-cone-membership LP there on the fraction-free tableau of ``linalg``.
+cone-membership LP there, in the walk's integers, on the
+fraction-free tableau of ``linalg``.
 """
 
 from __future__ import annotations
@@ -116,16 +117,18 @@ def _positive_certificate(
             k = max(k, e + ((a << e) < b))
     if k >= 64:
         raise WalkDivergenceError("no strictly positive certificate on the face")
-    # y / den - total / 2^k, over the denominator 2^k * den
-    shifted = SymMatrix._over(
-        [[(a << k) - den * t for a, t in zip(row, trow)] for row, trow in zip(y, total)],
+    # the upper triangles of the rays q(v) and of y / den - total / 2^k,
+    # the latter over the denominator 2^k * den
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    coefficients = cone_membership(
+        [[v[i] * v[j] for i, j in upper] for v in vectors],
+        [(y[i][j] << k) - den * total[i][j] for i, j in upper],
         den << k,
     )
-    member = cone_membership([SymMatrix.rank_one(v) for v in vectors], shifted)
-    if member is None:
+    if coefficients is None:
         raise WalkDivergenceError("no strictly positive certificate on the face")
     eps = Fraction(1, 1 << k)
-    return tuple(c + eps for c in member.coefficients), k
+    return tuple(c + eps for c in coefficients), k
 
 
 def _pairing_coordinates(y: Sequence[Sequence[int]]) -> list[int]:

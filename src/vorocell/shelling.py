@@ -98,11 +98,13 @@ class _SearchState:
     all of it.  The glue sets and the facets, as frozensets, stay sets,
     for that containment test.
 
-    The facets come in ``maximal_faces`` order, which is sorted.  The
-    frontier is a lazy heap of ``(-len(glue[i]), i)`` entries, with a
-    ``parked`` list beside it.  Every live facet -- unused, with
-    nonempty glue -- has an entry carrying its current key either on
-    the heap or parked, and the parked ones are invalid steps.
+    The facets come in ``maximal_faces`` order, which is sorted, and
+    ``sorted_facets`` is the complex's ``maximal_faces`` itself, whose
+    facets are already sorted tuples.  The frontier is a lazy heap of
+    ``(-len(glue[i]), i)`` entries, with a ``parked`` list beside it.
+    Every live facet -- unused, with nonempty glue -- has an entry
+    carrying its current key either on the heap or parked, and the
+    parked ones are invalid steps.
     ``place`` pushes a fresh entry for every facet in its glue log;
     ``unplace`` does the same, plus one for the facet it returns to the
     pool, and moves the parked entries back onto the heap.  An entry
@@ -121,9 +123,9 @@ class _SearchState:
     facet is a legal start, in index order.
     """
 
-    def __init__(self, facets: list[frozenset[int]]) -> None:
-        self.facets = facets
-        self.sorted_facets = [tuple(sorted(f)) for f in facets]
+    def __init__(self, c: SimplicialComplex) -> None:
+        self.facets = facets = _facet_list(c)
+        self.sorted_facets = c.maximal_faces
         self.ridges, self.facet_ridges, self.sides = _ridge_table(self.sorted_facets)
         self.glue: list[set[int]] = [set() for _ in facets]
         self.used: list[bool] = [False] * len(facets)
@@ -238,13 +240,13 @@ def find_shelling(
     exhausted inside the budget; running out of budget yields
     "unknown".
 
-    ``c`` may also be a fresh ``_SearchState`` of a complex's facets:
+    ``c`` may also be a fresh ``_SearchState`` of the complex:
     ``certify_sphere`` passes the one whose ridge table it has read, so
     the table is built once per certificate.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    state = c if isinstance(c, _SearchState) else _SearchState(_facet_list(c))
+    state = c if isinstance(c, _SearchState) else _SearchState(c)
     facets = state.facets
     nodes = 0
     # one frame per placed facet: (facet, glue log, attachment, its
@@ -338,7 +340,7 @@ def certify_sphere(c: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Sphere
     unknown.
     """
     try:
-        state = _SearchState(_facet_list(c))
+        state = _SearchState(c)
     except ValueError as e:
         return SphereCertificate("not-pseudomanifold", None, str(e), 0)
     sides = state.sides  # the search reads the same ridge table

@@ -1,14 +1,14 @@
 """``SymMatrix`` operations that only the tests use: the identity,
 sums, rational multiples, the value at a vector, the trace pairing, the
 upper-triangle coordinates and back, congruence by an integer matrix,
-and the null space of an elimination with the perfection kernel built
-from it."""
+cone membership of symmetric matrices, and the null space of an
+elimination with the perfection kernel built from it."""
 
 from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from vorocell.linalg import SymMatrix, _eliminate, _frac, mat_mul, transpose
+from vorocell.linalg import SymMatrix, _eliminate, _frac, cone_membership, mat_mul, transpose
 from vorocell.minvec import minimal_vectors
 from vorocell.perfect import _value_row
 
@@ -76,6 +76,20 @@ def from_upper(n: int, coords) -> SymMatrix:
         for j in range(i, n):
             num[i][j] = num[j][i] = next(it)
     return SymMatrix._over(num, den)
+
+
+def membership(rays, target: SymMatrix):
+    """``cone_membership`` of ``target`` in the cone of the integral
+    ``rays``, in upper-triangle coordinates: each ray's integer entries
+    are a column, and the target's integer entries over its denominator
+    are the right-hand side."""
+    n = target.n
+    coords = [(i, j) for i in range(n) for j in range(i, n)]
+    return cone_membership(
+        [[r.num[i][j] for i, j in coords] for r in rays],
+        [target.num[i][j] for i, j in coords],
+        target.den,
+    )
 
 
 def null_space(reduced, pivots, ncols: int) -> tuple:

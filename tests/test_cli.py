@@ -218,6 +218,16 @@ def test_bad_budget_is_exit_two(tmp_path):
     assert "--budget" in r.stderr
 
 
+def test_budget_default_is_the_search_default():
+    """``shell`` without ``--budget`` searches with the module's default;
+    ``cli`` writes the number itself so that start-up need not import
+    ``shelling``."""
+    from vorocell import cli, shelling
+
+    ns = cli._build_parser().parse_args(["shell", "--complex", "sphere.json"])
+    assert ns.budget == shelling.DEFAULT_BUDGET
+
+
 def test_low_level_is_exit_two():
     r = run("sl2", "--level", "2")
     assert r.returncode == 2

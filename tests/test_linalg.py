@@ -32,6 +32,7 @@ from sym_helpers import (
     evaluate,
     from_upper,
     identity,
+    membership,
     null_space,
     pair,
     scale,
@@ -415,24 +416,56 @@ def test_integer_ldlt_is_computed_once_per_matrix():
     assert not hasattr(scale(a, 2), "_ldlt") and not hasattr(add(a, indefinite), "_ldlt")
 
 
+def support(coefficients):
+    """The indices of the strictly positive coefficients."""
+    return frozenset(i for i, c in enumerate(coefficients) if c > 0)
+
+
 def test_cone_membership_interior_and_outside():
     rays = [SymMatrix.rank_one(v) for v in [(1, 0), (0, 1), (1, 1)]]
-    inside = cone_membership(rays, SymMatrix([[2, 1], [1, 2]]))
+    inside = membership(rays, SymMatrix([[2, 1], [1, 2]]))
     assert inside is not None
-    assert inside.support == frozenset({0, 1, 2})
+    assert support(inside) == frozenset({0, 1, 2})
     total = scale(identity(2), 0)
-    for c, r in zip(inside.coefficients, rays):
+    for c, r in zip(inside, rays):
         total = add(total, scale(r, c))
     assert total.rows == SymMatrix([[2, 1], [1, 2]]).rows
-    outside = cone_membership(rays, SymMatrix([[2, -1], [-1, 2]]))
+    outside = membership(rays, SymMatrix([[2, -1], [-1, 2]]))
     assert outside is None
 
 
 def test_cone_membership_boundary_support():
     rays = [SymMatrix.rank_one(v) for v in [(1, 0), (0, 1), (1, 1)]]
-    face = cone_membership(rays, SymMatrix([[1, 0], [0, 1]]))
+    face = membership(rays, SymMatrix([[1, 0], [0, 1]]))
     assert face is not None
-    assert face.support == frozenset({0, 1})
+    assert support(face) == frozenset({0, 1})
+
+
+# the upper triangles of the rays q(1, 0), q(0, 1), q(1, 1)
+PLANE_RAYS = [[1, 0, 0], [0, 0, 1], [1, 1, 1]]
+# a tie in a later ratio test, where the first tied row does not hold
+# the basic variable of least index
+TIED_COLUMNS = [[0, 2, -1], [-1, 0, 1], [1, 2, -1], [1, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "columns, rhs, s, expected",
+    [
+        (PLANE_RAYS, [2, 1, 2], 3, [Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)]),
+        (PLANE_RAYS, [2, -1, 2], 1, None),
+        (PLANE_RAYS, [2, -1, 2], 5, None),
+        (TIED_COLUMNS, [1, 2, 1], 1, [Fraction(1), Fraction(1, 2), Fraction(0), Fraction(3, 2)]),
+        (TIED_COLUMNS, [1, 2, 1], 4, [Fraction(1, 4), Fraction(1, 8), Fraction(0), Fraction(3, 8)]),
+    ],
+    ids=["interior", "outside", "outside-over-5", "tied-ratio", "tied-ratio-over-4"],
+)
+@pytest.mark.parametrize("g", [2, 3, 12])
+def test_cone_membership_is_scale_invariant(columns, rhs, s, expected, g):
+    """A right-hand side and scale sharing a factor g give the same
+    coefficients: the certificate passes the pushed target over
+    den * 2^k without taking out their common factor."""
+    assert cone_membership(columns, rhs, s) == expected
+    assert cone_membership(columns, [g * b for b in rhs], g * s) == expected
 
 
 # -- the phase-1 simplex against its Fraction reference --------------------------
@@ -498,16 +531,18 @@ def reference_simplex_phase1(columns, rhs):
 
 
 def simplex_on_fractions(columns, rhs):
-    """``linalg._simplex_phase1`` on ``Fraction`` columns and right-hand
-    side, each cleared of denominators by the lcm of its own."""
-
-    def cleared(xs):
-        s = lcm(*(x.denominator for x in xs))
-        return [x.numerator * (s // x.denominator) for x in xs], s
-
-    pairs = [cleared(col) for col in columns]
-    b, t = cleared(rhs)
-    return linalg._simplex_phase1([c for c, _ in pairs], [s for _, s in pairs], b, t)
+    """``cone_membership`` on ``Fraction`` columns and right-hand side.
+    The columns are cleared of denominators by one common lcm s, and the
+    right-hand side by the lcm t of its own.  Scaling every column by s
+    scales every reduced cost by s and every ratio of the ratio test by
+    1 / s, which keeps Bland's pivots, and a solution x' of the cleared
+    columns gives x = s x'."""
+    s = lcm(*(x.denominator for col in columns for x in col))
+    t = lcm(*(x.denominator for x in rhs))
+    x = cone_membership(
+        [[int(v * s) for v in col] for col in columns], [int(b * t) for b in rhs], t
+    )
+    return None if x is None else [s * v for v in x]
 
 
 lp_entries = st.one_of(
@@ -558,6 +593,17 @@ def test_fraction_free_simplex_breaks_ratio_ties_by_basis():
     expected = [Fraction(1), Fraction(1, 2), Fraction(0), Fraction(3, 2)]
     assert reference_simplex_phase1(columns, rhs) == expected
     assert simplex_on_fractions(columns, rhs) == expected
+
+
+@given(lp_systems(), st.integers(2, 30))
+@settings(max_examples=100, deadline=None)
+def test_cone_membership_is_scale_invariant_on_random_systems(system, g):
+    columns, rhs = system
+    s = lcm(*(x.denominator for col in columns for x in col))
+    t = lcm(*(x.denominator for x in rhs))
+    cleared = [[int(v * s) for v in col] for col in columns]
+    b = [int(x * t) for x in rhs]
+    assert cone_membership(cleared, [g * x for x in b], g * t) == cone_membership(cleared, b, t)
 
 
 def test_serialization_round_trip():

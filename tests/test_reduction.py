@@ -14,7 +14,7 @@ import pytest
 import sympy
 
 from vorocell import reduction
-from vorocell.linalg import SymMatrix, cone_membership, is_positive_definite, mat_mul, transpose
+from vorocell.linalg import SymMatrix, is_positive_definite, mat_mul, transpose
 from vorocell.perfect import Catalog, enumerate_perfect_forms
 from vorocell.reduction import (
     WalkDivergenceError,
@@ -23,7 +23,7 @@ from vorocell.reduction import (
     reduce_with_trace,
     voronoi_reduce,
 )
-from sym_helpers import add, conjugate, identity, scale
+from sym_helpers import add, conjugate, identity, membership, scale
 
 
 def reconstructs(x: SymMatrix, result, catalog) -> bool:
@@ -210,9 +210,9 @@ def halving_certificate(vectors, y, den):
         shifted = SymMatrix(
             [[Fraction(a, den) - eps * t for a, t in zip(row, trow)] for row, trow in zip(y, total)]
         )
-        member = cone_membership(rays, shifted)
+        member = membership(rays, shifted)
         if member is not None:
-            return tuple(c + eps for c in member.coefficients), k
+            return tuple(c + eps for c in member), k
     raise WalkDivergenceError("no strictly positive certificate on the face")
 
 

@@ -436,8 +436,7 @@ def test_snapshot_includes_parked_facets(c):
     search takes its snapshots just after ``unplace`` has moved the
     parked entries back onto the heap, so this checks ``candidates``
     directly."""
-    facets = shelling._facet_list(c)
-    state, ref = shelling._SearchState(facets), RescanState(facets)
+    state, ref = shelling._SearchState(c), RescanState(shelling._facet_list(c))
     while (idx := state.next_step()) is not None:
         state.place(idx)
         ref.place(idx)
