@@ -530,18 +530,23 @@ def reference_simplex_phase1(columns, rhs):
     return x
 
 
-def simplex_on_fractions(columns, rhs):
-    """``cone_membership`` on ``Fraction`` columns and right-hand side.
-    The columns are cleared of denominators by one common lcm s, and the
-    right-hand side by the lcm t of its own.  Scaling every column by s
-    scales every reduced cost by s and every ratio of the ratio test by
-    1 / s, which keeps Bland's pivots, and a solution x' of the cleared
-    columns gives x = s x'."""
+def cleared(columns, rhs):
+    """``(columns', rhs', t, s)``: the ``Fraction`` columns times one
+    common lcm s of their denominators and the right-hand side times the
+    lcm t of its own, in integers."""
     s = lcm(*(x.denominator for col in columns for x in col))
     t = lcm(*(x.denominator for x in rhs))
-    x = cone_membership(
-        [[int(v * s) for v in col] for col in columns], [int(b * t) for b in rhs], t
-    )
+    return [[int(v * s) for v in col] for col in columns], [int(b * t) for b in rhs], t, s
+
+
+def simplex_on_fractions(columns, rhs):
+    """``cone_membership`` on ``Fraction`` columns and right-hand side,
+    cleared of denominators.  Scaling every column by one s > 0 scales
+    every reduced cost by s and every ratio of the ratio test by 1 / s,
+    which keeps Bland's pivots, and a solution x' of the cleared columns
+    gives x = s x'."""
+    cols, b, t, s = cleared(columns, rhs)
+    x = cone_membership(cols, b, t)
     return None if x is None else [s * v for v in x]
 
 
@@ -598,12 +603,8 @@ def test_fraction_free_simplex_breaks_ratio_ties_by_basis():
 @given(lp_systems(), st.integers(2, 30))
 @settings(max_examples=100, deadline=None)
 def test_cone_membership_is_scale_invariant_on_random_systems(system, g):
-    columns, rhs = system
-    s = lcm(*(x.denominator for col in columns for x in col))
-    t = lcm(*(x.denominator for x in rhs))
-    cleared = [[int(v * s) for v in col] for col in columns]
-    b = [int(x * t) for x in rhs]
-    assert cone_membership(cleared, [g * x for x in b], g * t) == cone_membership(cleared, b, t)
+    cols, b, t, _ = cleared(*system)
+    assert cone_membership(cols, [g * x for x in b], g * t) == cone_membership(cols, b, t)
 
 
 def test_serialization_round_trip():
