@@ -5,9 +5,10 @@ Both kinds give their boundaries in one integer form, ``cells(d)``:
 each d-cell's signed faces as ``(index in dimension d-1, sign)`` pairs.
 A regular complex stores them per dimension beside its sorted cell ids;
 builders make it correct by construction, and a loaded document is
-checked once, for consistent faces and the chain condition (the
-boundary of a boundary vanishes).  A simplicial complex builds them on
-each call from its sorted integer faces, numbered in ``faces()`` order.
+checked once, as the loader numbers its cells, for consistent faces and
+the chain condition (the boundary of a boundary vanishes).  A
+simplicial complex builds them on each call from its sorted integer
+faces, numbered in ``faces()`` order.
 ``homology`` and ``barycentric_subdivision`` read only ``f_vector()``
 and ``cells(d)``.
 
@@ -46,8 +47,9 @@ class RegularComplex:
     ``ids[d]`` lists the ids of the d-cells in sorted order, and
     ``faces[d][j]`` is the boundary of cell ``ids[d][j]``: its ``(index
     in dimension d-1, sign)`` pairs, in the order the cell lists them.
-    The constructor trusts its arguments.  ``from_json_dict`` holds a
-    document to ``check``, and the tests hold every builder to it.
+    The constructor trusts its arguments.  ``from_json_dict`` checks a
+    document as it numbers the cells, and the tests hold every builder
+    to it: its output must load back unchanged.
     """
 
     def __init__(
@@ -55,49 +57,6 @@ class RegularComplex:
     ) -> None:
         self.ids = ids
         self.faces = faces
-
-    def check(self) -> None:
-        """Raise ValueError unless the cells form a regular complex: ids
-        unique and sorted in each dimension, no empty dimension, no faces
-        on a vertex, a nonempty boundary on every other cell, faces that
-        exist one dimension down, signs in {-1, +1}, no repeated face,
-        and a boundary of a boundary that vanishes."""
-        ids, faces = self.ids, self.faces
-        if list(map(len, ids)) != list(map(len, faces)):
-            raise ValueError("ids and faces differ in shape")
-        seen: set[str] = set()
-        for d, group in enumerate(ids):
-            if not group:
-                raise ValueError(f"no cells of dimension {d}")
-            for cid in group:
-                if cid in seen:
-                    raise ValueError(f"duplicate cell id {cid!r}")
-                seen.add(cid)
-            if any(a >= b for a, b in zip(group, group[1:])):
-                raise ValueError(f"cell ids of dimension {d} are not sorted")
-        for d, cells in enumerate(faces):
-            below = ids[d - 1] if d else []
-            for cid, cell in zip(ids[d], cells):
-                if d == 0 and cell:
-                    raise ValueError(f"vertex {cid!r} must not list faces")
-                if d > 0 and not cell:
-                    raise ValueError(f"cell {cid!r} of dimension {d} has no faces")
-                listed: set[int] = set()
-                for k, sign in cell:
-                    if not 0 <= k < len(below):
-                        raise ValueError(f"cell {cid!r} references unknown face {k}")
-                    if sign not in (-1, 1):
-                        raise ValueError(f"face sign of {below[k]!r} in {cid!r} must be -1 or +1")
-                    if k in listed:
-                        raise ValueError(f"face {below[k]!r} repeated in cell {cid!r}")
-                    listed.add(k)
-                acc: dict[int, int] = {}  # the boundary of the boundary
-                for k, sign in cell:
-                    for m, s in faces[d - 1][k]:
-                        acc[m] = acc.get(m, 0) + sign * s
-                bad = [ids[d - 2][m] for m, v in acc.items() if v]
-                if bad:
-                    raise ValueError(f"boundary of boundary of {cid!r} is nonzero at {bad[0]!r}")
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(map(len, self.ids))
@@ -122,10 +81,14 @@ class RegularComplex:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "RegularComplex":
-        """The complex a document describes, numbered in sorted-id order
-        and validated by ``check``.  Numbering needs faces that exist one
-        dimension down and dimensions from 0 up with no gap, so those
-        faults are reported here."""
+        """The complex a document describes, numbered in sorted-id order.
+        Raise ValueError unless it is a regular complex: unique ids,
+        dimensions from 0 up with no gap, no faces on a vertex, a
+        nonempty boundary on every other cell, faces that exist one
+        dimension down, signs in {-1, +1}, no repeated face, and a
+        boundary of a boundary that vanishes.  Each cell is checked as
+        it is numbered, in (dim, id) order, so its faces are already
+        numbered and checked."""
         _check_format(doc, "complex")
         entries = doc["cells"]
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
@@ -142,8 +105,12 @@ class RegularComplex:
             ])
             for e in entries
         ]
-        dim_of = {cid: dim for cid, dim, _ in cells}  # a duplicate id is check()'s to report
         cells.sort(key=lambda c: (c[1], c[0]))
+        dim_of: dict[str, int] = {}
+        for cid, dim, _ in cells:
+            if cid in dim_of:
+                raise ValueError(f"duplicate cell id {cid!r}")
+            dim_of[cid] = dim
         ids: list[list[str]] = []
         faces: list[list[tuple[tuple[int, int], ...]]] = []
         index: dict[str, int] = {}  # id -> its index within its dimension
@@ -152,7 +119,7 @@ class RegularComplex:
                 raise ValueError(f"cell {cid!r} has negative dimension")
             if dim == 0 and listed:
                 raise ValueError(f"vertex {cid!r} must not list faces")
-            resolved = []
+            resolved: dict[int, int] = {}  # face index -> sign, in document order
             for fid, sign in listed:
                 fdim = dim_of.get(fid)
                 if fdim is None:
@@ -161,17 +128,28 @@ class RegularComplex:
                     raise ValueError(
                         f"face {fid!r} of {cid!r} has dimension {fdim}, expected {dim - 1}"
                     )
-                resolved.append((index[fid], sign))
-            if dim > len(ids):  # a gap, so no faces; a huge dim sizes no list
+                if sign not in (-1, 1):
+                    raise ValueError(f"face sign of {fid!r} in {cid!r} must be -1 or +1")
+                k = index[fid]
+                if k in resolved:
+                    raise ValueError(f"face {fid!r} repeated in cell {cid!r}")
+                resolved[k] = sign
+            if dim and not listed:  # a cell past a gap has no face to list
                 raise ValueError(f"cell {cid!r} of dimension {dim} has no faces")
+            acc: dict[int, int] = {}  # the boundary of the boundary
+            for k, sign in resolved.items():
+                for m, s in faces[dim - 1][k]:
+                    acc[m] = acc.get(m, 0) + sign * s
+            bad = [ids[dim - 2][m] for m, v in acc.items() if v]
+            if bad:
+                raise ValueError(f"boundary of boundary of {cid!r} is nonzero at {bad[0]!r}")
             if dim == len(ids):
                 ids.append([])
                 faces.append([])
             index[cid] = len(ids[dim])
             ids[dim].append(cid)
-            faces[dim].append(tuple(resolved))
+            faces[dim].append(tuple(resolved.items()))
         cx = RegularComplex(ids, faces)
-        cx.check()
         if "dims" in doc:
             message = "dims must be a list of integers"
             if not isinstance(doc["dims"], list):
@@ -252,9 +230,6 @@ class SimplicialComplex:
             tuple(zip(map(index.__getitem__, combinations(s, d)), signs))[::-1]
             for s in faces[d]
         ]
-
-    def subdivide(self) -> "SimplicialComplex":
-        return barycentric_subdivision(self)
 
     def to_json_dict(self) -> dict:
         return {

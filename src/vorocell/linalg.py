@@ -149,13 +149,6 @@ class SymMatrix:
         m.den = den
         return m
 
-    # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def rank_one(v: Sequence[int]) -> "SymMatrix":
-        """The rank-one form v v^T of an integer vector."""
-        return SymMatrix._over([[a * b for b in v] for a in v], 1)
-
     # -- read-only Fraction views ----------------------------------------------
 
     @property

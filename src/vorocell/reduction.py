@@ -62,16 +62,6 @@ class ReductionResult:
     coefficients: tuple[Fraction, ...]
     steps: int
 
-    def translated_rays(self, catalog: Catalog) -> list[SymMatrix]:
-        record = catalog.records[self.class_index]
-        w = [list(row) for row in self.witness]
-        out = []
-        for i in self.support:
-            m = record.min_data.vectors[i]
-            image = tuple(sum(w[r][c] * m[c] for c in range(len(m))) for r in range(len(w)))
-            out.append(SymMatrix.rank_one(image))
-        return out
-
 
 def _positive_certificate(
     record: PerfectFormRecord,

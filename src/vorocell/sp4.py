@@ -12,7 +12,6 @@ arithmetic.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -111,11 +110,6 @@ def default_model() -> FourCellModel:
         circle_vertices=4,
         hexagon_gluings=4,
     )
-
-
-def perturbed(model: FourCellModel, **changes) -> FourCellModel:
-    """A copy of the model with fields overridden (negative controls)."""
-    return dataclasses.replace(model, **changes)
 
 
 @dataclass(frozen=True)

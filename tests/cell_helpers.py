@@ -1,5 +1,6 @@
 """A simplicial complex as a regular one, for the tests that need the
-string-id cells of a loaded document."""
+string-id cells of a loaded document, and the check that holds a
+builder's regular complex to the loader."""
 
 from vorocell.cells import RegularComplex, SimplicialComplex
 
@@ -19,3 +20,12 @@ def to_regular(sc: SimplicialComplex) -> RegularComplex:
         faces.append([tuple((rank[k], sign) for k, sign in cells[j]) for j in order])
         rank = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
     return RegularComplex(ids, faces)
+
+
+def assert_loads_back(cx: RegularComplex) -> None:
+    """The loader, which checks every document, gives back the same
+    cells.  A builder's unsorted ids, mismatched shapes, empty dimension
+    or bad face index makes them differ, or fails ``to_json_dict``."""
+    again = RegularComplex.from_json_dict(cx.to_json_dict())
+    assert again.ids == cx.ids
+    assert again.faces == cx.faces

@@ -1,7 +1,8 @@
-"""``SymMatrix`` operations that only the tests use: the identity,
-sums, rational multiples, the value at a vector, the trace pairing, the
-upper-triangle coordinates and back, congruence by an integer matrix,
-cone membership of symmetric matrices, and the null space of an
+"""``SymMatrix`` operations that only the tests use: the identity, the
+rank-one form of a vector, sums, rational multiples, the value at a
+vector, the trace pairing, the upper-triangle coordinates and back,
+congruence by an integer matrix, cone membership of symmetric matrices,
+the translated rays of a reduction, and the null space of an
 elimination with the perfection kernel built from it."""
 
 from fractions import Fraction
@@ -15,6 +16,11 @@ from vorocell.perfect import _value_row
 
 def identity(n: int) -> SymMatrix:
     return SymMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def rank_one(v) -> SymMatrix:
+    """The rank-one form v v^T of an integer vector."""
+    return SymMatrix._over([[a * b for b in v] for a in v], 1)
 
 
 def add(a: SymMatrix, b: SymMatrix) -> SymMatrix:
@@ -90,6 +96,18 @@ def membership(rays, target: SymMatrix):
         [target.num[i][j] for i, j in coords],
         target.den,
     )
+
+
+def translated_rays(result, catalog) -> list:
+    """The rank-one forms (W m)(W m)^T of a ``ReductionResult``, for W its
+    witness and m over the support's minimal vectors of its class: the
+    rays its coefficients combine."""
+    record = catalog.records[result.class_index]
+    w = result.witness
+    return [
+        rank_one([sum(map(mul, row, record.min_data.vectors[i])) for row in w])
+        for i in result.support
+    ]
 
 
 def null_space(reduced, pivots, ncols: int) -> tuple:

@@ -27,11 +27,11 @@ import hashlib
 import io
 import itertools
 import json
-import re
+import random
 
 import pytest
 import sympy
-from cell_helpers import to_regular
+from cell_helpers import assert_loads_back, to_regular
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sparse_reference import _sparse_reduce
@@ -42,6 +42,7 @@ from vorocell.cells import (
     SimplicialComplex,
     _coreduce,
     _image_columns,
+    barycentric_subdivision,
     homology,
 )
 from vorocell.linalg import smith_normal_form
@@ -185,28 +186,6 @@ def test_rejects_nonzero_boundary_of_boundary():
         RegularComplex.from_json_dict(doc)
 
 
-@pytest.mark.parametrize(
-    "ids, faces, message",
-    [
-        ([["a", "b"]], [[()]], "differ in shape"),
-        ([["a"], ["a"]], [[()], [((0, 1),)]], "duplicate cell id 'a'"),
-        ([["b", "a"]], [[(), ()]], "dimension 0 are not sorted"),
-        ([["a"], []], [[()], []], "no cells of dimension 1"),
-        ([["a"]], [[((0, 1),)]], "vertex 'a' must not list faces"),
-        ([["a"], ["e"]], [[()], [()]], "'e' of dimension 1 has no faces"),
-        ([["a"], ["e"]], [[()], [((1, 1),)]], "'e' references unknown face 1"),
-        ([["a"], ["e"]], [[()], [((-1, 1),)]], "'e' references unknown face -1"),
-        ([["a"], ["e"]], [[()], [((0, 2),)]], "sign of 'a' in 'e' must be -1 or +1"),
-        ([["a"], ["e"]], [[()], [((0, 1), (0, -1))]], "face 'a' repeated in cell 'e'"),
-    ],
-)
-def test_check_rejects_bad_integer_cells(ids, faces, message):
-    # the faults a builder could make, some of which a document cannot
-    # express: the loader numbers its cells itself
-    with pytest.raises(ValueError, match=re.escape(message)):
-        RegularComplex(ids, faces).check()
-
-
 def test_regular_complex_json_round_trip():
     cx = to_regular(SimplicialComplex(OCTAHEDRON))
     doc = cx.to_json_dict()
@@ -215,6 +194,22 @@ def test_regular_complex_json_round_trip():
     doc["dims"][0] += 1
     with pytest.raises(ValueError):
         RegularComplex.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "cx",
+    [to_regular(SimplicialComplex(OCTAHEDRON)), QuotientTessellation(7).surface_complex()],
+    ids=["octahedron", "sl2-surface-7"],
+)
+def test_loader_ignores_cell_order(cx, seed):
+    # the loader sorts the cells before it numbers them, so a cell may
+    # list faces that the document gives after it
+    doc = cx.to_json_dict()
+    random.Random(seed).shuffle(doc["cells"])
+    again = RegularComplex.from_json_dict(doc)
+    assert again.ids == cx.ids
+    assert again.faces == cx.faces
 
 
 # -- simplicial complexes ------------------------------------------------------
@@ -263,9 +258,10 @@ def boundary_simplex(k):
     return SimplicialComplex(itertools.combinations(range(k + 2), k + 1))
 
 
-# sha256 of json.dumps(subdivide().to_json_dict()) per base; every base
-# has labels below 10, so faces() order and string-id order agree and
-# the vertex numbering is the (dim, id) one of earlier releases
+# sha256 of json.dumps(barycentric_subdivision(sc).to_json_dict()) per
+# base; every base has labels below 10, so faces() order and string-id
+# order agree and the vertex numbering is the (dim, id) one of earlier
+# releases
 SUBDIVISION_SHA256 = {
     "octahedron": "0f64e4a6d8dfe6bb46dff4cf0ad33140a011d415a3d389df4041a4d4b69f3d49",
     "rp2": "b76c4e8c05b008d765df127c7d9ac91cecb3f20ae5ade0c67280dce336b7db50",
@@ -292,9 +288,9 @@ def test_to_regular_and_subdivision_pass_check(base, digest):
     # the subdivision of a regular complex is read back as regular cells
     sc = SimplicialComplex(base)
     reg = to_regular(sc)
-    reg.check()
-    sd = sc.subdivide()
-    to_regular(sd).check()
+    assert_loads_back(reg)
+    sd = barycentric_subdivision(sc)
+    assert_loads_back(to_regular(sd))
     assert sd.f_vector()[0] == sum(reg.f_vector())
     assert hashlib.sha256(json.dumps(sd.to_json_dict()).encode()).hexdigest() == digest
 
@@ -625,7 +621,7 @@ def test_cubical_complex_builder():
 
 
 def test_matching_on_a_cell_with_one_vertex():
-    # check() accepts an edge whose boundary is a single vertex; that
+    # the loader accepts an edge whose boundary is a single vertex; that
     # vertex is critical, so the edge is too, and the Morse boundary
     # pairs them off
     cx = RegularComplex.from_json_dict(regular(("v", 0, []), ("e", 1, [("v", 1)])))
@@ -660,7 +656,9 @@ def test_matching_keeps_torsion_of_projective_spaces(cx, torsion):
         (QuotientTessellation(12).surface_complex(),
          ((1, 50, 1), ((), (), ())),
          {"unit_pivots": 238, "row_updates": 615}),
-        (SimplicialComplex(itertools.combinations(range(5), 4)).subdivide().subdivide(),
+        (barycentric_subdivision(barycentric_subdivision(
+            SimplicialComplex(itertools.combinations(range(5), 4))
+        )),
          ((1, 0, 0, 1), ((), (), (), ())),
          {"unit_pivots": 6299, "row_updates": 23878}),
     ],
@@ -689,9 +687,9 @@ def test_matching_matches_cleared_reduction_on_sl2_surfaces(level):
 @pytest.mark.parametrize(
     "cx, counters",
     [
-        (SimplicialComplex(itertools.combinations(range(5), 4)).subdivide(),
+        (barycentric_subdivision(SimplicialComplex(itertools.combinations(range(5), 4))),
          {"critical": 2, "matched": 269}),
-        (SimplicialComplex(OCTAHEDRON).subdivide().subdivide(),
+        (barycentric_subdivision(barycentric_subdivision(SimplicialComplex(OCTAHEDRON))),
          {"critical": 2, "matched": 432}),
     ],
     ids=["subdivided-boundary-4-simplex", "twice-subdivided-octahedron"],
@@ -779,19 +777,19 @@ def test_sparse_reduce_matches_dense_smith_form_random(entries, cleared):
 
 
 def test_subdivision_counts_for_triangle():
-    sd = SimplicialComplex([(0, 1, 2)]).subdivide()
+    sd = barycentric_subdivision(SimplicialComplex([(0, 1, 2)]))
     assert sd.f_vector() == (7, 12, 6)
 
 
 def test_subdivision_preserves_homology():
     for faces in (OCTAHEDRON, RP2):
         base = SimplicialComplex(faces)
-        sd = base.subdivide()
+        sd = barycentric_subdivision(base)
         assert homology(sd).betti == homology(base).betti
         assert homology(sd).torsion == homology(base).torsion
 
 
 def test_double_subdivision_of_interval():
-    sd2 = SimplicialComplex([(0, 1)]).subdivide().subdivide()
+    sd2 = barycentric_subdivision(barycentric_subdivision(SimplicialComplex([(0, 1)])))
     assert sd2.f_vector() == (5, 4)
     assert homology(sd2).betti == (1, 0)

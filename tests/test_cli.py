@@ -20,7 +20,7 @@ from cell_helpers import to_regular
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vorocell.cells import RegularComplex, SimplicialComplex
+from vorocell.cells import RegularComplex, SimplicialComplex, barycentric_subdivision
 from vorocell.linalg import SymMatrix
 from vorocell.perfect import Catalog, PerfectFormRecord, enumerate_perfect_forms
 
@@ -803,7 +803,7 @@ def test_verbose_homology_counters_on_subdivided_rp2(tmp_path):
     # labels run to 30, so the numbering of faces() (tuple order) and of
     # to_regular (string-id order, "1.10" before "1.2") differ here; the
     # matching leaves three critical cells in either order
-    subdivided = SimplicialComplex(RP2).subdivide()
+    subdivided = barycentric_subdivision(SimplicialComplex(RP2))
     assert max(subdivided.faces()[0]) == (30,)
     path = write_complex(tmp_path / "rp2-sd.json", subdivided.maximal_faces)
     plain = run("homology", "--complex", path, "--integer")
@@ -864,10 +864,14 @@ def test_verbose_homology_counters_on_a_non_square_morse_boundary(tmp_path):
 @pytest.mark.parametrize(
     "maximal_faces, counters",
     [
-        (SimplicialComplex(itertools.combinations(range(5), 4)).subdivide().maximal_faces,
+        (barycentric_subdivision(
+            SimplicialComplex(itertools.combinations(range(5), 4))
+        ).maximal_faces,
          {"critical": 2, "matched": 269,
           "residual_rows": 0, "residual_cols": 0}),
-        (SimplicialComplex(OCTAHEDRON).subdivide().subdivide().maximal_faces,
+        (barycentric_subdivision(
+            barycentric_subdivision(SimplicialComplex(OCTAHEDRON))
+        ).maximal_faces,
          {"critical": 2, "matched": 432,
           "residual_rows": 0, "residual_cols": 0}),
     ],

@@ -35,6 +35,7 @@ from sym_helpers import (
     membership,
     null_space,
     pair,
+    rank_one,
     scale,
     sub,
     upper,
@@ -117,7 +118,7 @@ def test_form_entries_that_load(entry, value):
 
 
 def test_rank_one():
-    r = SymMatrix.rank_one((1, -2))
+    r = rank_one((1, -2))
     assert r.rows == ((1, -2), (-2, 4))
 
 
@@ -422,7 +423,7 @@ def support(coefficients):
 
 
 def test_cone_membership_interior_and_outside():
-    rays = [SymMatrix.rank_one(v) for v in [(1, 0), (0, 1), (1, 1)]]
+    rays = [rank_one(v) for v in [(1, 0), (0, 1), (1, 1)]]
     inside = membership(rays, SymMatrix([[2, 1], [1, 2]]))
     assert inside is not None
     assert support(inside) == frozenset({0, 1, 2})
@@ -435,7 +436,7 @@ def test_cone_membership_interior_and_outside():
 
 
 def test_cone_membership_boundary_support():
-    rays = [SymMatrix.rank_one(v) for v in [(1, 0), (0, 1), (1, 1)]]
+    rays = [rank_one(v) for v in [(1, 0), (0, 1), (1, 1)]]
     face = membership(rays, SymMatrix([[1, 0], [0, 1]]))
     assert face is not None
     assert support(face) == frozenset({0, 1})

@@ -56,6 +56,7 @@ from sym_helpers import (
     identity,
     pair,
     perfection_kernel,
+    rank_one,
     scale,
 )
 
@@ -126,7 +127,7 @@ def cone_facet_supports_brute(rows):
 
 def ray_matrices(record):
     """The rank-one rays m m^T of a record's domain cone."""
-    return [SymMatrix.rank_one(m) for m in record.min_data.vectors]
+    return [rank_one(m) for m in record.min_data.vectors]
 
 
 D4 = [[2, 0, 1, 0], [0, 2, -1, 0], [1, -1, 2, -1], [0, 0, -1, 2]]

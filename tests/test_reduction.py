@@ -23,11 +23,11 @@ from vorocell.reduction import (
     reduce_with_trace,
     voronoi_reduce,
 )
-from sym_helpers import add, conjugate, identity, membership, scale
+from sym_helpers import add, conjugate, identity, membership, rank_one, scale, translated_rays
 
 
 def reconstructs(x: SymMatrix, result, catalog) -> bool:
-    rays = result.translated_rays(catalog)
+    rays = translated_rays(result, catalog)
     total = scale(identity(x.n), 0)
     for c, r in zip(result.coefficients, rays):
         if c <= 0:
@@ -95,13 +95,13 @@ def check_equivariance(x, catalog, unimodulars):
     """Reducing U^T x U lands in the same class, and its supporting rays
     are the base result's rays moved by the same conjugation."""
     base = voronoi_reduce(x, catalog)
-    base_rays = base.translated_rays(catalog)
+    base_rays = translated_rays(base, catalog)
     for u in unimodulars:
         y = conjugate(x, u)
         res = voronoi_reduce(y, catalog)
         assert res.class_index == base.class_index
         assert reconstructs(y, res, catalog)
-        assert {r.rows for r in res.translated_rays(catalog)} == conjugated_rays(base_rays, u)
+        assert {r.rows for r in translated_rays(res, catalog)} == conjugated_rays(base_rays, u)
     return base
 
 
@@ -127,7 +127,7 @@ def interior_form(record, rng):
     with generic weights, so the form lies in the open cone."""
     total = scale(identity(record.n), 0)
     for m in record.min_data.vectors:
-        ray = SymMatrix.rank_one(m)
+        ray = rank_one(m)
         total = add(total, scale(ray, Fraction(rng.randint(1, 9), rng.randint(1, 4))))
     return total
 
@@ -203,7 +203,7 @@ def halving_certificate(vectors, y, den):
     until the pushed target lies in the cone.  Returns the weights and
     the exponent k of the eps that worked."""
     n = len(y)
-    rays = [SymMatrix.rank_one(v) for v in vectors]
+    rays = [rank_one(v) for v in vectors]
     total = [[sum(v[i] * v[j] for v in vectors) for j in range(n)] for i in range(n)]
     for k in range(64):
         eps = Fraction(1, 2**k)
@@ -221,7 +221,7 @@ def certificate_case(record, support, weights):
     sum_i weights[i] q(v_i) over the rays of ``support``."""
     x = scale(identity(record.n), 0)
     for i, w in zip(support, weights):
-        x = add(x, scale(SymMatrix.rank_one(record.min_data.vectors[i]), w))
+        x = add(x, scale(rank_one(record.min_data.vectors[i]), w))
     coords = _pairing_coordinates(x.num)
     values = [sum(map(mul, f.normal, coords)) for f in record.facets]
     return record, support, x.num, x.den, values
@@ -245,7 +245,7 @@ def random_positive_form(n, rng):
         vectors.append(tuple(v))
     x = scale(identity(n), 0)
     for v in vectors:
-        x = add(x, scale(SymMatrix.rank_one(v), Fraction(rng.randint(1, 9), rng.randint(1, 9))))
+        x = add(x, scale(rank_one(v), Fraction(rng.randint(1, 9), rng.randint(1, 9))))
     return conjugate(x, random_unimodular(n, rng, rng.randint(0, 6)))
 
 

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vorocell import shelling
-from vorocell.cells import SimplicialComplex, homology
+from vorocell.cells import SimplicialComplex, barycentric_subdivision, homology
 from vorocell.shelling import (
     Shelling,
     ShellingResult,
@@ -224,7 +224,11 @@ def test_boundary_simplices_shell(k):
 
 
 def test_octahedron_and_subdivisions_shell():
-    for c in (OCTAHEDRON, OCTAHEDRON.subdivide(), boundary_simplex(3).subdivide()):
+    for c in (
+        OCTAHEDRON,
+        barycentric_subdivision(OCTAHEDRON),
+        barycentric_subdivision(boundary_simplex(3)),
+    ):
         res = find_shelling(c)
         assert res.status == "shelled"
         assert literal_shelling_check(res.shelling.ordering)
@@ -368,13 +372,13 @@ def relabelled(c, rng):
 
 
 SUBDIVIDED = {
-    "S1": boundary_simplex(1).subdivide(),
-    "S2": boundary_simplex(2).subdivide(),
-    "S3": boundary_simplex(3).subdivide(),
-    "octahedron": OCTAHEDRON.subdivide(),
-    "B2": SimplicialComplex([(0, 1, 2)]).subdivide(),
-    "B3": SimplicialComplex([(0, 1, 2, 3)]).subdivide(),
-    "strip": SimplicialComplex([(0, 1, 2), (1, 2, 3), (2, 3, 4)]).subdivide(),
+    "S1": barycentric_subdivision(boundary_simplex(1)),
+    "S2": barycentric_subdivision(boundary_simplex(2)),
+    "S3": barycentric_subdivision(boundary_simplex(3)),
+    "octahedron": barycentric_subdivision(OCTAHEDRON),
+    "B2": barycentric_subdivision(SimplicialComplex([(0, 1, 2)])),
+    "B3": barycentric_subdivision(SimplicialComplex([(0, 1, 2, 3)])),
+    "strip": barycentric_subdivision(SimplicialComplex([(0, 1, 2), (1, 2, 3), (2, 3, 4)])),
 }
 
 
@@ -467,7 +471,10 @@ def test_frontier_matches_rescan_on_random_complexes(faces, budget):
 
 @pytest.mark.parametrize(
     "c, facets",
-    [(boundary_simplex(3).subdivide(), 120), (OCTAHEDRON.subdivide().subdivide(), 288)],
+    [
+        (barycentric_subdivision(boundary_simplex(3)), 120),
+        (barycentric_subdivision(barycentric_subdivision(OCTAHEDRON)), 288),
+    ],
     ids=["subdivided-boundary-4-simplex", "twice-subdivided-octahedron"],
 )
 def test_frontier_matches_rescan_on_larger_spheres(c, facets):
@@ -496,7 +503,7 @@ def test_certify_builds_one_ridge_table(monkeypatch):
     built = []
     table = shelling._ridge_table
     monkeypatch.setattr(shelling, "_ridge_table", lambda facets: built.append(1) or table(facets))
-    assert certify_sphere(OCTAHEDRON.subdivide()).status == "sphere"
+    assert certify_sphere(barycentric_subdivision(OCTAHEDRON)).status == "sphere"
     assert len(built) == 1
     built.clear()
     assert certify_sphere(SimplicialComplex([(0, 1, 2), (0, 1, 3), (0, 1, 4)])).status == (

@@ -12,6 +12,7 @@ products mod N and explicit cosets gH.
 import itertools
 
 import pytest
+from cell_helpers import assert_loads_back
 
 from vorocell.cells import RegularComplex, homology
 from vorocell.sl2 import (
@@ -202,7 +203,7 @@ def test_complexes_match_explicit_cosets():
 
 @pytest.mark.parametrize("n", range(3, 41))
 def test_built_complexes_pass_check(n):
-    # the builders skip validation, so hold their output to it here
+    # the builders skip validation, so hold their output to the loader here
     t = QuotientTessellation(n)
-    t.surface_complex().check()
-    t.dual_graph().check()
+    assert_loads_back(t.surface_complex())
+    assert_loads_back(t.dual_graph())

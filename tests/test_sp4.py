@@ -5,6 +5,7 @@ Euler characteristics, and pairing totals recomputed from the raw
 inventory numbers rather than through the module's own report code.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -15,7 +16,6 @@ from vorocell.sp4 import (
     builtin_shells,
     default_model,
     pairing_accountant,
-    perturbed,
     verify_chain,
     verify_model,
 )
@@ -128,7 +128,7 @@ def test_adjacency_accounting():
 def test_perturbed_f_vector_fails():
     model = default_model()
     v, e, f2, f3 = model.f_vector
-    bad = perturbed(model, f_vector=(v + 1, e, f2, f3))
+    bad = dataclasses.replace(model, f_vector=(v + 1, e, f2, f3))
     report = verify_model(bad)
     assert not report.ok
     assert failures(report)
@@ -136,25 +136,23 @@ def test_perturbed_f_vector_fails():
 
 def test_perturbed_facet_inventory_fails():
     model = default_model()
-    bad = perturbed(model, facet_counts={"crystal": 0, "vertebra": 4, "pyramid": 36})
+    bad = dataclasses.replace(model, facet_counts={"crystal": 0, "vertebra": 4, "pyramid": 36})
     assert not verify_model(bad).ok
 
 
 def test_perturbed_cells_through_fails():
     model = default_model()
-    bad = perturbed(
-        model, cells_through={"crystal": 3, "vertebra": 3, "pyramid": 3}
-    )
+    bad = dataclasses.replace(model, cells_through={"crystal": 3, "vertebra": 3, "pyramid": 3})
     assert not verify_model(bad).ok
 
 
 def test_perturbed_neighbor_count_fails():
-    bad = perturbed(default_model(), stated_neighbors=113)
+    bad = dataclasses.replace(default_model(), stated_neighbors=113)
     assert not verify_model(bad).ok
 
 
 def test_perturbed_chain_vertices_fails():
-    bad = perturbed(default_model(), chain_vertices=71)
+    bad = dataclasses.replace(default_model(), chain_vertices=71)
     assert not verify_model(bad).ok
 
 
