@@ -7,8 +7,10 @@ A regular complex stores them per dimension beside its sorted cell ids;
 builders make it correct by construction, and a loaded document is
 checked once, as the loader numbers its cells, for consistent faces and
 the chain condition (the boundary of a boundary vanishes).  A
-simplicial complex builds them on each call from its sorted integer
-faces, numbered in ``faces()`` order.
+simplicial complex numbers its faces and their boundaries in one pass,
+when ``faces()`` is first called: each face of each simplex is looked
+up once, and its number, in ``faces()`` order, is kept in one flat list
+per dimension, which ``cells(d)`` pairs with the signs.
 ``homology`` and ``barycentric_subdivision`` read only ``f_vector()``
 and ``cells(d)``.
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, repeat
+from itertools import accumulate, chain, combinations, count, cycle, repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import obs
@@ -163,46 +165,52 @@ class SimplicialComplex:
     """An abstract simplicial complex given by its maximal faces."""
 
     def __init__(self, maximal_faces: Iterable[Iterable[int]]) -> None:
-        cleaned = set()
-        for f in maximal_faces:
-            fs = frozenset(int(v) for v in f)
-            if not fs:
-                raise ValueError("empty face")
-            cleaned.add(fs)
+        cleaned = {frozenset(map(int, f)) for f in maximal_faces}
+        if frozenset() in cleaned:
+            raise ValueError("empty face")
+        if not cleaned:
+            raise ValueError("complex has no faces")
         # drop faces contained in a strictly larger one; only faces of
-        # greater cardinality can contain them, so pure inputs skip this
+        # greater cardinality can contain them, so the largest faces and
+        # pure inputs skip this
         by_size: dict[int, list[frozenset[int]]] = {}
         for fs in cleaned:
             by_size.setdefault(len(fs), []).append(fs)
-        larger: list[frozenset[int]] = []
-        kept: list[frozenset[int]] = []
-        for size in sorted(by_size, reverse=True):
-            for fs in by_size[size]:
-                if not any(fs < g for g in larger):
-                    kept.append(fs)
-            larger.extend(by_size[size])
-        self.maximal_faces = tuple(sorted(tuple(sorted(f)) for f in kept))
-        if not self.maximal_faces:
-            raise ValueError("complex has no faces")
+        sizes = sorted(by_size, reverse=True)
+        larger = by_size[sizes[0]]
+        kept = list(larger)
+        for size in sizes[1:]:
+            kept += [fs for fs in by_size[size] if not any(fs < g for g in larger)]
+            larger = larger + by_size[size]
+        self.maximal_faces = tuple(sorted(map(tuple, map(sorted, kept))))
         self._faces: Optional[dict[int, list[tuple[int, ...]]]] = None
+        self._boundaries: dict[int, list[int]] = {}
 
     def faces(self) -> dict[int, list[tuple[int, ...]]]:
         """All faces grouped by dimension, each sorted lexicographically."""
         if self._faces is None:
             # a face is maximal or a face of a face one vertex larger, so
-            # each dimension comes from the one above; faces are sorted
-            # tuples, so their combinations are too
+            # each dimension comes from the one above, and numbering it
+            # numbers the boundaries above as well: each face of each
+            # d-simplex, in combinations order, is looked up once and
+            # enters at its position in that stream if it is new; the
+            # sort of the dimension ranks those positions.  Faces are
+            # sorted tuples, so their combinations are too.
             by_size: dict[int, list[tuple[int, ...]]] = {}
             for f in self.maximal_faces:
                 by_size.setdefault(len(f), []).append(f)
-            levels = []
-            above: list[tuple[int, ...]] = []
-            for k in range(self.dim + 1, 0, -1):
-                level = set(by_size.get(k, ()))
-                level.update(chain.from_iterable(map(combinations, above, repeat(k))))
-                above = sorted(level)
-                levels.append(above)
-            self._faces = dict(enumerate(reversed(levels)))
+            top = self.dim
+            levels = {top: by_size[top + 1]}  # sorted, as maximal_faces is
+            for d in range(top, 0, -1):
+                seed = by_size.get(d, [])  # the maximal (d-1)-faces
+                level = dict(zip(seed, count()))
+                incidences = chain.from_iterable(map(combinations, levels[d], repeat(d)))
+                first = list(map(level.setdefault, incidences, count(len(seed))))
+                levels[d - 1] = below = sorted(level)
+                rank = [0] * (len(seed) + len(first))
+                deque(map(rank.__setitem__, map(level.__getitem__, below), count()), maxlen=0)
+                self._boundaries[d] = list(map(rank.__getitem__, first))
+            self._faces = {d: levels[d] for d in range(top + 1)}
         return self._faces
 
     @property
@@ -218,18 +226,19 @@ class SimplicialComplex:
     def cells(self, d: int) -> list[tuple[tuple[int, int], ...]]:
         """The d-simplices' signed faces, both dimensions in ``faces()``
         order, in the sorted-vertex orientation: the face dropping the
-        i-th vertex enters with sign (-1)^i.  Built on each call."""
+        i-th vertex enters with sign (-1)^i.  Read off the face numbers
+        ``faces()`` records, a fresh list on each call."""
         faces = self.faces()
         if d == 0:
             return [()] * len(faces[0])
-        index = {f: i for i, f in enumerate(faces[d - 1])}
-        # combinations drop the last vertex first, so they pair with the
-        # signs from the last one down and the pairs are then reversed
-        signs = [(-1) ** i for i in range(d, -1, -1)]
-        return [
-            tuple(zip(map(index.__getitem__, combinations(s, d)), signs))[::-1]
-            for s in faces[d]
-        ]
+        # combinations drop the last vertex first, so the recorded face
+        # numbers, read backwards, run from the last simplex to the
+        # first, each from the face dropping its first vertex
+        signs = [(-1) ** i for i in range(d + 1)]
+        pairs = zip(reversed(self._boundaries[d]), cycle(signs))
+        cells = list(zip(*[pairs] * (d + 1)))
+        cells.reverse()
+        return cells
 
     def to_json_dict(self) -> dict:
         return {

@@ -14,16 +14,20 @@ exhausted search may report).
 Ridges are numbered once per facet list, as integers, by
 ``_ridge_table``: each facet's ridge numbers, the k-th one dropping its
 k-th vertex, and each ridge's ``(facet, opposite vertex)`` pairs.  Ridge
-degrees, the search's ridge counts and its attachments are read off that
-table, with no set built per ridge.  ``verify_shelling`` replays the
-definition with a ridge set of its own, so the check does not share the
-search's data.
+degrees and the search's ridge counts are read off that table, with no
+set built per ridge.  The search records only its order: a facet is
+placed when the facets before it in the order are exactly the placed
+ones, so the ridges it is glued along are those of its ridges that lie
+in an earlier facet, and ``Shelling.attachments`` derives them from the
+order when first read.  ``verify_shelling`` replays the definition with
+a ridge set of its own, so the check does not share the search's data.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -33,12 +37,15 @@ from .cells import SimplicialComplex
 DEFAULT_BUDGET = 10_000_000
 
 
-def _facet_list(c: SimplicialComplex) -> list[frozenset[int]]:
-    facets = [frozenset(f) for f in c.maximal_faces]
-    sizes = {len(f) for f in facets}
+def _check_pure(c: SimplicialComplex) -> None:
+    sizes = set(map(len, c.maximal_faces))
     if len(sizes) != 1:
         raise ValueError(f"complex is not pure: facet sizes {sorted(sizes)}")
-    return facets
+
+
+def _facet_list(c: SimplicialComplex) -> list[frozenset[int]]:
+    _check_pure(c)
+    return list(map(frozenset, c.maximal_faces))
 
 
 def _ridge_table(
@@ -68,15 +75,26 @@ def _ridge_table(
 
 @dataclass(frozen=True)
 class Shelling:
-    """A shelling order with its per-step attachment record.
+    """A shelling order, its facets as sorted tuples.
 
     ``attachments[j]`` lists the codimension-one faces along which the
-    j-th facet is glued to the union of its predecessors; it is empty
-    only for j = 0.
+    j-th facet is glued to the union of its predecessors, in
+    lexicographic order; it is empty only for j = 0.  It is derived from
+    the order in one pass, when first read: the j-th facet's ridges that
+    lie in one of facets 0..j-1.
     """
 
     ordering: tuple[tuple[int, ...], ...]
-    attachments: tuple[tuple[tuple[int, ...], ...], ...]
+
+    @cached_property
+    def attachments(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        built: set[tuple[int, ...]] = set()
+        attachments = []
+        for f in self.ordering:
+            ridges = list(combinations(f, len(f) - 1))  # in lexicographic order
+            attachments.append(tuple(filter(built.__contains__, ridges)))
+            built.update(ridges)
+        return tuple(attachments)
 
 
 @dataclass(frozen=True)
@@ -219,12 +237,6 @@ class _SearchState:
         self.parked = []
         return [entry[1] for entry in live]
 
-    def attachment(self, idx: int) -> tuple[tuple[int, ...], ...]:
-        glue, ridges = self.glue[idx], self.ridges
-        # dropping a later vertex of a sorted facet leaves a smaller ridge
-        pairs = zip(reversed(self.sorted_facets[idx]), reversed(self.facet_ridges[idx]))
-        return tuple(ridges[r] for v, r in pairs if v in glue)
-
 
 def find_shelling(
     c: "SimplicialComplex | _SearchState", budget: int = DEFAULT_BUDGET
@@ -249,9 +261,9 @@ def find_shelling(
     state = c if isinstance(c, _SearchState) else _SearchState(c)
     facets = state.facets
     nodes = 0
-    # one frame per placed facet: (facet, glue log, attachment, its
-    # level's candidate snapshot or None, its position in the snapshot)
-    frames: list[tuple[int, list, tuple, Optional[list[int]], int]] = []
+    # one frame per placed facet: (facet, glue log, its level's
+    # candidate snapshot or None, its position in the snapshot)
+    frames: list[tuple[int, list, Optional[list[int]], int]] = []
     cands: Optional[list[int]] = None
     pos = 0
     while True:
@@ -267,7 +279,7 @@ def find_shelling(
             if not frames:
                 result = ShellingResult("not-shellable", None, nodes)
                 break
-            idx, glue_log, _, cands, pos = frames.pop()
+            idx, glue_log, cands, pos = frames.pop()
             state.unplace(idx, glue_log)
             if cands is None:
                 cands = state.candidates()
@@ -277,12 +289,10 @@ def find_shelling(
             result = ShellingResult("unknown", None, nodes)
             break
         nodes += 1
-        attach = state.attachment(idx)
-        frames.append((idx, state.place(idx), attach, cands, pos))
+        frames.append((idx, state.place(idx), cands, pos))
         if len(frames) == len(facets):
             ordering = tuple(state.sorted_facets[i] for i in state.order)
-            attachments = tuple(frame[2] for frame in frames)
-            result = ShellingResult("shelled", Shelling(ordering, attachments), nodes)
+            result = ShellingResult("shelled", Shelling(ordering), nodes)
             break
         cands = None
     obs.add("shelling", nodes=nodes)
@@ -297,16 +307,16 @@ def verify_shelling(c: SimplicialComplex, ordering: Sequence[Sequence[int]]) -> 
     first must meet the union of its predecessors in a nonempty union of
     its own codimension-one faces.
     """
-    _facet_list(c)  # pure, or ValueError
+    _check_pure(c)
     given = [tuple(sorted(f)) for f in ordering]
     if sorted(given) != list(c.maximal_faces) or len(set(given)) != len(given):
         return False
     built_ridges: set[tuple[int, ...]] = set()
     used_by_vertex: dict[int, list[frozenset[int]]] = {}
     for j, f in enumerate(given):
-        ridges = [f[:k] + f[k + 1 :] for k in range(len(f))]  # the k-th drops f[k]
+        ridges = list(combinations(f, len(f) - 1))  # the first drops f[-1]
         if j > 0:
-            glue = {v for v, r in zip(f, ridges) if r in built_ridges}
+            glue = {v for v, r in zip(reversed(f), ridges) if r in built_ridges}
             if not glue:
                 return False
             pick = min(glue, key=lambda v: len(used_by_vertex.get(v, ())))
@@ -344,13 +354,12 @@ def certify_sphere(c: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Sphere
     except ValueError as e:
         return SphereCertificate("not-pseudomanifold", None, str(e), 0)
     sides = state.sides  # the search reads the same ridge table
-    worst = max(map(len, sides))
-    if worst > 2:
-        ridge = list(min(r for r, s in zip(state.ridges, sides) if len(s) > 2))
+    if max(map(len, sides)) > 2:
+        ridge, degree = min((r, len(s)) for r, s in zip(state.ridges, sides) if len(s) > 2)
         return SphereCertificate(
             "not-pseudomanifold",
             None,
-            f"ridge {ridge} lies in {worst} facets",
+            f"ridge {list(ridge)} lies in {degree} facets",
             0,
         )
     result = find_shelling(state, budget)

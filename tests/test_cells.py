@@ -31,7 +31,7 @@ import random
 
 import pytest
 import sympy
-from cell_helpers import assert_loads_back, to_regular
+from cell_helpers import assert_loads_back, reference_cells, reference_faces, to_regular
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sparse_reference import _sparse_reduce
@@ -247,6 +247,41 @@ def test_faces_match_the_union_over_maximal_faces(raw):
     got = sc.faces()
     assert list(got) == list(expected)
     assert got == expected
+
+
+@st.composite
+def mixed_complexes(draw):
+    """Maximal faces of mixed sizes, some faces inside others, which the
+    constructor drops, and shuffled labels, negative ones too, so that
+    neither the faces nor their vertices come in sorted order."""
+    faces = draw(st.lists(
+        st.lists(st.integers(0, 11), min_size=1, max_size=6, unique=True),
+        min_size=1, max_size=10,
+    ))
+    inside = [f[: draw(st.integers(1, len(f)))] for f in faces if draw(st.booleans())]
+    labels = draw(st.lists(st.integers(-40, 40), min_size=12, max_size=12, unique=True))
+    return draw(st.permutations([[labels[v] for v in f] for f in faces + inside]))
+
+
+@given(mixed_complexes())
+@settings(max_examples=150, deadline=None)
+def test_face_tables_match_the_set_and_sort_reference(raw):
+    sc = SimplicialComplex(raw)
+    faces = reference_faces(sc)
+    assert list(sc.faces()) == list(faces)
+    assert sc.faces() == faces
+    assert sc.f_vector() == tuple(map(len, faces.values()))
+    for d in faces:
+        cells = sc.cells(d)
+        assert cells == reference_cells(sc, d)
+        assert sc.cells(d) == cells  # a second call reads the same table
+
+
+def test_face_tables_match_the_reference_on_a_subdivided_sphere():
+    sc = barycentric_subdivision(boundary_simplex(4))
+    assert sc.faces() == reference_faces(sc)
+    for d in range(sc.dim + 1):
+        assert sc.cells(d) == reference_cells(sc, d)
 
 
 def test_to_regular_builds_valid_chain_complex():

@@ -9,8 +9,10 @@ module's verifier and search results are compared against.
 A second reference, ``reference_find_shelling``, is the depth-first
 search without the incremental frontier: every level rescans and
 re-sorts every facet and tries them in that order.  The module's search
-must return the same result as it, order, attachments and node count
-included.
+must return the same result as it, order and node count included.  The
+reference records each facet's attachment as it places the facet, from
+its glue at that moment; the module's ``Shelling`` derives them from the
+order afterwards, and the two must agree.
 """
 
 import itertools
@@ -149,14 +151,15 @@ class RescanState:
         f = self.facets[idx]
         return tuple(sorted(tuple(sorted(f - {v})) for v in self.glue[idx]))
 
-    def shelled(self, nodes, attachments):
+    def shelled(self, nodes):
         ordering = tuple(self.sorted_facets[i] for i in self.order)
-        return ShellingResult("shelled", Shelling(ordering, tuple(attachments)), nodes)
+        return ShellingResult("shelled", Shelling(ordering), nodes)
 
 
 def reference_find_shelling(c, budget=shelling.DEFAULT_BUDGET):
     """Exhaustive chronological backtracking, each level taking the
-    first valid facet of a full rescan."""
+    first valid facet of a full rescan: the result, and the attachments
+    recorded as the facets were placed, or None unless shelled."""
     state = RescanState(shelling._facet_list(c))
     nodes = 0
     # frames hold [candidates, next position, glue log of the placed facet]
@@ -170,12 +173,12 @@ def reference_find_shelling(c, budget=shelling.DEFAULT_BUDGET):
             frame[1] += 1
             if state.is_valid_step(idx):
                 if nodes >= budget:
-                    return ShellingResult("unknown", None, nodes)
+                    return ShellingResult("unknown", None, nodes), None
                 nodes += 1
                 attachments.append(state.attachment(idx))
                 frame[2] = state.place(idx)
                 if len(state.order) == len(state.facets):
-                    return state.shelled(nodes, attachments)
+                    return state.shelled(nodes), tuple(attachments)
                 frames.append([state.candidates(), 0, None])
                 break
         else:
@@ -183,7 +186,19 @@ def reference_find_shelling(c, budget=shelling.DEFAULT_BUDGET):
             if frames:
                 state.unplace(state.order[-1], frames[-1][2])
                 attachments.pop()
-    return ShellingResult("not-shellable", None, nodes)
+    return ShellingResult("not-shellable", None, nodes), None
+
+
+def matches_reference(c, budget=shelling.DEFAULT_BUDGET):
+    """``find_shelling``'s result, after checking that it is the
+    reference's, and that the attachments it derives from its order are
+    the ones the reference recorded during its search."""
+    res = find_shelling(c, budget)
+    ref, attachments = reference_find_shelling(c, budget)
+    assert res == ref
+    if res.status == "shelled":
+        assert res.shelling.attachments == attachments
+    return res
 
 
 # -- pseudomanifold test ---------------------------------------------------------
@@ -261,6 +276,13 @@ def test_verifier_rejects_wrong_facet_sets():
     assert not verify_shelling(OCTAHEDRON, order[:-1] + [order[0]])
 
 
+def test_attachments_are_derived_once():
+    shelled = find_shelling(OCTAHEDRON).shelling
+    assert "attachments" not in vars(shelled)  # the search records only the order
+    assert shelled.attachments is shelled.attachments
+    assert shelled == Shelling(shelled.ordering)
+
+
 def test_attachment_record_is_faithful():
     res = find_shelling(OCTAHEDRON)
     built = set()
@@ -329,6 +351,14 @@ def test_certify_rejects_triple_ridge():
     assert res.detail == "ridge [0, 1] lies in 3 facets"
 
 
+def test_certify_names_the_degree_of_the_ridge_it_names():
+    """The least over-full ridge is reported with its own degree, not
+    the largest degree of any ridge."""
+    c = SimplicialComplex([(0, 1), (0, 2), (0, 3), (5, 6), (5, 7), (5, 8), (5, 9)])
+    res = certify_sphere(c)
+    assert (res.status, res.detail) == ("not-pseudomanifold", "ridge [0] lies in 3 facets")
+
+
 def test_certify_unknown_cases():
     assert certify_sphere(RP2).status == "unknown"
     assert certify_sphere(OCTAHEDRON, budget=2).status == "unknown"
@@ -386,9 +416,7 @@ SUBDIVIDED = {
 @pytest.mark.parametrize("seed", range(4))
 def test_frontier_matches_rescan_on_relabelled_spheres_and_balls(name, seed):
     c = relabelled(SUBDIVIDED[name], random.Random(f"{name}:{seed}"))
-    res = find_shelling(c)
-    assert res.status == "shelled"
-    assert res == reference_find_shelling(c)
+    assert matches_reference(c).status == "shelled"
 
 
 # two shellable complexes, found by a random search, on which the first
@@ -410,7 +438,7 @@ DEEP_BACKTRACK = SimplicialComplex([
     ids=["octahedron", "moebius", "rp2", "disjoint", "stuck-greedy", "deep-backtrack"],
 )
 def test_frontier_matches_rescan_through_restart_and_backtracking(c):
-    assert find_shelling(c) == reference_find_shelling(c)
+    matches_reference(c)
 
 
 @pytest.mark.parametrize(
@@ -451,7 +479,7 @@ def test_snapshot_includes_parked_facets(c):
 
 @pytest.mark.parametrize("budget", range(1, 9))
 def test_frontier_matches_rescan_at_every_budget(budget):
-    assert find_shelling(OCTAHEDRON, budget) == reference_find_shelling(OCTAHEDRON, budget)
+    matches_reference(OCTAHEDRON, budget)
 
 
 @given(
@@ -465,8 +493,7 @@ def test_frontier_matches_rescan_at_every_budget(budget):
 )
 @settings(max_examples=60, deadline=None)
 def test_frontier_matches_rescan_on_random_complexes(faces, budget):
-    c = SimplicialComplex(faces)
-    assert find_shelling(c, budget) == reference_find_shelling(c, budget)
+    matches_reference(SimplicialComplex(faces), budget)
 
 
 @pytest.mark.parametrize(
@@ -481,16 +508,14 @@ def test_frontier_matches_rescan_on_larger_spheres(c, facets):
     """The ridge table and the frontier against the rescan, on spheres
     far larger than the random complexes reach."""
     assert len(c.maximal_faces) == facets
-    res = find_shelling(c)
-    assert res.status == "shelled"
-    assert res == reference_find_shelling(c)
+    assert matches_reference(c).status == "shelled"
 
 
 def test_certify_rejects_an_order_that_fails_the_check(monkeypatch):
     order = list(OCTAHEDRON.maximal_faces)  # (0, 2, 4) first, (1, 3, 5) last
     order.insert(1, order.pop())  # two disjoint facets in a row
     assert not verify_shelling(OCTAHEDRON, order)
-    broken = ShellingResult("shelled", Shelling(tuple(order), ((),) * 8), 8)
+    broken = ShellingResult("shelled", Shelling(tuple(order)), 8)
     monkeypatch.setattr(shelling, "find_shelling", lambda c, budget: broken)
     cert = certify_sphere(OCTAHEDRON)
     assert (cert.status, cert.shelling, cert.detail, cert.nodes_used) == (
