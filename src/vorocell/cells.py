@@ -184,6 +184,8 @@ class SimplicialComplex:
             larger = larger + by_size[size]
         self.maximal_faces = tuple(sorted(map(tuple, map(sorted, kept))))
         self._faces: Optional[dict[int, list[tuple[int, ...]]]] = None
+        # d -> the d-simplices' face numbers, d + 1 each in combinations
+        # order, filled in by faces()
         self._boundaries: dict[int, list[int]] = {}
 
     def faces(self) -> dict[int, list[tuple[int, ...]]]:
@@ -207,7 +209,7 @@ class SimplicialComplex:
                 incidences = chain.from_iterable(map(combinations, levels[d], repeat(d)))
                 first = list(map(level.setdefault, incidences, count(len(seed))))
                 levels[d - 1] = below = sorted(level)
-                rank = [0] * (len(seed) + len(first))
+                rank = [0] * (len(seed) + len(first))  # stream position -> sorted index
                 deque(map(rank.__setitem__, map(level.__getitem__, below), count()), maxlen=0)
                 self._boundaries[d] = list(map(rank.__getitem__, first))
             self._faces = {d: levels[d] for d in range(top + 1)}

@@ -277,13 +277,6 @@ def test_face_tables_match_the_set_and_sort_reference(raw):
         assert sc.cells(d) == cells  # a second call reads the same table
 
 
-def test_face_tables_match_the_reference_on_a_subdivided_sphere():
-    sc = barycentric_subdivision(boundary_simplex(4))
-    assert sc.faces() == reference_faces(sc)
-    for d in range(sc.dim + 1):
-        assert sc.cells(d) == reference_cells(sc, d)
-
-
 def test_to_regular_builds_valid_chain_complex():
     reg = to_regular(SimplicialComplex(RP2))
     assert reg.f_vector() == (6, 15, 10)
